@@ -55,7 +55,7 @@ from .families import (
     select_best,
     train_family,
 )
-from .kernels import KernelSpec, default_gamma, gram, kernel_eval, kernel_matrix
+from .kernels import KernelSpec, default_gamma, gram, kernel_matrix
 from .logistic import ScLrModel, train_sc_lr
 from .pipeline import (
     EVALUATION_COLUMNS,

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 
-__all__ = ["KernelSpec", "default_gamma", "kernel_eval", "kernel_matrix", "gram", "kernel_diag"]
+__all__ = ["KernelSpec", "default_gamma", "kernel_matrix", "gram", "kernel_diag"]
 
 _KINDS = ("linear", "gaussian", "polynomial")
 
@@ -77,20 +77,6 @@ def _require_gamma(spec: KernelSpec) -> float:
     if spec.gamma is None:
         raise InvalidArgument("gaussian kernel used before gamma was resolved")
     return spec.gamma
-
-
-def kernel_eval(spec: KernelSpec, a, b) -> float:
-    """Scalar kernel value k(a, b) for two points."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise InvalidArgument(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if spec.kind == "linear":
-        return float(a @ b)
-    if spec.kind == "gaussian":
-        diff = a - b
-        return float(np.exp(-_require_gamma(spec) * (diff @ diff)))
-    return float((a @ b + spec.coef0) ** int(spec.degree))
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:

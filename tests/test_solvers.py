@@ -8,6 +8,9 @@ from saferegions import Hyperparameters, KernelSpec
 from saferegions.classifiers import box_bounds
 from saferegions.kernels import gram
 from saferegions.solvers import (
+    _interior_point,
+    _pivoted_cholesky,
+    _restore_mass,
     ascent_gradient,
     ascent_objective,
     pairwise_ascent,
@@ -115,3 +118,70 @@ def test_equality_mass_preserved_exactly():
     K, s, C, alpha0, q, scale = problem
     alpha, *_ = solve_box_qp(K, s, C, alpha0, q, scale, 1e-8, 50_000)
     assert abs(float(s @ alpha) - 0.5) <= 1e-9
+
+
+def test_pivoted_cholesky_against_numpy():
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(30, 2))
+    for spec, rank in ((KernelSpec(kind="linear"), 2),
+                       (KernelSpec(kind="polynomial", degree=3), 4),
+                       (KernelSpec(kind="gaussian", gamma=0.7), 30)):
+        K = gram(spec, x)
+        G, res, pivots = _pivoted_cholesky(K, 30)
+        assert G.shape[1] == len(pivots) <= rank
+        assert len(set(pivots)) == len(pivots)
+        R = K - G @ G.T
+        trace = float(np.trace(K))
+        assert np.abs(np.diagonal(R) - res).max() <= 1e-12 * trace
+        assert res.sum() <= 1e-12 * trace
+        assert (res >= 0.0).all()
+        assert np.linalg.eigvalsh(R).min() >= -1e-12 * trace
+    # a full-rank Gram is refused once the rank passes the cap
+    assert _pivoted_cholesky(gram(KernelSpec(kind="gaussian", gamma=0.7), x), 30 // 4) is None
+
+
+def _low_rank_problems(rng):
+    n = 60
+    x = rng.normal(size=(n, 2))
+    y = np.where(x[:, 0] + x[:, 1] + 0.7 * rng.normal(size=n) < 0.0, 1, -1)
+    for spec in (KernelSpec(kind="linear"), KernelSpec(kind="gaussian", gamma=0.001)):
+        K = gram(spec, x)
+        assert _pivoted_cholesky(K, n // 4) is not None   # low-rank route
+        C = box_bounds(Hyperparameters(eta=0.05, tau=0.5, kernel=spec), y)
+        yf = y.astype(float)
+        yield K, -yf, C, np.zeros(n), np.ones(n), 1.0            # svm form
+        alpha0 = np.zeros(n)
+        remaining = 0.5
+        for i in np.flatnonzero(y > 0):
+            alpha0[i] = min(C[i], remaining)
+            remaining -= alpha0[i]
+        yield K, yf, C, alpha0, yf * np.diagonal(K), 4.0          # svdd form
+
+
+def test_low_rank_route_matches_oracle():
+    rng = np.random.default_rng(43)
+    for K, s, C, alpha0, q, scale in _low_rank_problems(rng):
+        alpha, g, iters, residual, converged, gap = solve_box_qp(
+            K, s, C, alpha0, q, scale, 1e-8, 100_000)
+        assert converged
+        mass = float(s @ alpha0)
+        _, oracle_obj = qp_oracle(K, s, C, q, scale, mass)
+        assert abs(ascent_objective(K, s, alpha, q, scale) - oracle_obj) <= 1e-6
+        assert abs(float(s @ alpha) - mass) <= 1e-12
+        assert (alpha >= 0.0).all() and (alpha <= C).all()
+        # the low-rank warm start alone already sits at the optimum
+        warm = _interior_point(K, s, C, q, scale, mass)
+        assert abs(ascent_objective(K, s, warm, q, scale) - oracle_obj) <= 1e-6
+
+
+def test_restore_mass_spreads_drift_beyond_any_single_room():
+    s = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+    C = np.array([1.0, 2.0, 0.5, 1.5, 1.0, 0.25])
+    alpha = np.array([0.2, 1.5, 0.1, 0.9, 0.0, 0.25])
+    base = float(s @ alpha)
+    for drift in (2.5, -2.0, 1e-13, 0.0):
+        # no single room reaches 2.5 (largest 1.5) or 2.0 (largest 1.0)
+        fixed = _restore_mass(alpha, s, C, base + drift)
+        assert abs(float(s @ fixed) - (base + drift)) <= 1e-12
+        assert (fixed >= 0.0).all() and (fixed <= C).all()
+    assert np.array_equal(_restore_mass(alpha, s, C, base), alpha)
