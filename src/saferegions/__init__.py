@@ -11,6 +11,7 @@ from .classifiers import (
     TrainSettings,
     boundary_radius,
     decision_value,
+    expansion_margins,
     load_model,
     model_from_record,
     model_to_record,

@@ -12,6 +12,11 @@ increasing link fixing ``link(0) = 0``.  The boundary level of a point, the
 unique root of ``f(x, .)``, is therefore ``-s(x)``, and the membership test
 ``f(x, rho) < 0`` is identical to ``rho < boundary_radius(x)``.
 
+Each variant's margin is a kernel expansion plus an offset, with an optional
+self-similarity term: ``s(x) = w_d k(x, x) + sum_j c_j k(x, x_j) + b0``.
+``expansion_margins`` evaluates that form for many models at once, and every
+variant's ``margin`` is that evaluator applied to a single model.
+
 Models are immutable after training; their prediction methods hold no state
 and can be shared freely across threads.
 """
@@ -25,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidArgument
-from .kernels import KernelSpec
+from .kernels import KernelSpec, kernel_diag, kernel_matrix
 
 __all__ = [
     "Hyperparameters",
@@ -36,15 +41,16 @@ __all__ = [
     "predict",
     "decision_value",
     "boundary_radius",
+    "expansion_margins",
     "save_model",
     "load_model",
     "model_to_record",
     "model_from_record",
 ]
 
-# Rows per block when evaluating kernels against large point sets, sized to
-# keep transient cross-kernel blocks in the low hundreds of MB.
-PREDICT_CHUNK = 16384
+# Kernel entries per row block of expansion_margins: 2**21 doubles keep each
+# transient cross-kernel block at 16 MB whatever the number of centers.
+_BLOCK_ENTRIES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -110,11 +116,19 @@ def box_bounds(hp: Hyperparameters, y: np.ndarray) -> np.ndarray:
 
 
 class ScalableModel:
-    """Base for the trained variants; subclasses provide ``margin``."""
+    """Base for the trained variants.
+
+    Subclasses provide ``_expansion``; their ``margin`` evaluates it through
+    ``expansion_margins``.
+    """
 
     hyperparameters: Hyperparameters
     kernel: KernelSpec
     diagnostics: TrainingDiagnostics
+
+    def _expansion(self) -> tuple:
+        """(centers, coef, w_d, b0) with s(x) = w_d k(x,x) + K(x, centers) coef + b0."""
+        raise NotImplementedError
 
     def margin(self, x: np.ndarray) -> np.ndarray:
         """Level-free decision core s(x); f(x, rho) = link(s(x) + rho)."""
@@ -149,28 +163,64 @@ def boundary_radius(model: ScalableModel, x: np.ndarray) -> np.ndarray:
     return model.boundary_radius(x)
 
 
-def _as_points(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    """Normalize to (n, dim); report whether the input was a single point."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    if arr.shape[1] != dim:
+def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
+    """Normalize to (n, dim), rejecting any other feature count."""
+    arr = np.atleast_2d(np.asarray(x, dtype=float))
+    if arr.ndim != 2 or arr.shape[1] != dim:
         raise InvalidArgument(f"expected points with {dim} features, got shape {arr.shape}")
-    return arr, single
+    return arr
 
 
-def _chunked_kernel_apply(spec: KernelSpec, x: np.ndarray, ref: np.ndarray,
-                          coef: np.ndarray) -> np.ndarray:
-    """Compute kernel_matrix(x, ref) @ coef in row blocks."""
-    from .kernels import kernel_matrix
+def _single_margin(model: ScalableModel, x):
+    """``margin`` of one model: a float for one point, an (n,) array otherwise."""
+    s = expansion_margins([model], x)[:, 0]
+    return float(s[0]) if np.ndim(x) == 1 else s
 
-    n = x.shape[0]
-    if n <= PREDICT_CHUNK:
-        return kernel_matrix(spec, x, ref) @ coef
-    out = np.empty(n)
-    for start in range(0, n, PREDICT_CHUNK):
-        stop = min(start + PREDICT_CHUNK, n)
-        out[start:stop] = kernel_matrix(spec, x[start:stop], ref) @ coef
+
+def expansion_margins(models, x: np.ndarray) -> np.ndarray:
+    """Margins s(x) of several models at once, as an (n, len(models)) array.
+
+    Models are grouped by their resolved kernel.  Within a group the centers
+    of all expansions are merged into their distinct rows and the
+    coefficients summed into one column per model, so each row block of
+    points costs one kernel block against the merged centers and one matrix
+    product, however many models share it.  Results agree with evaluating
+    each model alone up to the order of floating-point summation.
+    """
+    models = list(models)
+    if not models:
+        raise InvalidArgument("expansion_margins needs at least one model")
+    expansions = [model._expansion() for model in models]
+    pts = _as_points(x, expansions[0][0].shape[1])
+    groups: dict = {}
+    for column, model in enumerate(models):
+        groups.setdefault(model.kernel, []).append(column)
+    n = pts.shape[0]
+    out = np.empty((n, len(models)))
+    for spec, columns in groups.items():
+        parts = [expansions[c] for c in columns]
+        centers = np.vstack([p[0] for p in parts])
+        _, first, inverse = np.unique(centers, axis=0, return_index=True,
+                                      return_inverse=True)
+        # distinct centers in order of first appearance, so a single model
+        # with distinct centers sums its expansion in its own order
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        union, inverse = centers[first[order]], rank[inverse.reshape(-1)]
+        owner = np.repeat(np.arange(len(columns)), [p[0].shape[0] for p in parts])
+        coef = np.zeros((union.shape[0], len(columns)))
+        np.add.at(coef, (inverse, owner), np.concatenate([p[1] for p in parts]))
+        w_d = np.array([p[2] for p in parts], dtype=float)
+        b0 = np.array([p[3] for p in parts], dtype=float)
+        rows = max(1, _BLOCK_ENTRIES // max(1, union.shape[0]))
+        for start in range(0, n, rows):
+            block = pts[start:start + rows]
+            s = kernel_matrix(spec, block, union) @ coef
+            if w_d.any():
+                s += kernel_diag(spec, block)[:, None] * w_d
+            s += b0
+            out[start:start + rows, columns] = s
     return out
 
 

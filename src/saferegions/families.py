@@ -11,7 +11,7 @@ going to the lowest index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,7 +100,9 @@ class FamilyResult:
 def train_family(train, family: list[Hyperparameters], variant: str,
                  settings: TrainSettings | None = None) -> list[FamilyMember]:
     """Train every member, sharing Gram matrices between members with the
-    same resolved kernel.  A member whose training fails is marked failed and
+    same resolved kernel.  Each member's hyperparameters carry its kernel
+    resolved on the training points, so reports label the kernel each member
+    was trained with.  A member whose training fails is marked failed and
     carries the error message; it stays eligible for reporting but not for
     selection."""
     if variant not in TRAINERS:
@@ -114,7 +116,7 @@ def train_family(train, family: list[Hyperparameters], variant: str,
         resolved = hp.kernel.resolved(np.asarray(train.x, dtype=float))
         if resolved not in grams:
             grams[resolved] = gram(resolved, np.asarray(train.x, dtype=float))
-        member = FamilyMember(index=index, hyperparameters=hp)
+        member = FamilyMember(index=index, hyperparameters=replace(hp, kernel=resolved))
         try:
             member.model = trainer(train, hp, settings=settings, gram_matrix=grams[resolved])
         except TrainingError as exc:

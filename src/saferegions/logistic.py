@@ -32,8 +32,7 @@ from .classifiers import (
     ScalableModel,
     TrainSettings,
     TrainingDiagnostics,
-    _as_points,
-    _chunked_kernel_apply,
+    _single_margin,
 )
 from .errors import TrainingError
 from .kernels import KernelSpec, gram
@@ -59,10 +58,11 @@ class ScLrModel(ScalableModel):
     kernel: KernelSpec
     diagnostics: TrainingDiagnostics
 
+    def _expansion(self):
+        return self.train_x, self.beta, 0.0, -self.offset
+
     def margin(self, x):
-        pts, single = _as_points(x, self.train_x.shape[1])
-        s = _chunked_kernel_apply(self.kernel, pts, self.train_x, self.beta) - self.offset
-        return float(s[0]) if single else s
+        return _single_margin(self, x)
 
     def _link(self, t):
         return expit(t) - 0.5

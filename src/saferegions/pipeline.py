@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .classifiers import save_model
+from .classifiers import expansion_margins, save_model
 from .config import ExperimentConfig
 from .datagen import Dataset, sample_gaussian, standardize
 from .errors import InvalidArgument, UncertifiedPlanError
@@ -162,10 +162,45 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
             writer.writerow([_format_cell(v) for v in row])
 
 
+def _write_table(path: Path, header: list, table: np.ndarray) -> None:
+    """Integer table as csv; the same bytes ``_write_csv`` writes for its rows."""
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in table.tolist()]
+    path.write_text("\n".join(lines) + "\n", newline="")
+
+
+def _membership_table(labels: np.ndarray, margins: np.ndarray, live: list) -> np.ndarray:
+    """int64 columns index, label, then 1 where ``margin + rho_eps < 0`` for
+    each live member (one margin column each, in member order)."""
+    rho = np.array([m.certificate.rho_eps for m in live], dtype=float)
+    table = np.empty((labels.size, 2 + len(live)), dtype=np.int64)
+    table[:, 0] = np.arange(labels.size)
+    table[:, 1] = labels
+    table[:, 2:] = (margins + rho) < 0.0
+    return table
+
+
+def _frequencies(inside: np.ndarray, margin: np.ndarray, labels: np.ndarray) -> tuple:
+    """(joint_freq, conditional_freq, accuracy_rho0) of one region on the
+    test set; conditional_freq is empty when the region holds no point."""
+    joint_count = int((inside & (labels == -1)).sum())
+    inside_count = int(inside.sum())
+    conditional = "" if inside_count == 0 else joint_count / inside_count
+    accuracy = float(np.mean(np.where(margin < 0.0, 1, -1) == labels))
+    return joint_count / labels.size, conditional, accuracy
+
+
+def _live(members: list) -> list:
+    """The members that trained; each owns one margin and membership column."""
+    return [m for m in members if not m.failed]
+
+
 def _member_rows(variant: str, eps_value: float, result: FamilyResult,
-                 margins: dict, labels: np.ndarray) -> list:
-    unsafe = labels == -1
+                 margins: np.ndarray, table: np.ndarray) -> list:
+    """Report rows of one (variant, eps) family; ``margins`` and the member
+    columns of its ``_membership_table`` hold one column per live member."""
+    labels = table[:, 1]
     n_test = labels.size
+    column = {m.index: k for k, m in enumerate(_live(result.members))}
     rows = []
     for member in result.members:
         hp = member.hyperparameters
@@ -173,16 +208,11 @@ def _member_rows(variant: str, eps_value: float, result: FamilyResult,
         base = [variant, member.index, float(hp.eta), float(hp.tau), hp.kernel.label(),
                 float(eps_value), float(result.plan.delta), float(result.plan.beta),
                 result.plan.r, result.plan.n_c]
-        if member.failed or cert is None:
+        if member.failed:
             rows.append(base + ["", "", "", "", "", "", "", "", "", n_test, 0])
             continue
-        s = margins[member.index]
-        inside = (s + cert.rho_eps) < 0.0
-        joint_count = int((inside & unsafe).sum())
-        inside_count = int(inside.sum())
-        joint = joint_count / n_test
-        conditional = "" if inside_count == 0 else joint_count / inside_count
-        accuracy = float(np.mean(np.where(s < 0.0, 1, -1) == labels))
+        k = column[member.index]
+        joint, conditional, accuracy = _frequencies(table[:, 2 + k] == 1, margins[:, k], labels)
         rho_cell = "whole_space" if cert.kind == "whole_space" else float(cert.rho_eps)
         rows.append(base + [cert.n_U, rho_cell, cert.kind, cert.certified,
                             float(cert.confidence), float(member.score), joint,
@@ -219,30 +249,36 @@ def run_experiment(config: ExperimentConfig, *, force_uncertified: bool = False,
     family = config.classifier.family()
     labels = test.y
     family_results: dict = {}
+    memberships: dict = {}
     report_rows: list = []
     for variant in config.classifier.variants:
         members = train_family(train, family, variant, settings=settings)
-        margins = {}
-        if evaluate:
-            margins = {m.index: m.model.margin(test.x)
-                       for m in members if not m.failed}
+        live = _live(members)
+        margins = None
+        if evaluate and live:
+            # one (n_test, live) block serves every eps of this variant
+            margins = expansion_margins([m.model for m in live], test.x)
         for eps in config.risk.eps:
             fresh = [replace(m) for m in members]
             result = calibrate_trained_family(fresh, calibs[eps], plans[eps], variant,
                                               force_uncertified=force_uncertified)
             family_results[variant, eps] = result
             if evaluate:
-                report_rows.extend(_member_rows(variant, eps, result, margins, labels))
+                table = _membership_table(labels, margins, _live(result.members))
+                memberships[variant, eps] = table
+                report_rows.extend(_member_rows(variant, eps, result, margins, table))
 
     result = ExperimentResult(config=config, plans=plans, family_results=family_results,
                               report_rows=report_rows, all_certified=all_certified,
                               scaler=scaler, train_original=train_original)
     if write:
-        _write_outputs(result, test if evaluate else None)
+        _write_outputs(result, memberships if evaluate else None)
     return result
 
 
-def _write_outputs(result: ExperimentResult, test: Dataset | None) -> None:
+def _write_outputs(result: ExperimentResult, memberships: dict | None) -> None:
+    """Write the run directory.  ``memberships`` maps (variant, eps) to its
+    ``_membership_table``; None writes neither report nor membership files."""
     config = result.config
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -252,7 +288,7 @@ def _write_outputs(result: ExperimentResult, test: Dataset | None) -> None:
     config_path.write_text(yaml.safe_dump(config.to_mapping(), sort_keys=True))
     files["config"] = config_path
 
-    if test is not None:
+    if memberships is not None:
         report_path = out / "report.csv"
         _write_csv(report_path, REPORT_COLUMNS, result.report_rows)
         files["report"] = report_path
@@ -266,18 +302,13 @@ def _write_outputs(result: ExperimentResult, test: Dataset | None) -> None:
         model_path = models_dir / f"{variant}_eps_{repr(float(eps))}.json"
         save_model(selected.model, model_path, certificate=selected.certificate)
         model_files.append(model_path)
-        if test is None:
+        if memberships is None:
             continue
         # per-point membership table so every Pr{} cell can be recomputed
-        live = [m for m in family_result.members if not m.failed]
-        inside_cols = {m.index: (m.model.margin(test.x) + m.certificate.rho_eps) < 0.0
-                       for m in live}
+        live = _live(family_result.members)
         header = ["index", "label"] + [f"member_{m.index}" for m in live]
-        rows = []
-        for i in range(test.n_samples):
-            rows.append([i, int(test.y[i])] + [int(inside_cols[m.index][i]) for m in live])
         membership_path = out / f"membership_{variant}_eps_{repr(float(eps))}.csv"
-        _write_csv(membership_path, header, rows)
+        _write_table(membership_path, header, memberships[variant, eps])
         membership_files.append(membership_path)
 
     files["models"] = model_files
@@ -352,22 +383,17 @@ def evaluate_saved(run_dir, out_path=None) -> list:
     loaded.sort(key=lambda mc: (variant_order.get(mc[0].variant, len(variant_order)),
                                 eps_order.get(float(mc[1].plan.eps), len(eps_order))))
 
-    unsafe = test.y == -1
+    margins = expansion_margins([model for model, _ in loaded], test.x)
     rows = []
-    for model, cert in loaded:
-        s = model.margin(test.x)
-        inside = (s + cert.rho_eps) < 0.0
-        joint_count = int((inside & unsafe).sum())
-        inside_count = int(inside.sum())
-        conditional = "" if inside_count == 0 else joint_count / inside_count
+    for k, (model, cert) in enumerate(loaded):
+        s = margins[:, k]
+        joint, conditional, accuracy = _frequencies((s + cert.rho_eps) < 0.0, s, test.y)
         hp = model.hyperparameters
         rows.append([model.variant, float(hp.eta), float(hp.tau), model.kernel.label(),
                      float(cert.plan.eps),
                      "whole_space" if cert.kind == "whole_space" else float(cert.rho_eps),
                      cert.kind, cert.certified, float(cert.confidence),
-                     joint_count / test.n_samples, conditional,
-                     float(np.mean(np.where(s < 0.0, 1, -1) == test.y)),
-                     test.n_samples])
+                     joint, conditional, accuracy, test.n_samples])
     out_path = Path(out_path) if out_path is not None else run_dir / "evaluation.csv"
     _write_csv(out_path, EVALUATION_COLUMNS, rows)
     return rows

@@ -71,11 +71,15 @@ def generalized_max(values, r: int) -> float:
     With the values sorted in descending order ``g[0] >= g[1] >= ...``, the
     result is ``g[r-1]``; duplicates count with multiplicity, so at most
     ``r - 1`` elements are strictly larger than the result.  ``r = 1`` is the
-    ordinary maximum and ``r = len(values)`` the minimum.
+    ordinary maximum and ``r = len(values)`` the minimum.  Any NaN or infinite
+    value raises ``InvalidArgument``: a NaN level would certify an empty region.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise InvalidArgument(f"expected a 1-D collection, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidArgument(f"generalized_max needs finite values, got "
+                              f"{int((~np.isfinite(arr)).sum())} non-finite of {arr.size}")
     n = arr.size
     if n == 0:
         raise InvalidArgument("generalized_max of an empty collection")

@@ -27,12 +27,11 @@ from .classifiers import (
     ScalableModel,
     TrainSettings,
     TrainingDiagnostics,
-    _as_points,
-    _chunked_kernel_apply,
+    _single_margin,
     box_bounds,
 )
 from .errors import TrainingError
-from .kernels import KernelSpec, gram, kernel_diag
+from .kernels import KernelSpec, gram
 from .solvers import DEFAULT_MAX_UPDATES, ascent_objective, solve_box_qp
 from .validation import training_arrays
 
@@ -57,13 +56,13 @@ class ScSvddModel(ScalableModel):
     kernel: KernelSpec
     diagnostics: TrainingDiagnostics
 
+    def _expansion(self):
+        # |phi(x) - w|^2 - R^2 with w = 2 sum_i alpha_i y_i phi(x_i)
+        return (self.support_x, -4.0 * self.support_alpha * self.support_y, 1.0,
+                self.center_sq_norm - self.r_squared)
+
     def margin(self, x):
-        pts, single = _as_points(x, self.support_x.shape[1])
-        coef = 2.0 * self.support_alpha * self.support_y
-        cross = _chunked_kernel_apply(self.kernel, pts, self.support_x, coef)
-        dist_sq = kernel_diag(self.kernel, pts) - 2.0 * cross + self.center_sq_norm
-        s = dist_sq - self.r_squared
-        return float(s[0]) if single else s
+        return _single_margin(self, x)
 
     def _payload(self) -> dict:
         return {

@@ -23,8 +23,7 @@ from .classifiers import (
     ScalableModel,
     TrainSettings,
     TrainingDiagnostics,
-    _as_points,
-    _chunked_kernel_apply,
+    _single_margin,
     box_bounds,
 )
 from .errors import TrainingError
@@ -51,11 +50,11 @@ class ScSvmModel(ScalableModel):
     kernel: KernelSpec
     diagnostics: TrainingDiagnostics
 
+    def _expansion(self):
+        return self.support_x, -self.support_alpha * self.support_y, 0.0, -self.offset
+
     def margin(self, x):
-        pts, single = _as_points(x, self.support_x.shape[1])
-        coef = -self.support_alpha * self.support_y
-        s = _chunked_kernel_apply(self.kernel, pts, self.support_x, coef) - self.offset
-        return float(s[0]) if single else s
+        return _single_margin(self, x)
 
     def _payload(self) -> dict:
         return {

@@ -10,9 +10,14 @@ import yaml
 
 from saferegions import (
     REPORT_COLUMNS,
+    WHOLE_SPACE,
+    CalibrationCertificate,
     Dataset,
     ExperimentConfig,
+    FamilyMember,
+    Hyperparameters,
     InvalidArgument,
+    ScalingPlan,
     UncertifiedPlanError,
     boundary_grid_rows,
     build_plans,
@@ -23,7 +28,7 @@ from saferegions import (
     run_experiment,
     train_sc_svm,
 )
-from saferegions.pipeline import build_datasets
+from saferegions.pipeline import _membership_table, _write_csv, _write_table, build_datasets
 
 
 def _raw(tmp_path, **overrides):
@@ -226,7 +231,11 @@ def test_resolved_config_written_and_reloadable(tmp_path):
 
 
 def test_evaluate_saved_matches_report(tmp_path):
-    raw = _raw(tmp_path, risk={"eps": [0.1, 0.5], "delta": 0.5})
+    # gaussian(gamma=auto): both files must label the gamma resolved on the
+    # training points
+    raw = _raw(tmp_path, risk={"eps": [0.1, 0.5], "delta": 0.5},
+               classifier={"variants": ["svm"], "etas": [1.0], "taus": [0.5],
+                           "kernels": [{"kind": "gaussian"}]})
     result = run_experiment(ExperimentConfig.from_mapping(raw))
     rows = evaluate_saved(result.output_dir)
     with (result.output_dir / "report.csv").open() as fh:
@@ -234,10 +243,36 @@ def test_evaluate_saved_matches_report(tmp_path):
     assert len(rows) == len(selected) == 2
     for ev, rep in zip(rows, selected):
         assert ev[0] == rep["variant"]
+        assert ev[3] == rep["kernel"] == "gaussian(gamma=0.5)"
         assert repr(ev[4]) == rep["eps"]
         assert repr(ev[9]) == rep["joint_freq"]
         assert repr(ev[11]) == rep["accuracy_rho0"]
     assert (result.output_dir / "evaluation.csv").exists()
+
+
+def test_membership_table_bytes_equal_csv_writer(tmp_path):
+    labels = np.array([1, -1, -1, 1, -1])
+    margins = np.array([[-2.0, 0.5], [-0.1, -3.0], [0.3, 0.2], [-1.0, -1.0],
+                        [0.0, -0.25]])
+    plan = ScalingPlan.from_risk(0.5, 0.5)
+    live = [FamilyMember(index=i, hyperparameters=Hyperparameters(),
+                         certificate=CalibrationCertificate(rho_eps=rho, plan=plan, n_U=3,
+                                                            confidence=0.5, certified=True))
+            for i, rho in ((0, 0.2), (3, WHOLE_SPACE))]
+    table = _membership_table(labels, margins, live)
+    assert table.dtype == np.int64
+    header = ["index", "label", "member_0", "member_3"]
+    rows = [[i, int(labels[i])] + [int(margins[i, k] + m.certificate.rho_eps < 0.0)
+                                   for k, m in enumerate(live)]
+            for i in range(labels.size)]
+    assert table.tolist() == rows
+    _write_table(tmp_path / "fast.csv", header, table)
+    _write_csv(tmp_path / "reference.csv", header, rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    _write_table(tmp_path / "empty.csv", header[:2], table[:0, :2])
+    _write_csv(tmp_path / "empty_reference.csv", header[:2], [])
+    assert ((tmp_path / "empty.csv").read_bytes()
+            == (tmp_path / "empty_reference.csv").read_bytes())
 
 
 def test_evaluate_saved_requires_run_directory(tmp_path):

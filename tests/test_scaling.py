@@ -88,6 +88,29 @@ def test_generalized_max_validation():
         generalized_max([[1.0, 2.0]], 1)
 
 
+def test_generalized_max_rejects_non_finite_values():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidArgument, match="non-finite"):
+            generalized_max([1.0, bad, 2.0, 0.5], 1)
+    with pytest.raises(InvalidArgument, match="non-finite"):
+        generalized_max([1.0, float("nan"), 2.0, 0.5], 4)
+
+
+def test_calibrate_rejects_nan_radius():
+    class _NanRadius:
+        def boundary_radius(self, x):
+            radii = -np.atleast_2d(x)[:, 0]
+            radii[1] = np.nan
+            return radii
+
+    plan = ScalingPlan.from_risk(0.5, 0.5)
+    x = np.arange(plan.n_c, dtype=float).reshape(-1, 1)
+    calib = Dataset(x=x, y=np.where(np.arange(plan.n_c) % 2 == 0, -1, 1))
+    assert (calib.y == -1).sum() >= plan.r
+    with pytest.raises(InvalidArgument, match="non-finite"):
+        calibrate(_NanRadius(), calib, plan)
+
+
 def test_binomial_cdf_edges():
     assert binomial_cdf(-1, 10, 0.3) == 0.0
     assert binomial_cdf(10, 10, 0.3) == 1.0
