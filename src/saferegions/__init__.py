@@ -43,7 +43,6 @@ from .errors import (
     UncertifiedPlanError,
 )
 from .families import (
-    PERFORMANCE_INDICES,
     TRAINERS,
     FamilyMember,
     FamilyResult,
@@ -64,8 +63,10 @@ from .pipeline import (
     ExperimentResult,
     boundary_grid_rows,
     build_plans,
+    check_plans,
     derive_seed,
     evaluate_saved,
+    resolve_plans,
     run_experiment,
 )
 from .platoon import (

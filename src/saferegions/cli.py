@@ -22,16 +22,15 @@ from pathlib import Path
 import yaml
 
 from .config import ExperimentConfig, load_config
-from .datagen import Dataset
 from .errors import InvalidArgument, SafeRegionsError, UncertifiedPlanError
 from .pipeline import (
     boundary_grid_rows,
     build_datasets,
-    build_plans,
+    check_plans,
     data_bbox,
     evaluate_saved,
+    resolve_plans,
     run_experiment,
-    _check_all_plans,
     _write_csv,
 )
 from .scaling import ScalingPlan, check_plan, discarding_parameter, kappa, min_calibration_size
@@ -143,21 +142,13 @@ def cmd_plan(args) -> int:
     return EXIT_OK if all_certified else EXIT_UNCERTIFIED
 
 
-def _resolve_plans(config: ExperimentConfig, force: bool):
-    plans = build_plans(config)
-    if config.data.generator == "csv" and config.risk.n_c is None:
-        calib_rows = Dataset.from_csv(config.data.paths["calib"]).n_samples
-        plans = build_plans(config, n_c=calib_rows)
-    certified = _check_all_plans(plans, force)
-    return plans, certified
-
-
 def cmd_generate(args) -> int:
     config = _load_experiment(args)
     if config.data.generator == "csv":
         raise SafeRegionsError("the csv generator reads existing files; "
                                "nothing to generate")
-    plans, certified = _resolve_plans(config, args.force_uncertified)
+    plans = resolve_plans(config)
+    certified = check_plans(plans, args.force_uncertified)
     train, calibs, test = build_datasets(config, plans)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -44,6 +44,10 @@ class Dataset:
                 f"labels of shape {self.y.shape} do not match {self.x.shape[0]} points")
         if self.y.size and not np.isin(self.y, (-1, 1)).all():
             raise InvalidArgument("labels must be +1 or -1")
+        finite = np.isfinite(self.x)
+        if not finite.all():
+            raise InvalidArgument(
+                f"points contain {int((~finite).sum())} non-finite values")
 
     @property
     def n_samples(self) -> int:
@@ -98,7 +102,10 @@ class Dataset:
             if isinstance(loaded, dict):
                 provenance.update(loaded)
         x = np.asarray(xs, dtype=float) if xs else np.empty((0, dim))
-        return cls(x, np.asarray(ys, dtype=int), provenance)
+        try:
+            return cls(x, np.asarray(ys, dtype=int), provenance)
+        except InvalidArgument as exc:
+            raise InvalidArgument(f"{path}: {exc}") from None
 
 
 def _plain(obj):

@@ -25,7 +25,6 @@ from .svm import train_sc_svm
 
 __all__ = [
     "TRAINERS",
-    "PERFORMANCE_INDICES",
     "FamilyMember",
     "FamilyResult",
     "train_family",
@@ -64,13 +63,6 @@ def false_safe_penalty(model, certificate, calib) -> float:
         return 0.0
     inside = model.decision_value(unsafe_x, certificate.rho_eps) < 0.0
     return -float(inside.sum())
-
-
-PERFORMANCE_INDICES = {
-    "safe_coverage": safe_coverage,
-    "accuracy": region_accuracy,
-    "min_false_safe": false_safe_penalty,
-}
 
 
 @dataclass

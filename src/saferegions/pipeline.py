@@ -39,6 +39,8 @@ __all__ = [
     "ExperimentResult",
     "derive_seed",
     "build_plans",
+    "resolve_plans",
+    "check_plans",
     "build_datasets",
     "run_experiment",
     "boundary_grid_rows",
@@ -91,7 +93,18 @@ def build_plans(config: ExperimentConfig, *, n_c: int | None = None) -> dict:
             for eps in risk.eps}
 
 
-def _check_all_plans(plans: dict, force_uncertified: bool) -> bool:
+def resolve_plans(config: ExperimentConfig) -> dict:
+    """The plans a run uses: ``build_plans``, except that a csv calibration
+    file sizes every plan when ``risk.n_c`` is unset."""
+    n_c = None
+    if config.data.generator == "csv" and config.risk.n_c is None:
+        n_c = Dataset.from_csv(config.data.paths["calib"]).n_samples
+    return build_plans(config, n_c=n_c)
+
+
+def check_plans(plans: dict, force_uncertified: bool) -> bool:
+    """True when every plan certifies; otherwise raise UncertifiedPlanError
+    naming the minimal sizes, or return False under ``force_uncertified``."""
     failing = {eps: plan for eps, plan in plans.items()
                if not check_plan(plan).certified}
     if failing and not force_uncertified:
@@ -229,14 +242,8 @@ def run_experiment(config: ExperimentConfig, *, force_uncertified: bool = False,
     each eps calibrates fresh copies of the trained members against its own
     plan and calibration set.
     """
-    plans = build_plans(config)
-    all_certified = _check_all_plans(plans, force_uncertified)
-    if config.data.generator == "csv" and config.risk.n_c is None:
-        # size the plans from the calibration file, then re-check
-        calib_rows = Dataset.from_csv(config.data.paths["calib"]).n_samples
-        plans = build_plans(config, n_c=calib_rows)
-        all_certified = _check_all_plans(plans, force_uncertified)
-
+    plans = resolve_plans(config)
+    all_certified = check_plans(plans, force_uncertified)
     train, calibs, test = build_datasets(config, plans)
     train_original = train
     scaler = None
@@ -363,11 +370,7 @@ def evaluate_saved(run_dir, out_path=None) -> list:
     if not model_paths:
         raise InvalidArgument(f"{run_dir}/models holds no saved models")
 
-    plans = build_plans(config)
-    if config.data.generator == "csv" and config.risk.n_c is None:
-        calib_rows = Dataset.from_csv(config.data.paths["calib"]).n_samples
-        plans = build_plans(config, n_c=calib_rows)
-    train, _, test = build_datasets(config, plans)
+    train, _, test = build_datasets(config, resolve_plans(config))
     if config.data.standardize:
         (train, test), scaler = standardize(train, test)
 

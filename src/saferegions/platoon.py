@@ -12,8 +12,13 @@ Longitudinal dynamics per vehicle:
 
 integrated with the explicit Euler rule.  A run is labelled unsafe (-1) when
 any spacing falls to the collision distance within the horizon, safe (+1)
-otherwise.  Simulations are vectorized across a batch; a run stops early once
-every vehicle has stopped or a collision happened.
+otherwise.  Simulations are vectorized across a batch that shrinks as it
+runs: each Euler step works only on the active set, the scenarios with no
+collision yet and at least one vehicle still moving.  A scenario leaves the
+set on the step it collides or fully stops (or never enters it when it is
+finished at t = 0), and its speeds are checked for non-finite values as it
+leaves.  Every scenario goes through the same floating-point operations as
+it would alone, so batch labels equal single-scenario labels bit for bit.
 """
 
 from __future__ import annotations
@@ -157,7 +162,11 @@ def simulate_platoon(spec: PlatoonSpec) -> tuple[np.ndarray, int]:
 
 def _simulate_batch(specs: list[PlatoonSpec], receptions: list[np.ndarray]) -> np.ndarray:
     """Integrate many scenarios in lockstep; they must share the physical
-    constants (time step, horizon, resistances, collision distance)."""
+    constants (time step, horizon, resistances, collision distance).
+
+    Each step works on compact arrays of the rows still active; ``rows`` maps
+    them back to batch indices.  A row leaves on the step it collides or
+    fully stops, so every row sees the same operations as a lone run."""
     ref = specs[0]
     for spec in specs[1:]:
         if (spec.time_step != ref.time_step or spec.horizon != ref.horizon
@@ -174,10 +183,9 @@ def _simulate_batch(specs: list[PlatoonSpec], receptions: list[np.ndarray]) -> n
     b_drag = ref.drag_coefficient
     threshold = ref.collision_distance
 
-    veh = np.zeros((batch, n_veh), dtype=bool)
-    gap_mask = np.zeros((batch, MAX_FOLLOWERS), dtype=bool)
+    pad = np.ones((batch, n_veh), dtype=bool)
     v = np.zeros((batch, n_veh))
-    d = np.full((batch, MAX_FOLLOWERS), np.inf)   # inert padding for min/compare
+    d = np.full((batch, MAX_FOLLOWERS), np.inf)   # inert padding: never collides
     masses = np.ones((batch, n_veh))
     force0 = np.zeros(batch)
     gain = np.zeros(batch)
@@ -185,8 +193,7 @@ def _simulate_batch(specs: list[PlatoonSpec], receptions: list[np.ndarray]) -> n
 
     for b, spec in enumerate(specs):
         n = int(spec.n_followers)
-        veh[b, :n + 1] = True
-        gap_mask[b, :n] = True
+        pad[b, :n + 1] = False
         v[b, :n + 1] = spec.speeds() / 3.6
         d[b, :n] = spec.gaps
         masses[b, :n + 1] = spec.masses
@@ -195,39 +202,48 @@ def _simulate_batch(specs: list[PlatoonSpec], receptions: list[np.ndarray]) -> n
         reception[b, :n] = receptions[b]
 
     collided = (d <= threshold).any(axis=1)
-    done = collided | (~(v > 0.0).any(axis=1))
+    leaving = collided | (~(v > 0.0).any(axis=1))
+    _check_finite(v[leaving], np.flatnonzero(leaving), "in its initial state")
+    # compact state of the active rows; rows[i] is the batch index of row i
+    rows = np.flatnonzero(~leaving)
+    pad, v, d, masses, reception = pad[rows], v[rows], d[rows], masses[rows], reception[rows]
+    brake = (gain * force0)[rows, None]     # a notified follower's force
+    force = np.empty_like(v)
+    force[:, 0] = force0[rows]
 
     for k in range(steps):
-        if done.all():
+        if rows.size == 0:
             break
         resistance = a_roll + b_drag * v * v
-        force = np.empty_like(v)
-        force[:, 0] = force0
         # followers cruise (net zero force) until notified, then brake
-        notified = k >= reception
-        force[:, 1:] = np.where(notified, gain[:, None] * force0[:, None], resistance[:, 1:])
+        force[:, 1:] = np.where(k >= reception, brake, resistance[:, 1:])
         dv = dt * (force - resistance) / masses
-        v_new = np.maximum(v + dv, 0.0)
-        v_new[~veh] = 0.0
-        d_new = d + dt * (v[:, :-1] - v[:, 1:])
-        active = ~done
-        v[active] = v_new[active]
-        rows = active[:, None] & gap_mask
-        d[rows] = d_new[rows]
+        d = d + dt * (v[:, :-1] - v[:, 1:])
+        v = np.maximum(v + dv, 0.0)
+        v[pad] = 0.0
 
-        if k % 200 == 0 and not np.isfinite(v).all():
-            bad = int(np.flatnonzero(~np.isfinite(v).all(axis=1))[0])
-            raise SimulationError(f"non-finite state in scenario {bad} at step {k}")
+        if k % 200 == 0:
+            _check_finite(v, rows, f"at step {k}")
+        hit = (d <= threshold).any(axis=1)
+        leaving = hit | (~(v > 0.0).any(axis=1))
+        if leaving.any():
+            collided[rows[hit]] = True
+            _check_finite(v[leaving], rows[leaving], f"at step {k}")
+            keep = ~leaving
+            rows, v, d, pad = rows[keep], v[keep], d[keep], pad[keep]
+            masses, reception, brake, force = masses[keep], reception[keep], brake[keep], force[keep]
 
-        hit = active & (d <= threshold).any(axis=1)
-        collided |= hit
-        done |= hit | (~(v > 0.0).any(axis=1))
-
-    if not np.isfinite(v).all():
-        bad = int(np.flatnonzero(~np.isfinite(v).all(axis=1))[0])
-        raise SimulationError(f"non-finite state in scenario {bad} at final step")
-
+    _check_finite(v, rows, "at final step")
     return np.where(collided, -1, 1)
+
+
+def _check_finite(v: np.ndarray, rows: np.ndarray, where: str) -> None:
+    """Raise on the first row of ``v`` holding a non-finite speed, naming the
+    scenario by its batch index ``rows[i]``."""
+    bad = ~np.isfinite(v).all(axis=1)
+    if bad.any():
+        raise SimulationError(
+            f"non-finite state in scenario {int(rows[bad][0])} {where}")
 
 
 def generate_platoon_dataset(n_samples: int, ranges: PlatoonRanges | None = None,

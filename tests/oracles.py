@@ -109,3 +109,42 @@ def central_difference_gradient(fn, x0, h: float = 1e-6):
         bump[i] = h
         grad[i] = (fn(x0 + bump) - fn(x0 - bump)) / (2.0 * h)
     return grad
+
+
+def platoon_label_oracle(spec, reception) -> int:
+    """Label of one platoon scenario by a plain-Python Euler replay.
+
+    Follows the recurrence of the simulator's module docstring one vehicle at
+    a time, with the simulator's operation order, so every float agrees bit
+    for bit: the resistance is ``a + (b * v) * v``; the speed update is
+    ``max(v + (dt * (F - resistance)) / m, 0)``; spacings advance with the
+    pre-update speeds.  ``reception[i]`` is the step at which follower i + 1
+    starts braking with ``gain * F0``.  Returns -1 on a collision, else +1.
+    """
+    n = int(spec.n_followers)
+    speed = spec.speed_kmh
+    speeds = [float(speed)] * (n + 1) if np.ndim(speed) == 0 else [float(s) for s in speed]
+    v = [s / 3.6 for s in speeds]
+    d = [float(g) for g in spec.gaps]
+    masses = [float(m) for m in spec.masses]
+    dt = spec.time_step
+    a_roll, b_drag = spec.rolling_resistance, spec.drag_coefficient
+    brake = spec.control_gain * spec.brake_force
+    if min(d) <= spec.collision_distance:
+        return -1
+    for k in range(int(round(spec.horizon / dt))):
+        if not any(s > 0.0 for s in v):
+            return 1
+        new_v = []
+        for i in range(n + 1):
+            resistance = a_roll + b_drag * v[i] * v[i]
+            if i == 0:
+                force = spec.brake_force
+            else:
+                force = brake if k >= reception[i - 1] else resistance
+            new_v.append(max(v[i] + dt * (force - resistance) / masses[i], 0.0))
+        d = [d[j] + dt * (v[j] - v[j + 1]) for j in range(n)]
+        v = new_v
+        if min(d) <= spec.collision_distance:
+            return -1
+    return 1

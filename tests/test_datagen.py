@@ -32,6 +32,14 @@ def test_dataset_validation():
     assert empty.n_samples == 0 and empty.dim == 3
 
 
+def test_dataset_rejects_non_finite_points():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        x = np.zeros((3, 2))
+        x[1, 0] = bad
+        with pytest.raises(InvalidArgument, match="1 non-finite"):
+            Dataset(x, np.ones(3, dtype=int))
+
+
 def test_dataset_class_views_and_subset():
     data = Dataset([[0.0], [1.0], [2.0], [3.0]], [1, -1, 1, -1], {"tag": "t"})
     safe = data.safe()

@@ -25,6 +25,7 @@ from saferegions import (
     derive_seed,
     evaluate_saved,
     load_model,
+    resolve_plans,
     run_experiment,
     train_sc_svm,
 )
@@ -101,7 +102,7 @@ def test_platoon_splits_are_disjoint_slices(tmp_path):
     assert np.unique(stacked, axis=0).shape[0] == pool_total
 
 
-def test_csv_generator_requires_matching_calibration_rows(tmp_path):
+def _csv_raw(tmp_path, **risk):
     rng = np.random.default_rng(0)
     files = {}
     for name, n in [("train", 40), ("calib", 11), ("test", 30)]:
@@ -109,10 +110,14 @@ def test_csv_generator_requires_matching_calibration_rows(tmp_path):
                        y=np.where(rng.random(n) < 0.5, 1, -1))
         files[name] = tmp_path / f"{name}.csv"
         data.to_csv(files[name])
-    raw = _raw(tmp_path,
-               data={"generator": "csv",
-                     "paths": {k: str(v) for k, v in files.items()}},
-               risk={"eps": [0.5], "delta": 0.5})
+    return _raw(tmp_path,
+                data={"generator": "csv",
+                      "paths": {k: str(v) for k, v in files.items()}},
+                risk={"eps": [0.5], "delta": 0.5, **risk})
+
+
+def test_csv_generator_requires_matching_calibration_rows(tmp_path):
+    raw = _csv_raw(tmp_path)
     config = ExperimentConfig.from_mapping(raw)
     result = run_experiment(config, write=False)
     # plan size comes from the calibration file when n_c is unset
@@ -120,6 +125,41 @@ def test_csv_generator_requires_matching_calibration_rows(tmp_path):
 
     raw["risk"]["n_c"] = 12
     with pytest.raises(InvalidArgument, match="11 rows"):
+        run_experiment(ExperimentConfig.from_mapping(raw), write=False)
+
+
+def test_resolve_plans_sizes_csv_plans_from_the_calibration_file(tmp_path):
+    csv_config = ExperimentConfig.from_mapping(_csv_raw(tmp_path, eps=[0.1, 0.5]))
+    assert {eps: p.n_c for eps, p in resolve_plans(csv_config).items()} == {0.1: 11, 0.5: 11}
+    pinned = ExperimentConfig.from_mapping(_csv_raw(tmp_path, n_c=64))
+    assert resolve_plans(pinned)[0.5].n_c == 64
+    generated = ExperimentConfig.from_mapping(
+        _raw(None, risk={"eps": [0.1, 0.5], "delta": 0.5}))
+    assert resolve_plans(generated) == build_plans(generated)
+
+
+def test_evaluate_saved_runs_on_a_forced_uncertified_csv_run(tmp_path):
+    # 11 calibration rows cannot certify delta = 1e-6
+    config = ExperimentConfig.from_mapping(_csv_raw(tmp_path, delta=1e-6))
+    with pytest.raises(UncertifiedPlanError, match="n_c=11"):
+        run_experiment(config, write=False)
+    result = run_experiment(config, force_uncertified=True)
+    rows = evaluate_saved(result.output_dir)
+    selected = [r for r in result.report_rows if r[-1] == 1]
+    assert len(rows) == len(selected) == 1
+    assert rows[0][7] is False
+    assert rows[0][9:12] == selected[0][16:19]
+
+
+def test_csv_test_split_with_nan_is_rejected(tmp_path):
+    raw = _csv_raw(tmp_path)
+    test_path = tmp_path / "test.csv"
+    lines = test_path.read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[1] = "nan"
+    lines[5] = ",".join(fields)
+    test_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidArgument, match=r"test\.csv: points contain 1 non-finite"):
         run_experiment(ExperimentConfig.from_mapping(raw), write=False)
 
 

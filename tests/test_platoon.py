@@ -1,5 +1,6 @@
 """Braking simulator: exact Euler behaviour against a rational-arithmetic
-oracle, structural properties of the labels, and dataset generation."""
+oracle, labels against a plain-Python replay, the shrinking active set,
+structural properties of the labels, and dataset generation."""
 
 from __future__ import annotations
 
@@ -13,10 +14,14 @@ from saferegions import (
     InvalidArgument,
     PlatoonRanges,
     PlatoonSpec,
+    SimulationError,
     generate_platoon_dataset,
     platoon_features,
     simulate_platoon,
 )
+from saferegions.platoon import _reception_steps, _simulate_batch
+
+from .oracles import platoon_label_oracle
 
 # One follower, no resistances, never-notified follower: dt and F0/m are
 # dyadic, so the whole Euler trajectory is exactly representable and an
@@ -192,3 +197,68 @@ def test_empty_generation():
     assert data.n_samples == 0
     with pytest.raises(InvalidArgument):
         generate_platoon_dataset(-1, seed=0)
+
+
+def _receptions(specs):
+    return [_reception_steps(s, np.random.default_rng(s.seed)) for s in specs]
+
+
+def test_generated_labels_match_plain_python_replay():
+    data, specs = generate_platoon_dataset(100, seed=31, return_specs=True)
+    expected = [platoon_label_oracle(s, r) for s, r in zip(specs, _receptions(specs))]
+    assert data.y.tolist() == expected
+    assert 10 < expected.count(1) < 90
+
+
+def _mixed_batch():
+    common = dict(brake_force=-4000.0, delay=0.0, packet_error_rate=0.0,
+                  control_gain=1.0)
+    return [
+        # finished at t = 0: the second gap is inside the collision distance
+        PlatoonSpec(n_followers=2, gaps=(6.0, 1.5), speed_kmh=50.0,
+                    masses=(1500.0,) * 3, **common),
+        # finished at t = 0: nothing moves
+        PlatoonSpec(n_followers=3, gaps=(5.0,) * 3, speed_kmh=0.0,
+                    masses=(1200.0,) * 4, **common),
+        # collides within the first second: the follower is never notified
+        PlatoonSpec(n_followers=1, gaps=(4.0,), speed_kmh=72.0,
+                    masses=(1000.0, 1000.0), **{**common, "delay": 1000.0}),
+        # still moving at the horizon (about 18.5 m/s): light braking of a
+        # heavy platoon whose followers brake alike and keep their spacing
+        PlatoonSpec(n_followers=4, gaps=(8.0,) * 4, speed_kmh=90.0,
+                    masses=(2000.0,) * 5, **{**common, "brake_force": -100.0}),
+    ]
+
+
+def test_mixed_batch_labels_equal_lone_runs():
+    specs = _mixed_batch()
+    receptions = _receptions(specs)
+    labels = _simulate_batch(specs, receptions).tolist()
+    alone = [int(_simulate_batch([s], [r])[0]) for s, r in zip(specs, receptions)]
+    assert labels == alone == [-1, 1, -1, 1]
+    assert labels == [platoon_label_oracle(s, r) for s, r in zip(specs, receptions)]
+
+
+def test_non_finite_state_names_the_batch_index():
+    specs = _mixed_batch()
+    # 1e308 km/h squares to infinity in the drag term, so the follower's
+    # force balance is inf - inf and its speed turns NaN on the first step
+    bad = PlatoonSpec(n_followers=1, gaps=(50.0,), speed_kmh=1e308,
+                      brake_force=-4000.0, masses=(1000.0, 1000.0), delay=1000.0,
+                      packet_error_rate=0.0, control_gain=1.0)
+    batch = [specs[0], specs[3], bad]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SimulationError, match=r"scenario 2 at step 0$"):
+        _simulate_batch(batch, _receptions(batch))
+
+
+def test_non_finite_state_finished_at_start_is_caught():
+    # a NaN speed is not > 0, so this scenario counts as stopped at t = 0
+    # and never enters the active set; it must not be labelled safe
+    specs = _mixed_batch()
+    bad = PlatoonSpec(n_followers=1, gaps=(50.0,), speed_kmh=float("nan"),
+                      brake_force=-4000.0, masses=(1000.0, 1000.0), delay=0.0,
+                      packet_error_rate=0.0, control_gain=1.0)
+    batch = [specs[3], bad, specs[2]]
+    with pytest.raises(SimulationError, match=r"scenario 1 in its initial state"):
+        _simulate_batch(batch, _receptions(batch))
