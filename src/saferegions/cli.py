@@ -31,7 +31,7 @@ from .pipeline import (
     evaluate_saved,
     resolve_plans,
     run_experiment,
-    _write_csv,
+    write_csv,
 )
 from .scaling import ScalingPlan, check_plan, discarding_parameter, kappa, min_calibration_size
 
@@ -198,7 +198,7 @@ def cmd_boundary_grid(args) -> int:
         rows = boundary_grid_rows(member.model, member.certificate, bbox,
                                   resolution, scaler=result.scaler)
         path = out / f"grid_{variant}_eps_{repr(float(eps))}.csv"
-        _write_csv(path, ["x1", "x2", "f_value", "inside"], rows)
+        write_csv(path, ["x1", "x2", "f_value", "inside"], rows)
         print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK if result.all_certified else EXIT_UNCERTIFIED
 

@@ -14,10 +14,25 @@ scaled decision value is the centered sigmoid
 which is strictly increasing in rho with limits -1/2 and +1/2, so it orders
 points exactly like the raw logit while staying bounded.
 
-The optimizer is a damped Newton iteration: exact gradient and Hessian of L,
-a tiny ridge on the Hessian solve, and Armijo backtracking on the full step.
-The loss decreases monotonically across accepted steps and iteration ends
-when the gradient sup-norm reaches tolerance.
+The optimizer is a damped Newton iteration with Armijo backtracking on the
+full step.  With g = beta/eta + (1/2) c*y*s, s = sigmoid(y*z), the gradient
+is (K g, -(1/2) sum c*y*s), and with d = (1/2) c*s*(1-s) the Hessian is
+
+    [K/eta + K D K,  -K d]
+    [-d' K,        sum(d)],      D = diag(d).
+
+Every solution of the reduced system (I/eta + D K) dbeta - d db = -g,
+-d' K dbeta + sum(d) db = -g_b solves the Newton system (multiply its first
+row by K).  With h = sqrt(d) and H = diag(h), the reduced system needs one
+Cholesky factorization of the n x n matrix M = I/eta + H K H, which is
+symmetric positive definite with smallest eigenvalue at least 1/eta:
+
+    (I/eta + D K)^-1 r = eta (r - h * M^-1 (h * K r)),
+
+and the bias Schur complement is h' M^-1 h / eta, positive whenever d != 0.
+When every d underflows the step falls back to steepest descent.  The loss
+decreases monotonically across accepted steps and iteration ends when the
+gradient sup-norm reaches tolerance.
 """
 
 from __future__ import annotations
@@ -25,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from .classifiers import (
@@ -41,7 +57,6 @@ from .validation import training_arrays
 __all__ = ["ScLrModel", "train_sc_lr", "lr_loss", "lr_gradient"]
 
 _DEFAULT_MAX_ITER = 50_000
-_RIDGE = 1e-10
 _MAX_BACKTRACKS = 60
 
 
@@ -99,6 +114,35 @@ def lr_gradient(K, y, c, eta, beta, b):
     return grad_beta, grad_b
 
 
+def _newton_step(K, eta, g, grad_beta, grad_b, d):
+    """Newton step (dbeta, db) from one Cholesky factorization of
+    M = I/eta + H K H, H = diag(sqrt(d)); ``grad_beta`` is ``K @ g``.
+
+    Returns None when the bias Schur complement is not positive and finite
+    (every d underflowed) or M does not factor.
+    """
+    h = np.sqrt(d)
+    M = K * np.outer(h, h)
+    M.flat[::M.shape[0] + 1] += 1.0 / eta
+    try:
+        # M is symmetric, so its transpose is the Fortran-ordered view
+        # LAPACK can factor in place
+        factor = cho_factor(M.T, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    # q = M^-1 (h * K g) and p = M^-1 h; then (I/eta + D K)^-1 (-g) is
+    # -eta (g - h*q), (I/eta + D K)^-1 d is h*p, d' K applied to the first
+    # is -h'q and the Schur complement sum(d) - d' K h*p is h'p / eta
+    q, p = cho_solve(factor, np.column_stack([h * grad_beta, h]),
+                     check_finite=False).T
+    schur = float(h @ p) / eta
+    if not (np.isfinite(schur) and schur > 0.0):
+        return None
+    step_b = (-grad_b - float(h @ q)) / schur
+    step_beta = eta * (h * q - g) + step_b * (h * p)
+    return step_beta, step_b
+
+
 def train_sc_lr(train, hp: Hyperparameters, settings: TrainSettings | None = None,
                 gram_matrix: np.ndarray | None = None) -> ScLrModel:
     """Fit the logistic variant on a labelled dataset.
@@ -126,39 +170,25 @@ def train_sc_lr(train, hp: Hyperparameters, settings: TrainSettings | None = Non
     it = 0
 
     for it in range(1, max_iter + 1):
-        t = yf * z
-        s = expit(t)
+        s = expit(yf * z)
         Kbeta = K @ beta
-        grad_beta = Kbeta / eta + 0.5 * (K @ (c * yf * s))
-        grad_b = -0.5 * float(np.sum(c * yf * s))
+        dz = 0.5 * (c * yf * s)     # derivative of the data term in z
+        g = beta / eta + dz
+        grad_beta = K @ g
+        grad_b = -float(np.sum(dz))
         grad_norm = max(float(np.abs(grad_beta).max()), abs(grad_b))
         if grad_norm <= settings.tol:
             converged = True
             break
 
-        # Newton system on (beta, b); d is the curvature of the data term
-        d = 0.5 * c * s * (1.0 - s)
-        Kd = K * d[None, :]
-        H = np.empty((n + 1, n + 1))
-        H[:n, :n] = K / eta + Kd @ K
-        H[:n, n] = -(K @ d)
-        H[n, :n] = H[:n, n]
-        H[n, n] = float(d.sum())
-        ridge = _RIDGE * (1.0 + float(np.trace(H[:n, :n])) / n)
-        H[np.diag_indices(n + 1)] += ridge
-
-        rhs = np.concatenate([-grad_beta, [-grad_b]])
-        try:
-            step = np.linalg.solve(H, rhs)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(H, rhs, rcond=None)
-        step_beta, step_b = step[:n], float(step[n])
-
-        # z is affine in the step, so backtracking needs no extra matvecs
-        Kstep = K @ step_beta
-        slope = float(grad_beta @ step_beta + grad_b * step_b)
-        if slope >= 0.0:
-            # not a descent direction (pathological curvature); fall back
+        step = _newton_step(K, eta, g, grad_beta, grad_b, 0.5 * c * s * (1.0 - s))
+        if step is not None:
+            step_beta, step_b = step
+            # z is affine in the step, so backtracking needs no extra matvecs
+            Kstep = K @ step_beta
+            slope = float(grad_beta @ step_beta + grad_b * step_b)
+        if step is None or slope >= 0.0:
+            # no curvature left, or not a descent direction; fall back
             step_beta, step_b = -grad_beta, -grad_b
             Kstep = K @ step_beta
             slope = float(grad_beta @ step_beta + grad_b * step_b)

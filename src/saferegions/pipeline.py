@@ -45,6 +45,7 @@ __all__ = [
     "run_experiment",
     "boundary_grid_rows",
     "evaluate_saved",
+    "write_csv",
 ]
 
 REPORT_COLUMNS = [
@@ -167,7 +168,8 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def write_csv(path: Path, header: list, rows: list) -> None:
+    """Rows as csv with ``\n`` line ends; floats as ``repr``, bools as 0/1."""
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -176,7 +178,7 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 
 
 def _write_table(path: Path, header: list, table: np.ndarray) -> None:
-    """Integer table as csv; the same bytes ``_write_csv`` writes for its rows."""
+    """Integer table as csv; the same bytes ``write_csv`` writes for its rows."""
     lines = [",".join(header)] + [",".join(map(str, row)) for row in table.tolist()]
     path.write_text("\n".join(lines) + "\n", newline="")
 
@@ -297,7 +299,7 @@ def _write_outputs(result: ExperimentResult, memberships: dict | None) -> None:
 
     if memberships is not None:
         report_path = out / "report.csv"
-        _write_csv(report_path, REPORT_COLUMNS, result.report_rows)
+        write_csv(report_path, REPORT_COLUMNS, result.report_rows)
         files["report"] = report_path
 
     models_dir = out / "models"
@@ -398,5 +400,5 @@ def evaluate_saved(run_dir, out_path=None) -> list:
                      cert.kind, cert.certified, float(cert.confidence),
                      joint, conditional, accuracy, test.n_samples])
     out_path = Path(out_path) if out_path is not None else run_dir / "evaluation.csv"
-    _write_csv(out_path, EVALUATION_COLUMNS, rows)
+    write_csv(out_path, EVALUATION_COLUMNS, rows)
     return rows

@@ -23,6 +23,7 @@ it would alone, so batch labels equal single-scenario labels bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,10 @@ __all__ = ["PlatoonSpec", "PlatoonRanges", "platoon_features", "simulate_platoon
 
 MAX_FOLLOWERS = 8
 FEATURE_DIM = 40   # 1 + 8 gaps + 9 speeds + 9 accels + 1 force + 9 masses + 3 comms
+# scalar PlatoonSpec fields that must be finite (packet_error_rate is checked
+# against [0, 1), which NaN already fails)
+_SCALAR_FIELDS = ("brake_force", "delay", "control_gain", "rolling_resistance",
+                  "drag_coefficient", "time_step", "horizon", "collision_distance")
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,14 @@ class PlatoonSpec:
             raise InvalidArgument(f"expected {n} gaps, got {len(self.gaps)}")
         if len(self.masses) != n + 1:
             raise InvalidArgument(f"expected {n + 1} masses, got {len(self.masses)}")
+        speed = self.speed_kmh
+        for name, values in (("gaps", self.gaps), ("masses", self.masses),
+                             ("speed_kmh", (speed,) if np.ndim(speed) == 0 else speed)):
+            if not all(map(math.isfinite, values)):
+                raise InvalidArgument(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in _SCALAR_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidArgument(f"{name} must be finite, got {getattr(self, name)!r}")
         if any(m <= 0 for m in self.masses):
             raise InvalidArgument("masses must be positive")
         if self.brake_force > 0:
@@ -110,6 +123,8 @@ class PlatoonRanges:
         for name in ("n_followers", "gap", "speed_kmh", "mass", "delay",
                      "packet_error_rate", "control_gain", "brake_force"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InvalidArgument(f"range {name} must be finite, got ({lo!r}, {hi!r})")
             if lo > hi:
                 raise InvalidArgument(f"range {name} has lo > hi: {lo!r} > {hi!r}")
         if self.n_followers[0] < 1 or self.n_followers[1] > MAX_FOLLOWERS:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately slow and simple: exact rational arithmetic
 for binomial tails, brute-force projected gradient for the dual programs,
-and central finite differences for gradients.  Nothing in this module
+central finite differences for gradients, and for the logistic loss a
+Newton step on the full Hessian and scipy's L-BFGS minimum.  Nothing in this module
 imports the package's own numerics beyond array plumbing.
 """
 
@@ -148,3 +149,54 @@ def platoon_label_oracle(spec, reception) -> int:
         if min(d) <= spec.collision_distance:
             return -1
     return 1
+
+
+def _lr_terms(K, y, c, eta, beta, b):
+    """Logistic loss pieces written out from the definition
+    L = beta' K beta / (2 eta) + (1/2) sum c log(1 + exp(y (K beta - b)))."""
+    K = np.asarray(K, dtype=float)
+    z = K @ beta - b
+    t = y * z
+    s = 1.0 / (1.0 + np.exp(-t))
+    loss = beta @ K @ beta / (2.0 * eta) + 0.5 * np.sum(c * np.logaddexp(0.0, t))
+    # dL/dz = (1/2) c y s and d2L/dz2 = (1/2) c s (1 - s), as y^2 = 1
+    dz = 0.5 * c * y * s
+    grad = np.concatenate([K @ beta / eta + K @ dz, [-np.sum(dz)]])
+    return float(loss), grad, 0.5 * c * s * (1.0 - s)
+
+
+def lr_newton_step_oracle(K, y, c, eta, beta, b):
+    """Newton step on (beta, b) from the full (n+1) x (n+1) Hessian of the
+    logistic loss, built entry by entry and solved with ``np.linalg.solve``.
+
+    With z = K beta - b and curvature d, the Hessian blocks are
+    K/eta + K diag(d) K, -K d and sum(d).
+    """
+    K = np.asarray(K, dtype=float)
+    n = K.shape[0]
+    _, grad, d = _lr_terms(K, y, c, eta, beta, b)
+    H = np.zeros((n + 1, n + 1))
+    for i in range(n):
+        for j in range(n):
+            H[i, j] = K[i, j] / eta + sum(K[i, k] * d[k] * K[k, j] for k in range(n))
+        H[i, n] = H[n, i] = -sum(K[i, k] * d[k] for k in range(n))
+    H[n, n] = d.sum()
+    step = np.linalg.solve(H, -grad)
+    return step[:n], float(step[n])
+
+
+def lr_lbfgs_oracle(K, y, c, eta):
+    """Minimizer (beta, b) of the logistic loss by scipy's L-BFGS-B on the
+    loss and gradient written out in ``_lr_terms``."""
+    from scipy.optimize import minimize
+
+    n = np.asarray(K).shape[0]
+
+    def fun(theta):
+        loss, grad, _ = _lr_terms(K, y, c, eta, theta[:n], theta[n])
+        return loss, grad
+
+    result = minimize(fun, np.zeros(n + 1), jac=True, method="L-BFGS-B",
+                      options={"maxiter": 100_000, "maxfun": 200_000, "maxcor": 100,
+                               "gtol": 1e-14, "ftol": 0.0})
+    return result.x[:n], float(result.x[n])

@@ -29,7 +29,7 @@ from saferegions import (
     run_experiment,
     train_sc_svm,
 )
-from saferegions.pipeline import _membership_table, _write_csv, _write_table, build_datasets
+from saferegions.pipeline import _membership_table, _write_table, build_datasets, write_csv
 
 
 def _raw(tmp_path, **overrides):
@@ -307,10 +307,10 @@ def test_membership_table_bytes_equal_csv_writer(tmp_path):
             for i in range(labels.size)]
     assert table.tolist() == rows
     _write_table(tmp_path / "fast.csv", header, table)
-    _write_csv(tmp_path / "reference.csv", header, rows)
+    write_csv(tmp_path / "reference.csv", header, rows)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     _write_table(tmp_path / "empty.csv", header[:2], table[:0, :2])
-    _write_csv(tmp_path / "empty_reference.csv", header[:2], [])
+    write_csv(tmp_path / "empty_reference.csv", header[:2], [])
     assert ((tmp_path / "empty.csv").read_bytes()
             == (tmp_path / "empty_reference.csv").read_bytes())
 

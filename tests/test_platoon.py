@@ -136,10 +136,13 @@ def test_feature_layout():
     assert np.array_equal(feat[37:], [0.25, 0.1, 1.1])
 
 
+_GOOD_SPEC = dict(n_followers=1, gaps=(5.0,), speed_kmh=50.0, brake_force=-1000.0,
+                  masses=(1000.0, 1000.0), delay=0.0, packet_error_rate=0.0,
+                  control_gain=1.0)
+
+
 def test_spec_validation():
-    good = dict(n_followers=1, gaps=(5.0,), speed_kmh=50.0, brake_force=-1000.0,
-                masses=(1000.0, 1000.0), delay=0.0, packet_error_rate=0.0,
-                control_gain=1.0)
+    good = _GOOD_SPEC
     PlatoonSpec(**good)
     with pytest.raises(InvalidArgument):
         PlatoonSpec(**{**good, "brake_force": 10.0})
@@ -157,6 +160,39 @@ def test_spec_validation():
         PlatoonSpec(**{**good, "speed_kmh": -3.0}).speeds()
     with pytest.raises(InvalidArgument):
         PlatoonSpec(**{**good, "speed_kmh": (50.0, 40.0, 30.0)}).speeds()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field, value", [
+    ("gaps", lambda bad: (bad,)),
+    ("masses", lambda bad: (1000.0, bad)),
+    ("speed_kmh", lambda bad: bad),
+    ("speed_kmh", lambda bad: (50.0, bad)),
+    ("brake_force", lambda bad: bad),
+    ("delay", lambda bad: bad),
+    ("control_gain", lambda bad: bad),
+    ("packet_error_rate", lambda bad: bad),
+    ("rolling_resistance", lambda bad: bad),
+    ("drag_coefficient", lambda bad: bad),
+    ("time_step", lambda bad: bad),
+    ("horizon", lambda bad: bad),
+    ("collision_distance", lambda bad: bad),
+])
+def test_spec_rejects_non_finite_fields(field, value, bad):
+    # a NaN gap never compares <= collision_distance, so it would be
+    # labelled safe; a NaN speed or mass passes every sign check
+    with pytest.raises(InvalidArgument, match=field):
+        PlatoonSpec(**{**_GOOD_SPEC, field: value(bad)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["n_followers", "gap", "speed_kmh", "brake_force",
+                                   "mass", "delay", "packet_error_rate", "control_gain"])
+def test_ranges_reject_non_finite_bounds(field, bad):
+    lo, hi = getattr(PlatoonRanges(), field)
+    for bounds in [(bad, hi), (lo, bad)]:
+        with pytest.raises(InvalidArgument, match=field):
+            PlatoonRanges(**{field: bounds})
 
 
 def test_ranges_validation():
@@ -254,11 +290,13 @@ def test_non_finite_state_names_the_batch_index():
 
 def test_non_finite_state_finished_at_start_is_caught():
     # a NaN speed is not > 0, so this scenario counts as stopped at t = 0
-    # and never enters the active set; it must not be labelled safe
+    # and never enters the active set; it must not be labelled safe.
+    # PlatoonSpec rejects a NaN speed, so it is set past the constructor.
     specs = _mixed_batch()
-    bad = PlatoonSpec(n_followers=1, gaps=(50.0,), speed_kmh=float("nan"),
+    bad = PlatoonSpec(n_followers=1, gaps=(50.0,), speed_kmh=50.0,
                       brake_force=-4000.0, masses=(1000.0, 1000.0), delay=0.0,
                       packet_error_rate=0.0, control_gain=1.0)
+    object.__setattr__(bad, "speed_kmh", float("nan"))
     batch = [specs[3], bad, specs[2]]
     with pytest.raises(SimulationError, match=r"scenario 1 in its initial state"):
         _simulate_batch(batch, _receptions(batch))
