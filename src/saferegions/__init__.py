@@ -9,13 +9,10 @@ bounded by a chosen risk, with an explicit binomial confidence certificate.
 from .classifiers import (
     Hyperparameters,
     TrainSettings,
-    boundary_radius,
-    decision_value,
     expansion_margins,
     load_model,
     model_from_record,
     model_to_record,
-    predict,
     save_model,
 )
 from .config import (

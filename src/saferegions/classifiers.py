@@ -19,13 +19,20 @@ variant's ``margin`` is that evaluator applied to a single model.
 
 Models are immutable after training; their prediction methods hold no state
 and can be shared freely across threads.
+
+The model record format lives here alone: ``model_to_record`` and
+``model_from_record`` encode a variant's own dataclass fields generically
+(arrays as nested lists, scalars as floats) next to the shared
+hyperparameters, kernel and diagnostics, and ``model_from_record`` rejects
+records that do not describe a finite model.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -38,9 +45,6 @@ __all__ = [
     "TrainingDiagnostics",
     "ScalableModel",
     "box_bounds",
-    "predict",
-    "decision_value",
-    "boundary_radius",
     "expansion_margins",
     "save_model",
     "load_model",
@@ -79,7 +83,6 @@ class TrainSettings:
 
     tol: float = 1e-6
     max_iter: int | None = None
-    armijo: float = 1e-4
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -115,16 +118,22 @@ def box_bounds(hp: Hyperparameters, y: np.ndarray) -> np.ndarray:
     return np.where(y > 0, hp.eta * (1.0 - hp.tau), hp.eta * hp.tau)
 
 
+@dataclass
 class ScalableModel:
-    """Base for the trained variants.
+    """Base for the trained variants: the fields every variant shares.
 
-    Subclasses provide ``_expansion``; their ``margin`` evaluates it through
+    Subclasses declare their fitted fields, the centers of the expansion
+    first, and provide ``_expansion``; their ``margin`` evaluates it through
     ``expansion_margins``.
     """
 
     hyperparameters: Hyperparameters
-    kernel: KernelSpec
     diagnostics: TrainingDiagnostics
+
+    @property
+    def kernel(self) -> KernelSpec:
+        """The resolved kernel the model was trained with."""
+        return self.hyperparameters.kernel
 
     def _expansion(self) -> tuple:
         """(centers, coef, w_d, b0) with s(x) = w_d k(x,x) + K(x, centers) coef + b0."""
@@ -149,18 +158,6 @@ class ScalableModel:
         """+1 inside the region (f < 0), -1 outside; f == 0 counts as unsafe."""
         f = self.decision_value(x, rho)
         return np.where(f < 0.0, 1, -1)
-
-
-def predict(model: ScalableModel, x: np.ndarray, rho: float) -> np.ndarray:
-    return model.predict(x, rho)
-
-
-def decision_value(model: ScalableModel, x: np.ndarray, rho: float) -> np.ndarray:
-    return model.decision_value(x, rho)
-
-
-def boundary_radius(model: ScalableModel, x: np.ndarray) -> np.ndarray:
-    return model.boundary_radius(x)
 
 
 def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
@@ -227,6 +224,13 @@ def expansion_margins(models, x: np.ndarray) -> np.ndarray:
 _MODEL_FORMAT_VERSION = 1
 
 
+def _fitted_fields(cls) -> list:
+    """(name, is_array) for each field a variant declares beyond the shared ones."""
+    hints = get_type_hints(cls)
+    shared = {f.name for f in fields(ScalableModel)}
+    return [(f.name, hints[f.name] is np.ndarray) for f in fields(cls) if f.name not in shared]
+
+
 def model_to_record(model: ScalableModel) -> dict:
     """Serialize a trained model to a flat, JSON-ready record."""
     record = {
@@ -237,16 +241,26 @@ def model_to_record(model: ScalableModel) -> dict:
         "kernel": model.kernel.to_record(),
         "diagnostics": model.diagnostics.to_record(),
     }
-    record.update(model._payload())
+    for name, is_array in _fitted_fields(type(model)):
+        value = getattr(model, name)
+        record[name] = value.tolist() if is_array else float(value)
     return record
 
 
 def model_from_record(record: dict) -> ScalableModel:
-    """Rebuild a trained model from its record; inverse of model_to_record."""
+    """Rebuild a trained model from its record; inverse of model_to_record.
+
+    Arrays keep the JSON number type (integer labels stay integers).  Raises
+    ``InvalidArgument`` unless the record is a version-1 record of a known
+    variant with every key present, centers forming a 2-D array, every other
+    fitted array holding one entry per center, and every fitted value finite.
+    """
     from .logistic import ScLrModel
     from .svdd import ScSvddModel
     from .svm import ScSvmModel
 
+    if not isinstance(record, dict):
+        raise InvalidArgument(f"a model record is a JSON object, got {type(record).__name__}")
     version = record.get("format_version")
     if version != _MODEL_FORMAT_VERSION:
         raise InvalidArgument(f"unsupported model format version {version!r}")
@@ -254,10 +268,33 @@ def model_from_record(record: dict) -> ScalableModel:
     table = {"svm": ScSvmModel, "svdd": ScSvddModel, "lr": ScLrModel}
     if variant not in table:
         raise InvalidArgument(f"unknown model variant {variant!r}")
-    kernel = KernelSpec.from_record(record["kernel"])
-    hp = Hyperparameters(eta=float(record["eta"]), tau=float(record["tau"]), kernel=kernel)
-    diagnostics = TrainingDiagnostics.from_record(record["diagnostics"])
-    return table[variant]._from_payload(record, hp, kernel, diagnostics)
+    cls = table[variant]
+    spec = _fitted_fields(cls)
+    try:
+        hp = Hyperparameters(eta=float(record["eta"]), tau=float(record["tau"]),
+                             kernel=KernelSpec.from_record(record["kernel"]))
+        diagnostics = TrainingDiagnostics.from_record(record["diagnostics"])
+        fitted = {name: np.asarray(record[name]) if is_array else float(record[name])
+                  for name, is_array in spec}
+    except KeyError as exc:
+        raise InvalidArgument(f"model record has no key {exc}") from None
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgument(f"malformed model record: {exc}") from None
+
+    # the centers are each variant's first fitted array
+    centers_name, *per_center = [name for name, is_array in spec if is_array]
+    centers = fitted[centers_name]
+    if centers.ndim != 2:
+        raise InvalidArgument(f"{centers_name} must be a 2-D array of centers, "
+                              f"got shape {centers.shape}")
+    for name in per_center:
+        if fitted[name].shape != centers.shape[:1]:
+            raise InvalidArgument(f"{name} has shape {fitted[name].shape}, expected one "
+                                  f"entry per row of {centers_name} ({centers.shape[0]})")
+    for name, value in fitted.items():
+        if np.asarray(value).dtype.kind not in "iuf" or not np.isfinite(value).all():
+            raise InvalidArgument(f"{name} must hold finite numbers only")
+    return cls(hyperparameters=hp, diagnostics=diagnostics, **fitted)
 
 
 def save_model(model: ScalableModel, path, certificate=None) -> None:
@@ -269,11 +306,25 @@ def save_model(model: ScalableModel, path, certificate=None) -> None:
 
 
 def load_model(path) -> tuple[ScalableModel, object | None]:
-    """Read back a model record; returns (model, certificate-or-None)."""
+    """Read back a model record; returns (model, certificate-or-None).
+
+    Raises ``InvalidArgument`` naming the file when it is not JSON or does
+    not hold a valid model record and certificate.
+    """
     from .scaling import CalibrationCertificate
 
-    record = json.loads(Path(path).read_text())
-    certificate = None
-    if "certificate" in record:
-        certificate = CalibrationCertificate.from_record(record["certificate"])
-    return model_from_record(record), certificate
+    try:
+        record = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise InvalidArgument(f"{path} is not a JSON model file: {exc}") from None
+    try:
+        model = model_from_record(record)
+        certificate = None
+        if "certificate" in record:
+            certificate = CalibrationCertificate.from_record(record["certificate"])
+    except KeyError as exc:
+        # model_from_record raises InvalidArgument only, so this is the certificate's
+        raise InvalidArgument(f"{path}: certificate has no key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgument(f"{path}: {exc}") from None
+    return model, certificate

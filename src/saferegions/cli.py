@@ -19,8 +19,6 @@ import math
 import sys
 from pathlib import Path
 
-import yaml
-
 from .config import ExperimentConfig, load_config
 from .errors import InvalidArgument, SafeRegionsError, UncertifiedPlanError
 from .pipeline import (
@@ -32,6 +30,7 @@ from .pipeline import (
     resolve_plans,
     run_experiment,
     write_csv,
+    write_resolved_config,
 )
 from .scaling import ScalingPlan, check_plan, discarding_parameter, kappa, min_calibration_size
 
@@ -150,10 +149,7 @@ def cmd_generate(args) -> int:
     plans = resolve_plans(config)
     certified = check_plans(plans, args.force_uncertified)
     train, calibs, test = build_datasets(config, plans)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved_config.yaml").write_text(
-        yaml.safe_dump(config.to_mapping(), sort_keys=True))
+    out = write_resolved_config(config).parent
     train.to_csv(out / "train.csv")
     print(f"wrote {out / 'train.csv'} ({train.n_samples} rows)")
     for eps, calib in calibs.items():
@@ -189,10 +185,7 @@ def cmd_boundary_grid(args) -> int:
         raise SafeRegionsError(f"boundary grids need 2-D data, got {train.dim} features")
     resolution = args.resolution or config.grid.resolution
     bbox = config.grid.bbox or data_bbox(train, config.grid.margin)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved_config.yaml").write_text(
-        yaml.safe_dump(config.to_mapping(), sort_keys=True))
+    out = write_resolved_config(config).parent
     for (variant, eps), family_result in result.family_results.items():
         member = family_result.selected
         rows = boundary_grid_rows(member.model, member.certificate, bbox,

@@ -51,13 +51,14 @@ from .classifiers import (
     _single_margin,
 )
 from .errors import TrainingError
-from .kernels import KernelSpec, gram
+from .kernels import gram
 from .validation import training_arrays
 
 __all__ = ["ScLrModel", "train_sc_lr", "lr_loss", "lr_gradient"]
 
 _DEFAULT_MAX_ITER = 50_000
 _MAX_BACKTRACKS = 60
+_ARMIJO = 1e-4      # sufficient-decrease fraction of the backtracking line search
 
 
 @dataclass
@@ -69,9 +70,6 @@ class ScLrModel(ScalableModel):
     train_x: np.ndarray
     beta: np.ndarray
     offset: float
-    hyperparameters: Hyperparameters
-    kernel: KernelSpec
-    diagnostics: TrainingDiagnostics
 
     def _expansion(self):
         return self.train_x, self.beta, 0.0, -self.offset
@@ -81,21 +79,6 @@ class ScLrModel(ScalableModel):
 
     def _link(self, t):
         return expit(t) - 0.5
-
-    def _payload(self) -> dict:
-        return {
-            "train_x": self.train_x.tolist(),
-            "beta": self.beta.tolist(),
-            "offset": self.offset,
-        }
-
-    @classmethod
-    def _from_payload(cls, record, hp, kernel, diagnostics):
-        return cls(
-            train_x=np.asarray(record["train_x"], dtype=float),
-            beta=np.asarray(record["beta"], dtype=float),
-            offset=float(record["offset"]),
-            hyperparameters=hp, kernel=kernel, diagnostics=diagnostics)
 
 
 def lr_loss(K, y, c, eta, beta, b):
@@ -201,7 +184,7 @@ def train_sc_lr(train, hp: Hyperparameters, settings: TrainSettings | None = Non
             z_try = z + width * (Kstep - step_b)
             loss_try = float((beta_try @ (Kbeta + width * Kstep)) / (2.0 * eta)
                              + 0.5 * np.sum(c * np.logaddexp(0.0, yf * z_try)))
-            if loss_try <= loss + settings.armijo * width * slope:
+            if loss_try <= loss + _ARMIJO * width * slope:
                 accepted = True
                 break
             width *= 0.5
@@ -221,5 +204,4 @@ def train_sc_lr(train, hp: Hyperparameters, settings: TrainSettings | None = Non
         flags={"monotone_loss": monotone})
     return ScLrModel(
         train_x=x.copy(), beta=beta.copy(), offset=float(b),
-        hyperparameters=replace(hp, kernel=kernel), kernel=kernel,
-        diagnostics=diagnostics)
+        hyperparameters=replace(hp, kernel=kernel), diagnostics=diagnostics)

@@ -46,6 +46,7 @@ __all__ = [
     "boundary_grid_rows",
     "evaluate_saved",
     "write_csv",
+    "write_resolved_config",
 ]
 
 REPORT_COLUMNS = [
@@ -177,6 +178,16 @@ def write_csv(path: Path, header: list, rows: list) -> None:
             writer.writerow([_format_cell(v) for v in row])
 
 
+def write_resolved_config(config: ExperimentConfig) -> Path:
+    """Create the output directory and write ``resolved_config.yaml`` into it,
+    so any result can be reproduced; returns the file's path."""
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "resolved_config.yaml"
+    path.write_text(yaml.safe_dump(config.to_mapping(), sort_keys=True))
+    return path
+
+
 def _write_table(path: Path, header: list, table: np.ndarray) -> None:
     """Integer table as csv; the same bytes ``write_csv`` writes for its rows."""
     lines = [",".join(header)] + [",".join(map(str, row)) for row in table.tolist()]
@@ -288,14 +299,9 @@ def run_experiment(config: ExperimentConfig, *, force_uncertified: bool = False,
 def _write_outputs(result: ExperimentResult, memberships: dict | None) -> None:
     """Write the run directory.  ``memberships`` maps (variant, eps) to its
     ``_membership_table``; None writes neither report nor membership files."""
-    config = result.config
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = {}
-
-    config_path = out / "resolved_config.yaml"
-    config_path.write_text(yaml.safe_dump(config.to_mapping(), sort_keys=True))
-    files["config"] = config_path
+    config_path = write_resolved_config(result.config)
+    out = config_path.parent
+    files = {"config": config_path}
 
     if memberships is not None:
         report_path = out / "report.csv"

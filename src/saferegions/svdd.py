@@ -31,7 +31,7 @@ from .classifiers import (
     box_bounds,
 )
 from .errors import TrainingError
-from .kernels import KernelSpec, gram
+from .kernels import gram
 from .solvers import DEFAULT_MAX_UPDATES, ascent_objective, solve_box_qp
 from .validation import training_arrays
 
@@ -52,9 +52,6 @@ class ScSvddModel(ScalableModel):
     support_y: np.ndarray
     r_squared: float
     center_sq_norm: float
-    hyperparameters: Hyperparameters
-    kernel: KernelSpec
-    diagnostics: TrainingDiagnostics
 
     def _expansion(self):
         # |phi(x) - w|^2 - R^2 with w = 2 sum_i alpha_i y_i phi(x_i)
@@ -63,25 +60,6 @@ class ScSvddModel(ScalableModel):
 
     def margin(self, x):
         return _single_margin(self, x)
-
-    def _payload(self) -> dict:
-        return {
-            "support_x": self.support_x.tolist(),
-            "support_alpha": self.support_alpha.tolist(),
-            "support_y": self.support_y.tolist(),
-            "r_squared": self.r_squared,
-            "center_sq_norm": self.center_sq_norm,
-        }
-
-    @classmethod
-    def _from_payload(cls, record, hp, kernel, diagnostics):
-        return cls(
-            support_x=np.asarray(record["support_x"], dtype=float),
-            support_alpha=np.asarray(record["support_alpha"], dtype=float),
-            support_y=np.asarray(record["support_y"], dtype=int),
-            r_squared=float(record["r_squared"]),
-            center_sq_norm=float(record["center_sq_norm"]),
-            hyperparameters=hp, kernel=kernel, diagnostics=diagnostics)
 
 
 def train_sc_svdd(train, hp: Hyperparameters, settings: TrainSettings | None = None,
@@ -156,5 +134,4 @@ def train_sc_svdd(train, hp: Hyperparameters, settings: TrainSettings | None = N
         r_squared=r_squared,
         center_sq_norm=center_sq_norm,
         hyperparameters=replace(hp, kernel=kernel),
-        kernel=kernel,
         diagnostics=diagnostics)

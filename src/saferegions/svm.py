@@ -27,7 +27,7 @@ from .classifiers import (
     box_bounds,
 )
 from .errors import TrainingError
-from .kernels import KernelSpec, gram
+from .kernels import gram
 from .solvers import DEFAULT_MAX_UPDATES, ascent_objective, solve_box_qp
 from .validation import training_arrays
 
@@ -46,32 +46,12 @@ class ScSvmModel(ScalableModel):
     support_alpha: np.ndarray
     support_y: np.ndarray
     offset: float
-    hyperparameters: Hyperparameters
-    kernel: KernelSpec
-    diagnostics: TrainingDiagnostics
 
     def _expansion(self):
         return self.support_x, -self.support_alpha * self.support_y, 0.0, -self.offset
 
     def margin(self, x):
         return _single_margin(self, x)
-
-    def _payload(self) -> dict:
-        return {
-            "support_x": self.support_x.tolist(),
-            "support_alpha": self.support_alpha.tolist(),
-            "support_y": self.support_y.tolist(),
-            "offset": self.offset,
-        }
-
-    @classmethod
-    def _from_payload(cls, record, hp, kernel, diagnostics):
-        return cls(
-            support_x=np.asarray(record["support_x"], dtype=float),
-            support_alpha=np.asarray(record["support_alpha"], dtype=float),
-            support_y=np.asarray(record["support_y"], dtype=int),
-            offset=float(record["offset"]),
-            hyperparameters=hp, kernel=kernel, diagnostics=diagnostics)
 
 
 def train_sc_svm(train, hp: Hyperparameters, settings: TrainSettings | None = None,
@@ -120,5 +100,4 @@ def train_sc_svm(train, hp: Hyperparameters, settings: TrainSettings | None = No
         support_y=y[support].copy(),
         offset=b,
         hyperparameters=replace(hp, kernel=kernel),
-        kernel=kernel,
         diagnostics=diagnostics)
