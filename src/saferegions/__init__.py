@@ -29,7 +29,6 @@ from .datagen import (
     Standardizer,
     fit_standardizer,
     sample_gaussian,
-    split_dataset,
     standardize,
 )
 from .errors import (
@@ -43,11 +42,7 @@ from .families import (
     TRAINERS,
     FamilyMember,
     FamilyResult,
-    calibrate_family,
     calibrate_trained_family,
-    false_safe_penalty,
-    family_csv_rows,
-    region_accuracy,
     safe_coverage,
     select_best,
     train_family,

@@ -301,18 +301,6 @@ class ExperimentConfig:
                    seed=int(fields["seed"]),
                    output_dir=str(fields["output_dir"]))
 
-    @classmethod
-    def from_yaml(cls, path) -> "ExperimentConfig":
-        path = Path(path)
-        if not path.exists():
-            raise InvalidArgument(f"config file not found: {path}")
-        loaded = yaml.safe_load(path.read_text())
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise InvalidArgument(f"{path} must contain a YAML mapping at top level")
-        return cls.from_mapping(loaded)
-
     def to_mapping(self) -> dict:
         return {
             "data": self.data.to_mapping(),
@@ -334,4 +322,14 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_yaml(path)
+    """Read an experiment config from a YAML file; an empty file gives the
+    defaults."""
+    path = Path(path)
+    if not path.exists():
+        raise InvalidArgument(f"config file not found: {path}")
+    loaded = yaml.safe_load(path.read_text())
+    if loaded is None:
+        loaded = {}
+    if not isinstance(loaded, dict):
+        raise InvalidArgument(f"{path} must contain a YAML mapping at top level")
+    return ExperimentConfig.from_mapping(loaded)

@@ -1,4 +1,4 @@
-"""Datasets, synthetic Gaussian sampling, splitting, and standardization.
+"""Datasets, synthetic Gaussian sampling, and standardization.
 
 Labels are +1 for safe and -1 for unsafe throughout.  All sampling is driven
 by explicit seeds; the same spec and seed reproduce a dataset bit for bit.
@@ -19,7 +19,6 @@ __all__ = [
     "Dataset",
     "GaussianSpec",
     "sample_gaussian",
-    "split_dataset",
     "Standardizer",
     "fit_standardizer",
     "standardize",
@@ -56,12 +55,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    def safe(self) -> "Dataset":
-        return self.subset(np.flatnonzero(self.y == 1))
-
-    def unsafe(self) -> "Dataset":
-        return self.subset(np.flatnonzero(self.y == -1))
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
@@ -197,32 +190,11 @@ def sample_gaussian(spec: GaussianSpec, n: int, seed: int, role: str = "sample")
     return Dataset(x, labels, provenance)
 
 
-def split_dataset(data: Dataset, sizes: tuple[int, ...], seed: int) -> list[Dataset]:
-    """Shuffle once and cut disjoint consecutive slices of the given sizes."""
-    sizes = tuple(int(s) for s in sizes)
-    if any(s < 0 for s in sizes):
-        raise InvalidArgument(f"split sizes must be non-negative, got {sizes}")
-    if sum(sizes) > data.n_samples:
-        raise InvalidArgument(
-            f"split sizes {sizes} need {sum(sizes)} samples, dataset has {data.n_samples}")
-    order = np.random.default_rng(seed).permutation(data.n_samples)
-    parts = []
-    start = 0
-    for k, size in enumerate(sizes):
-        part = data.subset(order[start:start + size])
-        part.provenance = dict(data.provenance)
-        part.provenance.update({"split_seed": int(seed), "split_part": k})
-        parts.append(part)
-        start += size
-    return parts
-
-
 @dataclass
 class Standardizer:
     """Per-feature affine map fitted on training data.
 
-    Zero-variance features are flagged and mapped to 0; inverting restores
-    the training mean for them.
+    Zero-variance features are flagged and mapped to 0.
     """
 
     mean: np.ndarray
@@ -239,14 +211,6 @@ class Standardizer:
         if self.degenerate.any():
             z[:, self.degenerate] = 0.0
         return z
-
-    def invert(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        return z * self.scale + self.mean
-
-    @property
-    def has_degenerate_features(self) -> bool:
-        return bool(self.degenerate.any())
 
 
 def fit_standardizer(train: Dataset) -> Standardizer:

@@ -4,9 +4,8 @@ All members share one calibration set and one plan, so a union bound gives
 the whole family confidence ``1 - m * B(r-1; n_c, eps)`` where ``m`` is the
 family size.  Per-member scaling levels are exactly what standalone
 calibration produces; only the reported confidence changes.  The selection
-rule picks the member whose calibrated region performs best on calibration
-data, by default the one covering the most safe calibration points, with ties
-going to the lowest index.
+rule is fixed: keep the member whose calibrated region covers the most safe
+calibration points, with ties going to the lowest index.
 """
 
 from __future__ import annotations
@@ -29,12 +28,8 @@ __all__ = [
     "FamilyResult",
     "train_family",
     "calibrate_trained_family",
-    "calibrate_family",
     "select_best",
     "safe_coverage",
-    "region_accuracy",
-    "false_safe_penalty",
-    "family_csv_rows",
 ]
 
 TRAINERS = {"svm": train_sc_svm, "svdd": train_sc_svdd, "lr": train_sc_lr}
@@ -47,22 +42,6 @@ def safe_coverage(model, certificate, calib) -> float:
         return 0.0
     inside = model.decision_value(safe_x, certificate.rho_eps) < 0.0
     return float(inside.sum())
-
-
-def region_accuracy(model, certificate, calib) -> float:
-    """Fraction of calibration points whose label matches region membership."""
-    pred = model.predict(calib.x, certificate.rho_eps)
-    return float(np.mean(pred == calib.y))
-
-
-def false_safe_penalty(model, certificate, calib) -> float:
-    """Negated count of unsafe calibration points inside the region, so that
-    maximizing it minimizes unsafe inclusions."""
-    unsafe_x = calib.x[calib.y == -1]
-    if unsafe_x.shape[0] == 0:
-        return 0.0
-    inside = model.decision_value(unsafe_x, certificate.rho_eps) < 0.0
-    return -float(inside.sum())
 
 
 @dataclass
@@ -119,13 +98,14 @@ def train_family(train, family: list[Hyperparameters], variant: str,
 
 
 def calibrate_trained_family(members: list[FamilyMember], calib, plan: ScalingPlan,
-                             variant: str, *, force_uncertified: bool = False,
-                             performance=safe_coverage) -> FamilyResult:
+                             variant: str, *, force_uncertified: bool = False) -> FamilyResult:
     """Calibrate trained members against one shared plan and select the best.
 
     Each member certificate equals its standalone calibration except that the
     confidence is replaced by the union-bound family value
-    ``max(0, 1 - m * B(r-1; n_c, eps))``.
+    ``max(0, 1 - m * B(r-1; n_c, eps))``.  The result holds new member
+    records; ``members`` is left as it was, so one trained family serves
+    several plans.
     """
     m = len(members)
     if m == 0:
@@ -137,25 +117,14 @@ def calibrate_trained_family(members: list[FamilyMember], calib, plan: ScalingPl
         if member.failed or member.model is None:
             result.members.append(member)
             continue
-        certificate = calibrate(member.model, calib, plan,
-                                force_uncertified=force_uncertified)
-        member.certificate = certificate.with_confidence(family_confidence)
-        member.score = float(performance(member.model, member.certificate, calib))
-        result.members.append(member)
+        certificate = replace(calibrate(member.model, calib, plan,
+                                        force_uncertified=force_uncertified),
+                              confidence=family_confidence)
+        result.members.append(replace(
+            member, certificate=certificate,
+            score=safe_coverage(member.model, certificate, calib)))
     result.selected_index = select_best(result)
     return result
-
-
-def calibrate_family(train, calib, family: list[Hyperparameters], variant: str,
-                     plan: ScalingPlan, *, settings: TrainSettings | None = None,
-                     force_uncertified: bool = False,
-                     performance=safe_coverage) -> FamilyResult:
-    """Train and calibrate a family in one call; see the two-stage functions
-    for pipelines that reuse trained members across several plans."""
-    members = train_family(train, family, variant, settings=settings)
-    return calibrate_trained_family(members, calib, plan, variant,
-                                    force_uncertified=force_uncertified,
-                                    performance=performance)
 
 
 def select_best(result: FamilyResult) -> int:
@@ -172,24 +141,3 @@ def select_best(result: FamilyResult) -> int:
     if best_index < 0:
         raise TrainingError("every family member failed to train")
     return best_index
-
-
-def family_csv_rows(result: FamilyResult) -> list[dict]:
-    """Rows for the family report table, one per member, fixed column set."""
-    rows = []
-    for member in result.members:
-        hp = member.hyperparameters
-        cert = member.certificate
-        rows.append({
-            "variant": result.variant,
-            "eta": hp.eta,
-            "tau": hp.tau,
-            "kernel": hp.kernel.label(),
-            "rho_eps": "" if cert is None else (
-                "whole_space" if cert.kind == "whole_space" else cert.rho_eps),
-            "region_kind": "" if cert is None else cert.kind,
-            "J": "" if member.score is None else member.score,
-            "confidence": "" if cert is None else cert.confidence,
-            "selected": int(member.index == result.selected_index),
-        })
-    return rows

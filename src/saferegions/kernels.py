@@ -100,14 +100,9 @@ def gram(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     exactly; the gaussian diagonal is exactly 1.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    k = kernel_matrix(spec, points, points)
     if spec.kind == "gaussian":
-        sq = _squared_distances(points, points)
-        np.fill_diagonal(sq, 0.0)
-        k = np.exp(-_require_gamma(spec) * sq)
-    elif spec.kind == "linear":
-        k = points @ points.T
-    else:
-        k = (points @ points.T + spec.coef0) ** int(spec.degree)
+        np.fill_diagonal(k, 1.0)
     # mirror the upper triangle for exact symmetry
     upper = np.triu(k)
     k = upper + np.triu(k, 1).T

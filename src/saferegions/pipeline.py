@@ -19,7 +19,7 @@ test points inside the region (empty when the region holds no test points).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -252,8 +252,8 @@ def run_experiment(config: ExperimentConfig, *, force_uncertified: bool = False,
     """Run the full pipeline and (optionally) write the report files.
 
     Families are trained once per variant and reused across the eps sweep;
-    each eps calibrates fresh copies of the trained members against its own
-    plan and calibration set.
+    each eps calibrates the trained members against its own plan and
+    calibration set.
     """
     plans = resolve_plans(config)
     all_certified = check_plans(plans, force_uncertified)
@@ -279,8 +279,7 @@ def run_experiment(config: ExperimentConfig, *, force_uncertified: bool = False,
             # one (n_test, live) block serves every eps of this variant
             margins = expansion_margins([m.model for m in live], test.x)
         for eps in config.risk.eps:
-            fresh = [replace(m) for m in members]
-            result = calibrate_trained_family(fresh, calibs[eps], plans[eps], variant,
+            result = calibrate_trained_family(members, calibs[eps], plans[eps], variant,
                                               force_uncertified=force_uncertified)
             family_results[variant, eps] = result
             if evaluate:

@@ -20,7 +20,7 @@ multiple threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -243,17 +243,36 @@ class CalibrationCertificate:
 
     @classmethod
     def from_record(cls, record: dict) -> "CalibrationCertificate":
-        rho = record["rho_eps"]
-        if rho == "whole_space":
-            rho = WHOLE_SPACE
+        """Inverse of ``to_record``.  Raises ``InvalidArgument`` unless
+        ``rho_eps`` is ``"whole_space"`` or a finite number, ``confidence`` a
+        finite number in [0, 1], ``n_U`` an integer in [0, n_c] and
+        ``certified`` a boolean: a NaN level would load as a certified,
+        silently empty region."""
         plan = ScalingPlan(eps=record["eps"], delta=record["delta"], r=record["r"],
                            n_c=record["n_c"], beta=record.get("beta", 0.5))
-        return cls(rho_eps=float(rho), plan=plan, n_U=int(record["n_U"]),
-                   confidence=float(record["confidence"]),
-                   certified=bool(record["certified"]))
+        rho, confidence, n_U, certified = (record[key] for key in
+                                           ("rho_eps", "confidence", "n_U", "certified"))
+        if rho == "whole_space":
+            rho = WHOLE_SPACE
+        elif not _is_finite_number(rho):
+            raise InvalidArgument(
+                f"certificate rho_eps must be 'whole_space' or a finite number, got {rho!r}")
+        if not (_is_finite_number(confidence) and 0.0 <= confidence <= 1.0):
+            raise InvalidArgument(
+                f"certificate confidence must lie in [0, 1], got {confidence!r}")
+        if not (isinstance(n_U, int) and not isinstance(n_U, bool) and 0 <= n_U <= plan.n_c):
+            raise InvalidArgument(
+                f"certificate n_U must be an integer in [0, {plan.n_c}], got {n_U!r}")
+        if not isinstance(certified, bool):
+            raise InvalidArgument(f"certificate certified must be true or false, "
+                                  f"got {certified!r}")
+        return cls(rho_eps=float(rho), plan=plan, n_U=n_U,
+                   confidence=float(confidence), certified=certified)
 
-    def with_confidence(self, confidence: float) -> "CalibrationCertificate":
-        return replace(self, confidence=confidence)
+
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def calibrate(model, calib, plan: ScalingPlan, *,

@@ -79,23 +79,11 @@ def pairwise_ascent(K, s, C, alpha0, q, scale, tol, max_iter):
     while it < max_iter:
         if it and it % REFRESH_EVERY == 0:
             g = ascent_gradient(K, s, alpha, q, scale)
-        sg = s * g
-        can_up = np.where(pos, alpha < C, alpha > 0.0)
-        can_down = np.where(pos, alpha > 0.0, alpha < C)
-        up_vals = np.where(can_up, sg, -np.inf)
-        i = int(np.argmax(up_vals))
-        m = float(up_vals[i])
-        down_vals = np.where(can_down, sg, np.inf)
-        M = float(down_vals.min())
+        sg, can_down, i, m, M = _violating_pair(s, g, alpha, C, pos)
         if m - M <= tol:
             # Confirm against a fresh gradient before declaring victory.
             g = ascent_gradient(K, s, alpha, q, scale)
-            sg = s * g
-            up_vals = np.where(can_up, sg, -np.inf)
-            i = int(np.argmax(up_vals))
-            m = float(up_vals[i])
-            down_vals = np.where(can_down, sg, np.inf)
-            M = float(down_vals.min())
+            sg, can_down, i, m, M = _violating_pair(s, g, alpha, C, pos)
             if m - M <= tol:
                 return alpha, g, it, max(m - M, 0.0), True, (m, M)
             stall += 1
@@ -111,20 +99,15 @@ def pairwise_ascent(K, s, C, alpha0, q, scale, tol, max_iter):
         cand[i] = False
         gains = np.where(cand, diff * diff / curv, -np.inf)
         j = int(np.argmax(gains))
-        if not np.isfinite(gains[j]):
-            g = ascent_gradient(K, s, alpha, q, scale)
-            stall += 1
-            if stall > 3:
-                return alpha, g, it, m - M, False, (m, M)
-            it += 1
-            continue
-        # Unconstrained step along (+1 on i, -1 on j) in u-space, clipped
-        # to the box slack of both coordinates.
-        t = (sg[i] - sg[j]) / (scale * curv[j])
-        room_i = (C[i] - alpha[i]) if pos[i] else alpha[i]
-        room_j = alpha[j] if pos[j] else (C[j] - alpha[j])
-        t = min(t, room_i, room_j)
+        t = 0.0
+        if np.isfinite(gains[j]):
+            # Unconstrained step along (+1 on i, -1 on j) in u-space,
+            # clipped to the box slack of both coordinates.
+            room_i = (C[i] - alpha[i]) if pos[i] else alpha[i]
+            room_j = alpha[j] if pos[j] else (C[j] - alpha[j])
+            t = min((sg[i] - sg[j]) / (scale * curv[j]), room_i, room_j)
         if t <= 0.0:
+            # No pair makes progress: refresh the gradient and retry.
             g = ascent_gradient(K, s, alpha, q, scale)
             stall += 1
             if stall > 3:
@@ -139,12 +122,21 @@ def pairwise_ascent(K, s, C, alpha0, q, scale, tol, max_iter):
         stall = 0
         it += 1
     g = ascent_gradient(K, s, alpha, q, scale)
+    _, _, _, m, M = _violating_pair(s, g, alpha, C, pos)
+    return alpha, g, it, m - M, m - M <= tol, (m, M)
+
+
+def _violating_pair(s, g, alpha, C, pos):
+    """First-order violation at gradient ``g``: ``(s * g, can_down, i, m, M)``
+    where ``m = (s * g)[i]`` is the largest entry over coordinates free to
+    move up and ``M`` the smallest over those free to move down."""
     sg = s * g
     can_up = np.where(pos, alpha < C, alpha > 0.0)
     can_down = np.where(pos, alpha > 0.0, alpha < C)
-    m = float(np.where(can_up, sg, -np.inf).max())
+    up_vals = np.where(can_up, sg, -np.inf)
+    i = int(np.argmax(up_vals))
     M = float(np.where(can_down, sg, np.inf).min())
-    return alpha, g, it, m - M, m - M <= tol, (m, M)
+    return sg, can_down, i, float(up_vals[i]), M
 
 
 def _step_fraction(current, delta):

@@ -19,11 +19,7 @@ from saferegions import (
     TrainingError,
     UncertifiedPlanError,
     calibrate,
-    calibrate_family,
     calibrate_trained_family,
-    false_safe_penalty,
-    family_csv_rows,
-    region_accuracy,
     safe_coverage,
     sample_gaussian,
     select_best,
@@ -80,20 +76,16 @@ def test_performance_indices_hand_computed():
     calib = _Calib(x, y)
     # Region at rho = 0 is x1 < 0: both safe points inside, both unsafe out.
     assert safe_coverage(model, _cert(0.0), calib) == 2.0
-    assert region_accuracy(model, _cert(0.0), calib) == 1.0
-    assert false_safe_penalty(model, _cert(0.0), calib) == 0.0
     # Region at rho = -1 is x1 < 1: one unsafe point slips inside.
     assert safe_coverage(model, _cert(-1.0), calib) == 2.0
-    assert region_accuracy(model, _cert(-1.0), calib) == 0.75
-    assert false_safe_penalty(model, _cert(-1.0), calib) == -1.0
 
 
 def test_indices_on_single_class_calibration():
     model = _HalfPlane()
     all_safe = _Calib([[-1.0, 0.0]], [1])
     all_unsafe = _Calib([[1.0, 0.0]], [-1])
-    assert false_safe_penalty(model, _cert(0.0), all_safe) == 0.0
     assert safe_coverage(model, _cert(0.0), all_unsafe) == 0.0
+    assert safe_coverage(model, _cert(0.0), all_safe) == 1.0
 
 
 def _family(etas=(0.5, 1.0), kernel=None):
@@ -101,10 +93,15 @@ def _family(etas=(0.5, 1.0), kernel=None):
     return [Hyperparameters(eta=eta, tau=0.5, kernel=kernel) for eta in etas]
 
 
+def _calibrated(train, calib, family, variant):
+    members = train_family(train, family, variant)
+    return calibrate_trained_family(members, calib, _PLAN, variant)
+
+
 def test_single_member_family_matches_standalone():
     train, calib = _splits()
     family = _family(etas=(1.0,))
-    result = calibrate_family(train, calib, family, "svm", _PLAN)
+    result = _calibrated(train, calib, family, "svm")
     member = result.selected
     standalone = calibrate(member.model, calib, _PLAN)
     # m = 1 turns the union bound back into the standalone confidence.
@@ -117,7 +114,7 @@ def test_single_member_family_matches_standalone():
 def test_union_bound_confidence_exact():
     train, calib = _splits(seed=13)
     family = _family(etas=(0.25, 0.5, 1.0))
-    result = calibrate_family(train, calib, family, "svm", _PLAN)
+    result = _calibrated(train, calib, family, "svm")
     # tail = B(2; 11, 1/2) = (1 + 11 + 55) / 2048, exactly representable here
     tail = Fraction(67, 2048)
     expected = float(1 - 3 * tail)
@@ -131,7 +128,7 @@ def test_union_bound_confidence_exact():
 def test_member_levels_equal_standalone_levels():
     train, calib = _splits(seed=17)
     family = _family(etas=(0.25, 1.0, 4.0))
-    result = calibrate_family(train, calib, family, "svdd", _PLAN)
+    result = _calibrated(train, calib, family, "svdd")
     for member in result.members:
         standalone = calibrate(member.model, calib, _PLAN)
         assert member.certificate.rho_eps == standalone.rho_eps
@@ -140,7 +137,7 @@ def test_member_levels_equal_standalone_levels():
 def test_selection_is_exhaustive_argmax():
     train, calib = _splits(seed=19)
     family = _family(etas=(0.05, 0.2, 1.0, 5.0))
-    result = calibrate_family(train, calib, family, "svm", _PLAN)
+    result = _calibrated(train, calib, family, "svm")
     scores = [m.score for m in result.members]
     assert result.selected_index == int(np.argmax(scores))
     assert result.selected.score == max(scores)
@@ -172,15 +169,12 @@ def test_failed_member_is_reported_not_selected():
     train, calib = _splits(seed=23)
     # eta = 1e-4 cannot reach the unit mass the one-class dual needs.
     family = _family(etas=(1e-4, 1.0))
-    result = calibrate_family(train, calib, family, "svdd", _PLAN)
+    result = _calibrated(train, calib, family, "svdd")
     failed, good = result.members
     assert failed.failed and failed.error
     assert failed.certificate is None and failed.score is None
     assert not good.failed
     assert result.selected_index == 1
-    rows = family_csv_rows(result)
-    assert rows[0]["rho_eps"] == "" and rows[0]["J"] == ""
-    assert rows[0]["selected"] == 0 and rows[1]["selected"] == 1
 
 
 def test_gram_shared_per_resolved_kernel(monkeypatch):
@@ -223,24 +217,19 @@ def test_uncertifiable_plan_propagates_and_can_be_forced():
     assert not result.selected.certificate.certified
 
 
-def test_csv_rows_fixed_columns():
-    train, calib = _splits(seed=41)
-    result = calibrate_family(train, calib, _family(), "lr", _PLAN)
-    rows = family_csv_rows(result)
-    expected = ["variant", "eta", "tau", "kernel", "rho_eps", "region_kind",
-                "J", "confidence", "selected"]
-    assert all(list(row) == expected for row in rows)
-    assert sum(row["selected"] for row in rows) == 1
-    assert all(row["variant"] == "lr" for row in rows)
-    assert all(row["region_kind"] in ("scaled", "whole_space") for row in rows)
 
-
-def test_alternative_performance_index_changes_selection_input():
-    train, calib = _splits(seed=43)
-    family = _family(etas=(0.1, 1.0))
-    by_accuracy = calibrate_family(train, calib, family, "svm", _PLAN,
-                                   performance=region_accuracy)
-    for member in by_accuracy.members:
-        standalone_acc = region_accuracy(member.model, member.certificate, calib)
-        assert member.score == standalone_acc
-        assert 0.0 <= member.score <= 1.0
+def test_calibration_returns_new_members_and_leaves_trained_ones_untouched():
+    train, calib = _splits(seed=47)
+    members = train_family(train, _family(etas=(1e-4, 0.5, 1.0)), "svdd")
+    tight = ScalingPlan.from_risk(0.5, 0.5, n_c=15)
+    calib_tight = sample_gaussian(_SPEC, tight.n_c, seed=48)
+    first = calibrate_trained_family(members, calib, _PLAN, "svdd")
+    second = calibrate_trained_family(members, calib_tight, tight, "svdd")
+    for trained, a, b in zip(members, first.members, second.members):
+        assert trained.certificate is None and trained.score is None
+        assert a.model is trained.model and b.model is trained.model
+        if trained.failed:
+            continue
+        assert a is not trained and b is not trained
+        assert a.certificate.plan == _PLAN and b.certificate.plan == tight
+        assert a.certificate.rho_eps == calibrate(trained.model, calib, _PLAN).rho_eps

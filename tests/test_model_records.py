@@ -161,6 +161,10 @@ def _edited(variant, **fields):
     return {**copy.deepcopy(V1_RECORDS[variant]), **fields}
 
 
+def _with_certificate(**fields):
+    return {**copy.deepcopy(V1_RECORDS["svm"]), "certificate": {**_CERTIFICATE, **fields}}
+
+
 MALFORMED = {
     "missing_model_key": (_svdd_without_r_squared(), "r_squared"),
     "missing_diagnostics_key": (_edited("lr", diagnostics={"iterations": 1}), "residual"),
@@ -176,6 +180,14 @@ MALFORMED = {
     "list_offset": (_edited("lr", offset=[0.2]), "malformed"),
     "not_an_object": ([1, 2], "JSON object"),
     "unknown_version": (_edited("svm", format_version=2), "format version"),
+    # a non-finite level would mark every point outside: a silently empty region
+    "nan_rho_eps": (_with_certificate(rho_eps=float("nan")), "rho_eps"),
+    "infinite_rho_eps": (_with_certificate(rho_eps=float("inf")), "rho_eps"),
+    "nan_confidence": (_with_certificate(confidence=float("nan")), "confidence"),
+    "confidence_above_one": (_with_certificate(confidence=5.0), "confidence"),
+    "negative_n_U": (_with_certificate(n_U=-3), "n_U"),
+    "n_U_above_n_c": (_with_certificate(n_U=121), "n_U"),
+    "text_certified": (_with_certificate(certified="false"), "certified"),
 }
 
 
@@ -196,7 +208,8 @@ def test_truncated_model_file_is_rejected_naming_the_file(tmp_path):
     assert str(path) in str(info.value)
 
 
-def test_cli_evaluate_reports_a_malformed_model_file(tmp_path, capsys):
+def _run_directory(tmp_path):
+    """A one-model run directory; returns the path of its model file."""
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump({
         "seed": 21,
@@ -207,13 +220,33 @@ def test_cli_evaluate_reports_a_malformed_model_file(tmp_path, capsys):
         "risk": {"eps": [0.1], "delta": 0.01, "beta": 0.5},
     }))
     assert main(["run", "--config", str(config)]) == 0
-    path = tmp_path / "out" / "models" / "lr_eps_0.1.json"
-    record = json.loads(path.read_text())
-    record["beta"] = record["beta"][:-1]
-    path.write_text(json.dumps(record))
-    capsys.readouterr()
+    return tmp_path / "out" / "models" / "lr_eps_0.1.json"
 
+
+def _evaluate_error(tmp_path, capsys):
+    """The single ``error:`` line ``saferegions evaluate`` exits 1 with."""
+    capsys.readouterr()
     assert main(["evaluate", "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert str(path) in err[0] and "beta" in err[0]
+    return err[0]
+
+
+def test_cli_evaluate_reports_a_malformed_model_file(tmp_path, capsys):
+    path = _run_directory(tmp_path)
+    record = json.loads(path.read_text())
+    record["beta"] = record["beta"][:-1]
+    path.write_text(json.dumps(record))
+
+    err = _evaluate_error(tmp_path, capsys)
+    assert str(path) in err and "beta" in err
+
+
+def test_cli_evaluate_reports_a_nan_certificate_level(tmp_path, capsys):
+    path = _run_directory(tmp_path)
+    record = json.loads(path.read_text())
+    record["certificate"]["rho_eps"] = float("nan")
+    path.write_text(json.dumps(record))
+
+    err = _evaluate_error(tmp_path, capsys)
+    assert str(path) in err and "rho_eps" in err

@@ -183,6 +183,26 @@ def test_report_rows_shape_and_order(tmp_path):
         assert sum(r[sel] for r in rows[2 * block: 2 * block + 2]) == 1
 
 
+def test_failed_member_is_reported_with_blank_cells_and_no_membership_column(tmp_path):
+    # eta = 1e-4 cannot reach the unit mass the one-class dual needs.
+    raw = _raw(tmp_path, classifier={"variants": ["svdd"], "etas": [1e-4, 1.0],
+                                     "taus": [0.5], "kernels": [{"kind": "gaussian"}]})
+    result = run_experiment(ExperimentConfig.from_mapping(raw))
+    failed, good = result.family_results["svdd", 0.1].members
+    assert failed.failed and not good.failed
+    out = result.output_dir
+    with (out / "report.csv").open() as fh:
+        failed_row, good_row = csv.DictReader(fh)
+    blank = REPORT_COLUMNS[REPORT_COLUMNS.index("n_U"):REPORT_COLUMNS.index("accuracy_rho0") + 1]
+    assert [failed_row[c] for c in blank] == [""] * len(blank)
+    assert all(good_row[c] != "" for c in blank if c != "conditional_freq")
+    assert failed_row["member"] == "0" and failed_row["eta"] == "0.0001"
+    assert failed_row["n_test"] == good_row["n_test"] == "400"
+    assert (failed_row["selected"], good_row["selected"]) == ("0", "1")
+    with (out / "membership_svdd_eps_0.1.csv").open() as fh:
+        assert next(csv.reader(fh)) == ["index", "label", "member_1"]
+
+
 def test_report_joint_frequency_matches_membership_file(tmp_path):
     raw = _raw(tmp_path, risk={"eps": [0.1, 0.5], "delta": 0.5})
     result = run_experiment(ExperimentConfig.from_mapping(raw))
