@@ -14,8 +14,11 @@ unique root of ``f(x, .)``, is therefore ``-s(x)``, and the membership test
 
 Each variant's margin is a kernel expansion plus an offset, with an optional
 self-similarity term: ``s(x) = w_d k(x, x) + sum_j c_j k(x, x_j) + b0``.
-``expansion_margins`` evaluates that form for many models at once, and every
-variant's ``margin`` is that evaluator applied to a single model.
+``expansion_margins`` evaluates that form for many models at once over their
+merged centers.  ``_shared_center_margins`` evaluates models whose centers are
+identical from one kernel block, with each model's own product, and every
+variant's ``margin`` is that evaluator applied to a single model, so models
+sharing centers get the bits of their own ``margin``.
 
 Models are immutable after training; their prediction methods hold no state
 and can be shared freely across threads.
@@ -170,8 +173,61 @@ def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
 
 def _single_margin(model: ScalableModel, x):
     """``margin`` of one model: a float for one point, an (n,) array otherwise."""
-    s = expansion_margins([model], x)[:, 0]
+    s = _shared_center_margins([model], x)[:, 0]
     return float(s[0]) if np.ndim(x) == 1 else s
+
+
+def _distinct_centers(centers: np.ndarray) -> tuple:
+    """(distinct rows in order of first appearance, row of each center in them).
+
+    First-appearance order makes a model with distinct centers sum its
+    expansion in its own order.
+    """
+    _, first, inverse = np.unique(centers, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return centers[first[order]], rank[inverse.reshape(-1)]
+
+
+def _block_rows(union: np.ndarray) -> int:
+    """Points per row block against ``union``: at most _BLOCK_ENTRIES kernel entries."""
+    return max(1, _BLOCK_ENTRIES // max(1, union.shape[0]))
+
+
+def _shared_center_margins(models, x: np.ndarray) -> np.ndarray:
+    """Margins of models sharing one resolved kernel and one center array,
+    as an (n, len(models)) array.
+
+    The caller guarantees that every model's kernel and centers equal the
+    first model's, element for element.  Each row block of points costs one
+    kernel block against the distinct centers and then, per model, the same
+    single-column product that model makes alone, so every column holds the
+    bits of that model's own ``margin``.
+    """
+    expansions = [model._expansion() for model in models]
+    spec = models[0].kernel
+    pts = _as_points(x, expansions[0][0].shape[1])
+    union, inverse = _distinct_centers(expansions[0][0])
+    coefs = []
+    for _, c, _, _ in expansions:
+        coef = np.zeros((union.shape[0], 1))
+        np.add.at(coef, (inverse, 0), c)
+        coefs.append(coef)
+    n = pts.shape[0]
+    rows = _block_rows(union)
+    out = np.empty((n, len(models)))
+    for start in range(0, n, rows):
+        block = pts[start:start + rows]
+        k = kernel_matrix(spec, block, union)
+        diag = kernel_diag(spec, block)[:, None]
+        for column, (coef, (_, _, w_d, b0)) in enumerate(zip(coefs, expansions)):
+            s = k @ coef
+            if w_d:
+                s += diag * w_d
+            s += b0
+            out[start:start + rows, column] = s[:, 0]
+    return out
 
 
 def expansion_margins(models, x: np.ndarray) -> np.ndarray:
@@ -196,21 +252,13 @@ def expansion_margins(models, x: np.ndarray) -> np.ndarray:
     out = np.empty((n, len(models)))
     for spec, columns in groups.items():
         parts = [expansions[c] for c in columns]
-        centers = np.vstack([p[0] for p in parts])
-        _, first, inverse = np.unique(centers, axis=0, return_index=True,
-                                      return_inverse=True)
-        # distinct centers in order of first appearance, so a single model
-        # with distinct centers sums its expansion in its own order
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        union, inverse = centers[first[order]], rank[inverse.reshape(-1)]
+        union, inverse = _distinct_centers(np.vstack([p[0] for p in parts]))
         owner = np.repeat(np.arange(len(columns)), [p[0].shape[0] for p in parts])
         coef = np.zeros((union.shape[0], len(columns)))
         np.add.at(coef, (inverse, owner), np.concatenate([p[1] for p in parts]))
         w_d = np.array([p[2] for p in parts], dtype=float)
         b0 = np.array([p[3] for p in parts], dtype=float)
-        rows = max(1, _BLOCK_ENTRIES // max(1, union.shape[0]))
+        rows = _block_rows(union)
         for start in range(0, n, rows):
             block = pts[start:start + rows]
             s = kernel_matrix(spec, block, union) @ coef

@@ -2,8 +2,12 @@
 
 All members share one calibration set and one plan, so a union bound gives
 the whole family confidence ``1 - m * B(r-1; n_c, eps)`` where ``m`` is the
-family size.  Per-member scaling levels are exactly what standalone
-calibration produces; only the reported confidence changes.  The selection
+family size.  Per-member scaling levels and scores are exactly what
+standalone ``calibrate`` and ``safe_coverage`` produce; only the reported
+confidence changes.  Members with the same resolved kernel and identical
+centers (every logistic member expands over the whole training set) share
+one kernel block per row block of each calibration subset, then each takes
+its own product, the one its ``margin`` makes alone.  The selection
 rule is fixed: keep the member whose calibrated region covers the most safe
 calibration points, with ties going to the lowest index.
 """
@@ -14,11 +18,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifiers import Hyperparameters, TrainSettings
+from .classifiers import Hyperparameters, TrainSettings, _shared_center_margins
 from .errors import InvalidArgument, TrainingError
 from .kernels import gram
 from .logistic import train_sc_lr
-from .scaling import CalibrationCertificate, ScalingPlan, binomial_cdf, calibrate
+from .scaling import (
+    CalibrationCertificate,
+    ScalingPlan,
+    _certificate,
+    _checked_plan,
+    binomial_cdf,
+)
 from .svdd import train_sc_svdd
 from .svm import train_sc_svm
 
@@ -113,18 +123,52 @@ def calibrate_trained_family(members: list[FamilyMember], calib, plan: ScalingPl
     tail = binomial_cdf(plan.r - 1, plan.n_c, plan.eps)
     family_confidence = min(1.0, max(0.0, 1.0 - m * tail))
     result = FamilyResult(variant=variant, plan=plan, family_confidence=family_confidence)
-    for member in members:
-        if member.failed or member.model is None:
-            result.members.append(member)
-            continue
-        certificate = replace(calibrate(member.model, calib, plan,
-                                        force_uncertified=force_uncertified),
-                              confidence=family_confidence)
-        result.members.append(replace(
-            member, certificate=certificate,
-            score=safe_coverage(member.model, certificate, calib)))
+    result.members = list(members)
+    groups = _center_groups(members)
+    if groups:
+        check = _checked_plan(calib, plan, force_uncertified)
+        unsafe_x = calib.x[calib.y == -1]
+        safe_x = calib.x[calib.y == 1]
+        for group in groups:
+            models = [members[k].model for k in group]
+            radii = -_group_margins(models, unsafe_x)
+            safe = _group_margins(models, safe_x) if safe_x.shape[0] else None
+            for column, (k, model) in enumerate(zip(group, models)):
+                certificate = replace(_certificate(plan, check, radii[:, column]),
+                                      confidence=family_confidence)
+                # safe_coverage's count, from the shared margins
+                score = 0.0 if safe is None else float(
+                    (model._link(safe[:, column] + certificate.rho_eps) < 0.0).sum())
+                result.members[k] = replace(members[k], certificate=certificate, score=score)
     result.selected_index = select_best(result)
     return result
+
+
+def _group_margins(models, x) -> np.ndarray:
+    """(n, len(models)) margins of one center group.  A lone model goes
+    through its own ``margin``, which is the same evaluator, so anything
+    wrapping a model's ``margin`` still sees every member that is not shared."""
+    if len(models) == 1:
+        return models[0].margin(x)[:, None]
+    return _shared_center_margins(models, x)
+
+
+def _center_groups(members) -> list:
+    """Positions of the trained members, grouped by resolved kernel and by
+    centers equal element for element; each group in member order.  Every
+    trained model holds its own copy of its centers, so equality is by value."""
+    groups: list = []   # (kernel, centers, positions)
+    for k, member in enumerate(members):
+        if member.failed or member.model is None:
+            continue
+        kernel, centers = member.model.kernel, member.model._expansion()[0]
+        for lead_kernel, lead_centers, group in groups:
+            if kernel == lead_kernel and np.array_equal(centers, lead_centers):
+                group.append(k)
+                break
+        else:
+            groups.append((kernel, centers, [k]))
+    return [group for _, _, group in groups]
 
 
 def select_best(result: FamilyResult) -> int:

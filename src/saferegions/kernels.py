@@ -88,8 +88,9 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if spec.kind == "linear":
         return a @ b.T
     if spec.kind == "gaussian":
-        sq = _squared_distances(a, b)
-        return np.exp(-_require_gamma(spec) * sq)
+        k = _squared_distances(a, b)
+        k *= -_require_gamma(spec)
+        return np.exp(k, out=k)
     return (a @ b.T + spec.coef0) ** int(spec.degree)
 
 
@@ -122,9 +123,13 @@ def kernel_diag(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # |a|^2 + |b|^2 - 2 a.b, clamped: cancellation can leave small negatives
+    # (|a|^2 + |b|^2) - 2 a.b, clamped: cancellation can leave small negatives;
+    # built in place, so a block holds two n x m buffers at most
     a_sq = np.einsum("ij,ij->i", a, a)[:, None]
     b_sq = np.einsum("ij,ij->i", b, b)[None, :]
-    sq = a_sq + b_sq - 2.0 * (a @ b.T)
+    ab = a @ b.T
+    ab *= 2.0
+    sq = np.add(a_sq, b_sq)
+    np.subtract(sq, ab, out=sq)
     np.maximum(sq, 0.0, out=sq)
     return sq

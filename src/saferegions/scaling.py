@@ -20,6 +20,7 @@ multiple threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -166,15 +167,20 @@ class ScalingPlan:
     beta: float = 0.5
 
     def __post_init__(self):
-        _check_unit_open("eps", self.eps)
-        _check_unit_open("delta", self.delta)
-        _check_unit_open("beta", self.beta)
-        if int(self.n_c) < 1:
+        for name in ("eps", "delta", "beta"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise InvalidArgument(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, _check_unit_open(name, value))
+        for name in ("r", "n_c"):
+            value = getattr(self, name)
+            if not (_is_real(value) and float(value).is_integer()):
+                raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.n_c < 1:
             raise InvalidArgument(f"n_c must be positive, got {self.n_c}")
-        if not 1 <= int(self.r) <= int(self.n_c):
+        if not 1 <= self.r <= self.n_c:
             raise InvalidArgument(f"r={self.r} outside [1, n_c={self.n_c}]")
-        object.__setattr__(self, "r", int(self.r))
-        object.__setattr__(self, "n_c", int(self.n_c))
 
     @classmethod
     def from_risk(cls, eps: float, delta: float, beta: float = 0.5,
@@ -243,7 +249,9 @@ class CalibrationCertificate:
 
     @classmethod
     def from_record(cls, record: dict) -> "CalibrationCertificate":
-        """Inverse of ``to_record``.  Raises ``InvalidArgument`` unless
+        """Inverse of ``to_record``.  Raises ``InvalidArgument`` unless the
+        plan fields make a valid ``ScalingPlan`` (``r`` and ``n_c`` integers,
+        ``eps``, ``delta`` and ``beta`` real numbers in (0, 1)),
         ``rho_eps`` is ``"whole_space"`` or a finite number, ``confidence`` a
         finite number in [0, 1], ``n_U`` an integer in [0, n_c] and
         ``certified`` a boolean: a NaN level would load as a certified,
@@ -270,9 +278,13 @@ class CalibrationCertificate:
                    confidence=float(confidence), certified=certified)
 
 
+def _is_real(value) -> bool:
+    """A real number, booleans and strings excluded."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _is_finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    return _is_real(value) and math.isfinite(value)
 
 
 def calibrate(model, calib, plan: ScalingPlan, *,
@@ -290,21 +302,35 @@ def calibrate(model, calib, plan: ScalingPlan, *,
     ``force_uncertified`` is set, in which case the certificate is returned
     with ``certified=False``.
     """
+    check = _checked_plan(calib, plan, force_uncertified)
+    unsafe_x = calib.x[calib.y == -1]
+    return _certificate(plan, check, model.boundary_radius(unsafe_x))
+
+
+def _checked_plan(calib, plan: ScalingPlan, force_uncertified: bool) -> PlanCheck:
+    """The checks calibration makes before any margin: the calibration size,
+    then the binomial tail, which must certify unless forced."""
     if calib.n_samples != plan.n_c:
         raise InvalidArgument(
             f"calibration set has {calib.n_samples} samples, plan requires {plan.n_c}")
-    certified, tail = check_plan(plan)
-    if not certified and not force_uncertified:
+    check = check_plan(plan)
+    if not check.certified and not force_uncertified:
         raise UncertifiedPlanError(
             f"plan (eps={plan.eps}, delta={plan.delta}, r={plan.r}, n_c={plan.n_c}) "
-            f"achieves tail {tail:.3e} > delta; enlarge n_c or pass force_uncertified")
-    unsafe_x = calib.x[calib.y == -1]
-    n_unsafe = unsafe_x.shape[0]
+            f"achieves tail {check.tail:.3e} > delta; enlarge n_c or pass force_uncertified")
+    return check
+
+
+def _certificate(plan: ScalingPlan, check: PlanCheck, radii) -> CalibrationCertificate:
+    """Certificate of one model from the boundary radii of the unsafe
+    calibration points: the level is the ``plan.r``-th largest radius, or the
+    whole space when there are fewer than ``r`` of them."""
+    radii = np.asarray(radii, dtype=float)
+    n_unsafe = radii.size
     if n_unsafe >= plan.r:
-        radii = np.asarray(model.boundary_radius(unsafe_x), dtype=float)
         rho_eps = generalized_max(radii, plan.r)
     else:
         rho_eps = WHOLE_SPACE
-    confidence = min(1.0, max(0.0, 1.0 - tail))
+    confidence = min(1.0, max(0.0, 1.0 - check.tail))
     return CalibrationCertificate(rho_eps=rho_eps, plan=plan, n_U=n_unsafe,
-                                  confidence=confidence, certified=certified)
+                                  confidence=confidence, certified=check.certified)

@@ -3,11 +3,14 @@ shared-Gram training, selection and reporting."""
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import saferegions.classifiers as classifiers
 from saferegions import (
     CalibrationCertificate,
     FamilyMember,
@@ -25,6 +28,8 @@ from saferegions import (
     select_best,
     train_family,
 )
+from saferegions.datagen import Dataset
+from saferegions.scaling import WHOLE_SPACE
 
 _SPEC = GaussianSpec(mu_safe=(-1.5, 0.0), mu_unsafe=(1.5, 0.0),
                      cov_safe=((1.0, 0.0), (0.0, 1.0)),
@@ -233,3 +238,88 @@ def test_calibration_returns_new_members_and_leaves_trained_ones_untouched():
         assert a is not trained and b is not trained
         assert a.certificate.plan == _PLAN and b.certificate.plan == tight
         assert a.certificate.rho_eps == calibrate(trained.model, calib, _PLAN).rho_eps
+
+
+# eps = 0.2, delta = 0.05: n_c = 112 with r = 12, so both classes bring
+# dozens of calibration points and the level is an interior order statistic.
+_WIDE = ScalingPlan.from_risk(0.2, 0.05)
+
+
+@pytest.fixture(scope="module")
+def lr_family():
+    """Three logistic members: each expands over all 150 training points."""
+    train = sample_gaussian(_SPEC, 150, seed=51)
+    members = train_family(train, _family(etas=(0.25, 1.0, 4.0)), "lr")
+    assert not any(member.failed for member in members)
+    return members, sample_gaussian(_SPEC, _WIDE.n_c, seed=52)
+
+
+def _assert_standalone_bits(result, calib, plan):
+    """Every member's certificate and score are standalone calibrate's and
+    safe_coverage's, with only the confidence replaced by the family value."""
+    assert len(result.members) >= 3
+    for member in result.members:
+        standalone = calibrate(member.model, calib, plan)
+        assert member.certificate.rho_eps == standalone.rho_eps
+        assert member.certificate.confidence == result.family_confidence
+        assert member.certificate == replace(standalone, confidence=result.family_confidence)
+        assert member.score == safe_coverage(member.model, standalone, calib)
+
+
+def _relabelled(calib, y):
+    return Dataset(x=calib.x, y=np.asarray(y), provenance=calib.provenance)
+
+
+def test_lr_family_levels_and_scores_equal_standalone_bits(lr_family):
+    members, calib = lr_family
+    result = calibrate_trained_family(members, calib, _WIDE, "lr")
+    assert len({m.certificate.rho_eps for m in result.members}) == 3
+    assert all(m.certificate.kind == "scaled" for m in result.members)
+    _assert_standalone_bits(result, calib, _WIDE)
+
+
+def test_lr_family_builds_one_kernel_block_per_row_block(lr_family, monkeypatch):
+    members, calib = lr_family
+    # 150 distinct centers: 16 points per row block, so each subset spans several
+    monkeypatch.setattr(classifiers, "_BLOCK_ENTRIES", 150 * 16)
+    calls = []
+    real_kernel_matrix = classifiers.kernel_matrix
+
+    def counting_kernel_matrix(spec, a, b):
+        calls.append(np.asarray(a).shape[0])
+        return real_kernel_matrix(spec, a, b)
+
+    monkeypatch.setattr(classifiers, "kernel_matrix", counting_kernel_matrix)
+    result = calibrate_trained_family(members, calib, _WIDE, "lr")
+    n_unsafe = int((calib.y == -1).sum())
+    blocks = math.ceil(n_unsafe / 16) + math.ceil((calib.n_samples - n_unsafe) / 16)
+    assert blocks > 2
+    # one block per row block of each subset, shared by the three members
+    assert len(calls) == blocks
+    calls.clear()
+    _assert_standalone_bits(result, calib, _WIDE)
+    # standalone calibrate and safe_coverage build every block once per member
+    assert len(calls) == len(members) * blocks
+
+
+def test_lr_family_whole_space_equals_standalone(lr_family):
+    members, calib = lr_family
+    # r - 1 unsafe points: too few for the rank, so the region is the whole space
+    y = np.ones(calib.n_samples, dtype=int)
+    y[:_WIDE.r - 1] = -1
+    whole = _relabelled(calib, y)
+    result = calibrate_trained_family(members, whole, _WIDE, "lr")
+    for member in result.members:
+        assert member.certificate.rho_eps == WHOLE_SPACE
+        assert member.certificate.n_U == _WIDE.r - 1
+        assert member.score == calib.n_samples - (_WIDE.r - 1)
+    _assert_standalone_bits(result, whole, _WIDE)
+
+
+def test_lr_family_without_safe_calibration_points_scores_zero(lr_family):
+    members, calib = lr_family
+    unsafe_only = _relabelled(calib, -np.ones(calib.n_samples, dtype=int))
+    result = calibrate_trained_family(members, unsafe_only, _WIDE, "lr")
+    assert [m.score for m in result.members] == [0.0, 0.0, 0.0]
+    assert result.selected_index == 0
+    _assert_standalone_bits(result, unsafe_only, _WIDE)

@@ -188,6 +188,10 @@ MALFORMED = {
     "negative_n_U": (_with_certificate(n_U=-3), "n_U"),
     "n_U_above_n_c": (_with_certificate(n_U=121), "n_U"),
     "text_certified": (_with_certificate(certified="false"), "certified"),
+    # plan fields once loaded as r=3 and as the string "0.1"
+    "fractional_r": (_with_certificate(r=3.7), "r must be an integer"),
+    "text_eps": (_with_certificate(eps="0.1"), "eps must be a real number"),
+    "boolean_n_c": (_with_certificate(n_c=True), "n_c must be an integer"),
 }
 
 
