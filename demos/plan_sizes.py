@@ -9,13 +9,7 @@ knob tightens, and verifies each size actually certifies.
 
 import argparse
 
-from saferegions import (
-    ScalingPlan,
-    check_plan,
-    discarding_parameter,
-    kappa,
-    min_calibration_size,
-)
+from saferegions import ScalingPlan, check_plan, kappa
 
 
 def main():
@@ -28,10 +22,9 @@ def main():
     print(f"{'eps':>6} {'delta':>8} {'n_c':>7} {'r':>5} {'tail':>12} certified")
     for eps in (0.01, 0.05, 0.1, 0.2, 0.5):
         for delta in (1e-2, 1e-4, 1e-6):
-            n_c = min_calibration_size(eps, delta, args.beta)
-            r = discarding_parameter(args.beta, eps, n_c)
-            verdict = check_plan(ScalingPlan(eps=eps, delta=delta, r=r, n_c=n_c))
-            print(f"{eps:>6} {delta:>8.0e} {n_c:>7} {r:>5} "
+            plan = ScalingPlan.from_risk(eps, delta, args.beta)
+            verdict = check_plan(plan)
+            print(f"{eps:>6} {delta:>8.0e} {plan.n_c:>7} {plan.r:>5} "
                   f"{verdict.tail:>12.3e} {verdict.certified}")
 
 

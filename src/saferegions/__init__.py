@@ -54,7 +54,6 @@ from .pipeline import (
     REPORT_COLUMNS,
     ExperimentResult,
     boundary_grid_rows,
-    build_plans,
     check_plans,
     derive_seed,
     evaluate_saved,

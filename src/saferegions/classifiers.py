@@ -1,16 +1,17 @@
 """Shared contract of scalable classifiers.
 
-A scalable classifier exposes a decision value ``f(x, rho)`` that is
-continuous and strictly increasing in the scalar level ``rho``, with a sign
-change somewhere in ``rho`` for every ``x``.  Points are predicted safe (+1)
-exactly when ``f(x, rho) < 0``, with ties going to unsafe, so raising ``rho``
-only ever shrinks the predicted-safe region and regions are nested.
+A scalable classifier has a level-free margin ``s(x)``.  A point belongs to
+the predicted-safe region at level ``rho`` (predicted +1) exactly when
+``s(x) + rho < 0``, with ties going to unsafe.  In floating point that sum
+keeps the sign of the exact sum and is zero only when the exact sum is, so
+membership is exactly ``rho < boundary_radius(x) = -s(x)``: raising ``rho``
+only ever shrinks the region, and regions are nested.
 
-All three variants in this package share an additive core: there is a
-level-free margin ``s(x)`` with ``f(x, rho) = link(s(x) + rho)`` for a strictly
-increasing link fixing ``link(0) = 0``.  The boundary level of a point, the
-unique root of ``f(x, .)``, is therefore ``-s(x)``, and the membership test
-``f(x, rho) < 0`` is identical to ``rho < boundary_radius(x)``.
+The decision value ``f(x, rho) = link(s(x) + rho)`` applies a strictly
+increasing link with ``link(0) = 0``: the identity for the margin variants,
+a centered sigmoid for the logistic one.  The link only shapes
+``decision_value``; membership is decided on the margin, because a link that
+rounds tiny negative sums to zero would move points out of the region.
 
 Each variant's margin is a kernel expansion plus an offset, with an optional
 self-similarity term: ``s(x) = w_d k(x, x) + sum_j c_j k(x, x_j) + b0``.
@@ -146,21 +147,18 @@ class ScalableModel:
         """Level-free decision core s(x); f(x, rho) = link(s(x) + rho)."""
         raise NotImplementedError
 
-    def _link(self, t: np.ndarray) -> np.ndarray:
-        return t
-
     def decision_value(self, x: np.ndarray, rho: float) -> np.ndarray:
-        """f(x, rho); negative means x is in the predicted-safe region."""
-        return self._link(self.margin(x) + rho)
+        """f(x, rho) = link(s(x) + rho), the identity link unless a variant
+        overrides it; ``predict`` decides membership."""
+        return self.margin(x) + rho
 
     def boundary_radius(self, x: np.ndarray) -> np.ndarray:
         """Unique level at which each point sits exactly on the boundary."""
         return -self.margin(x)
 
     def predict(self, x: np.ndarray, rho: float) -> np.ndarray:
-        """+1 inside the region (f < 0), -1 outside; f == 0 counts as unsafe."""
-        f = self.decision_value(x, rho)
-        return np.where(f < 0.0, 1, -1)
+        """+1 inside the region (s(x) + rho < 0), -1 outside; ties count as unsafe."""
+        return np.where(self.margin(x) + rho < 0.0, 1, -1)
 
 
 def _as_points(x: np.ndarray, dim: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .errors import InvalidArgument, SafeRegionsError, UncertifiedPlanError
+from .errors import SafeRegionsError, UncertifiedPlanError
 from .pipeline import (
     boundary_grid_rows,
     build_datasets,
@@ -32,7 +32,7 @@ from .pipeline import (
     write_csv,
     write_resolved_config,
 )
-from .scaling import ScalingPlan, check_plan, discarding_parameter, kappa, min_calibration_size
+from .scaling import ScalingPlan, check_plan, kappa, min_calibration_size
 
 __all__ = ["main", "build_parser"]
 
@@ -112,25 +112,24 @@ def cmd_plan(args) -> int:
         delta = risk.delta if args.delta is None else float(args.delta)
         beta = risk.beta if args.beta is None else float(args.beta)
 
-    for name, value in [("delta", delta), ("beta", beta)] + [("eps", e) for e in eps_list]:
-        if not 0.0 < value < 1.0:
-            raise InvalidArgument(f"{name} must lie strictly between 0 and 1, got {value}")
+    # every plan is built, and so every value checked, before anything prints
     kappa_exact = kappa(beta)
     kappa_rounded = math.ceil(kappa_exact * 100.0) / 100.0
-    all_certified = True
+    rows = []
     for eps in eps_list:
-        print(f"eps={eps!r} delta={delta!r} beta={beta!r}")
-        sizes = []
         if args.n_c is not None:
-            sizes.append(("given n_c", int(args.n_c)))
+            sizes = [("given n_c", ScalingPlan.from_risk(eps, delta, beta, n_c=args.n_c))]
         else:
-            sizes.append((f"exact kappa={kappa_exact!r}",
-                          min_calibration_size(eps, delta, beta)))
-            sizes.append((f"rounded kappa={kappa_rounded!r}",
-                          max(1, round((kappa_rounded / eps) * math.log(1.0 / delta)))))
-        for label, n_c in sizes:
-            plan = ScalingPlan(eps=eps, delta=delta, beta=beta,
-                               r=discarding_parameter(beta, eps, n_c), n_c=n_c)
+            exact = ScalingPlan.from_risk(eps, delta, beta)
+            rounded = max(1, round((kappa_rounded / eps) * math.log(1.0 / delta)))
+            sizes = [(f"exact kappa={kappa_exact!r}", exact),
+                     (f"rounded kappa={kappa_rounded!r}",
+                      ScalingPlan.from_risk(eps, delta, beta, n_c=rounded))]
+        rows.append((eps, sizes))
+    all_certified = True
+    for eps, sizes in rows:
+        print(f"eps={eps!r} delta={delta!r} beta={beta!r}")
+        for label, plan in sizes:
             verdict = check_plan(plan)
             state = "certified" if verdict.certified else "NOT certified"
             print(f"  {label}: n_c={plan.n_c} r={plan.r} tail={verdict.tail!r} ({state})")

@@ -20,6 +20,7 @@ from .families import TRAINERS
 from .kernels import KernelSpec
 from .platoon import PlatoonRanges
 from .scaling import min_calibration_size
+from .validation import checked_int
 
 __all__ = [
     "DataConfig",
@@ -126,8 +127,9 @@ class DataConfig:
         if generator == "csv":
             paths = _take(_mapping(paths, "data.paths"), "data.paths",
                           train=None, calib=None, test=None)
-        return cls(generator=generator, n_train=int(fields["n_train"]),
-                   n_test=int(fields["n_test"]), standardize=bool(fields["standardize"]),
+        return cls(generator=generator, n_train=checked_int(fields["n_train"], "data.n_train"),
+                   n_test=checked_int(fields["n_test"], "data.n_test"),
+                   standardize=bool(fields["standardize"]),
                    gaussian=gaussian, platoon=platoon, paths=paths)
 
     def to_mapping(self) -> dict:
@@ -184,21 +186,15 @@ class ClassifierConfig:
         variants = fields["variants"]
         if isinstance(variants, str):
             variants = [variants]
-        kernels = []
-        for entry in fields["kernels"]:
-            entry = _take(_mapping(entry, "classifier.kernels[]"), "classifier.kernels[]",
-                          kind="gaussian", gamma=None, degree=3, coef0=0.0)
-            kernels.append(KernelSpec(kind=entry["kind"],
-                                      gamma=None if entry["gamma"] is None
-                                      else float(entry["gamma"]),
-                                      degree=int(entry["degree"]),
-                                      coef0=float(entry["coef0"])))
+        kernels = tuple(KernelSpec.from_record(_mapping(entry, "classifier.kernels[]"))
+                        for entry in fields["kernels"])
         max_iter = fields["max_iter"]
         return cls(variants=tuple(variants),
                    etas=_float_list(fields["etas"], "classifier.etas"),
                    taus=_float_list(fields["taus"], "classifier.taus"),
-                   kernels=tuple(kernels), tol=float(fields["tol"]),
-                   max_iter=None if max_iter is None else int(max_iter))
+                   kernels=kernels, tol=float(fields["tol"]),
+                   max_iter=None if max_iter is None
+                   else checked_int(max_iter, "classifier.max_iter"))
 
     def to_mapping(self) -> dict:
         return {
@@ -236,7 +232,8 @@ class RiskConfig:
             eps = [eps]
         n_c = fields["n_c"]
         return cls(eps=_float_list(eps, "risk.eps"), delta=float(fields["delta"]),
-                   beta=float(fields["beta"]), n_c=None if n_c is None else int(n_c))
+                   beta=float(fields["beta"]),
+                   n_c=None if n_c is None else checked_int(n_c, "risk.n_c"))
 
     def to_mapping(self) -> dict:
         return {"eps": [float(v) for v in self.eps], "delta": float(self.delta),
@@ -270,7 +267,7 @@ class GridConfig:
         raw = _mapping(raw, "grid")
         fields = _take(raw, "grid", resolution=50, bbox=None, margin=0.5)
         bbox = fields["bbox"]
-        return cls(resolution=int(fields["resolution"]),
+        return cls(resolution=checked_int(fields["resolution"], "grid.resolution"),
                    bbox=None if bbox is None else tuple(float(v) for v in bbox),
                    margin=float(fields["margin"]))
 
@@ -298,7 +295,7 @@ class ExperimentConfig:
                    classifier=ClassifierConfig.from_mapping(fields["classifier"]),
                    risk=RiskConfig.from_mapping(fields["risk"]),
                    grid=GridConfig.from_mapping(fields["grid"]),
-                   seed=int(fields["seed"]),
+                   seed=checked_int(fields["seed"], "seed"),
                    output_dir=str(fields["output_dir"]))
 
     def to_mapping(self) -> dict:

@@ -22,6 +22,7 @@ __all__ = [
     "Standardizer",
     "fit_standardizer",
     "standardize",
+    "write_csv",
 ]
 
 
@@ -64,12 +65,8 @@ class Dataset:
         """Write points and labels as CSV with a feature header, plus a YAML
         provenance sidecar next to the file."""
         path = Path(path)
-        header = [f"f{i}" for i in range(self.dim)] + ["label"]
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for row, label in zip(self.x, self.y):
-                writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        write_csv(path, [f"f{i}" for i in range(self.dim)] + ["label"],
+                  [row + [label] for row, label in zip(self.x.tolist(), self.y.tolist())])
         sidecar = path.with_suffix(path.suffix + ".meta.yaml")
         sidecar.write_text(yaml.safe_dump(_plain(self.provenance), sort_keys=True))
 
@@ -99,6 +96,23 @@ class Dataset:
             return cls(x, np.asarray(ys, dtype=int), provenance)
         except InvalidArgument as exc:
             raise InvalidArgument(f"{path}: {exc}") from None
+
+
+def _format_cell(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_csv(path: Path, header: list, rows: list) -> None:
+    """Rows as csv with ``\n`` line ends; floats as ``repr``, bools as 0/1."""
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_format_cell(v) for v in row])
 
 
 def _plain(obj):

@@ -48,10 +48,7 @@ TRAINERS = {"svm": train_sc_svm, "svdd": train_sc_svdd, "lr": train_sc_lr}
 def safe_coverage(model, certificate, calib) -> float:
     """Number of safe calibration points inside the calibrated region."""
     safe_x = calib.x[calib.y == 1]
-    if safe_x.shape[0] == 0:
-        return 0.0
-    inside = model.decision_value(safe_x, certificate.rho_eps) < 0.0
-    return float(inside.sum())
+    return float((model.predict(safe_x, certificate.rho_eps) == 1).sum())
 
 
 @dataclass
@@ -132,13 +129,12 @@ def calibrate_trained_family(members: list[FamilyMember], calib, plan: ScalingPl
         for group in groups:
             models = [members[k].model for k in group]
             radii = -_group_margins(models, unsafe_x)
-            safe = _group_margins(models, safe_x) if safe_x.shape[0] else None
-            for column, (k, model) in enumerate(zip(group, models)):
+            safe = _group_margins(models, safe_x)
+            for column, k in enumerate(group):
                 certificate = replace(_certificate(plan, check, radii[:, column]),
                                       confidence=family_confidence)
                 # safe_coverage's count, from the shared margins
-                score = 0.0 if safe is None else float(
-                    (model._link(safe[:, column] + certificate.rho_eps) < 0.0).sum())
+                score = float((safe[:, column] + certificate.rho_eps < 0.0).sum())
                 result.members[k] = replace(members[k], certificate=certificate, score=score)
     result.selected_index = select_best(result)
     return result

@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgument
+from .validation import checked_int
 
 __all__ = ["KernelSpec", "default_gamma", "kernel_matrix", "gram", "kernel_diag"]
 
@@ -55,9 +56,15 @@ class KernelSpec:
 
     @classmethod
     def from_record(cls, record: dict) -> "KernelSpec":
+        """Inverse of ``to_record`` and the parser of config kernel entries;
+        missing keys take defaults, unknown keys and fractional degrees raise."""
+        unknown = sorted(set(record) - {"kind", "gamma", "degree", "coef0"})
+        if unknown:
+            raise InvalidArgument(f"unknown kernel keys: {unknown}")
+        gamma = record.get("gamma")
         return cls(kind=record.get("kind", "gaussian"),
-                   gamma=record.get("gamma"),
-                   degree=int(record.get("degree", 3)),
+                   gamma=None if gamma is None else float(gamma),
+                   degree=checked_int(record.get("degree", 3), "kernel degree"),
                    coef0=float(record.get("coef0", 0.0)))
 
 

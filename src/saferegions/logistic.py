@@ -12,7 +12,10 @@ scaled decision value is the centered sigmoid
     f(x, rho) = 1 / (1 + exp(-(s(x) + rho))) - 1/2,
 
 which is strictly increasing in rho with limits -1/2 and +1/2, so it orders
-points exactly like the raw logit while staying bounded.
+points like the raw logit while staying bounded.  The sigmoid only shapes
+the decision value: it rounds any s(x) + rho in about (-3e-16, 0) to 0, so
+region membership is decided on the logit, s(x) + rho < 0, as for the other
+variants.
 
 The optimizer is a damped Newton iteration with Armijo backtracking on the
 full step.  With g = beta/eta + (1/2) c*y*s, s = sigmoid(y*z), the gradient
@@ -77,24 +80,32 @@ class ScLrModel(ScalableModel):
     def margin(self, x):
         return _single_margin(self, x)
 
-    def _link(self, t):
-        return expit(t) - 0.5
+    def decision_value(self, x, rho):
+        return expit(self.margin(x) + rho) - 0.5
 
 
 def lr_loss(K, y, c, eta, beta, b):
     """Objective value; log(1+exp) evaluated in a non-overflowing form."""
-    z = K @ beta - b
-    return float((beta @ (K @ beta)) / (2.0 * eta)
-                 + 0.5 * np.sum(c * np.logaddexp(0.0, y * z)))
+    Kbeta = K @ beta
+    return _loss(y, c, eta, beta, Kbeta, Kbeta - b)
 
 
 def lr_gradient(K, y, c, eta, beta, b):
     """Exact gradient of the loss with respect to (beta, b)."""
-    z = K @ beta - b
+    return _gradient(K, y, c, eta, beta, K @ beta - b)[:2]
+
+
+def _loss(y, c, eta, beta, Kbeta, z):
+    """The loss from ``Kbeta = K beta`` and ``z = K beta - b``."""
+    return float((beta @ Kbeta) / (2.0 * eta) + 0.5 * np.sum(c * np.logaddexp(0.0, y * z)))
+
+
+def _gradient(K, y, c, eta, beta, z):
+    """(grad_beta, grad_b, g, s) at ``z = K beta - b``; one matvec ``K @ g``."""
     s = expit(y * z)
-    grad_beta = (K @ beta) / eta + 0.5 * (K @ (c * y * s))
-    grad_b = -0.5 * float(np.sum(c * y * s))
-    return grad_beta, grad_b
+    dz = 0.5 * (c * y * s)     # derivative of the data term in z
+    g = beta / eta + dz
+    return K @ g, -float(np.sum(dz)), g, s
 
 
 def _newton_step(K, eta, g, grad_beta, grad_b, d):
@@ -146,19 +157,15 @@ def train_sc_lr(train, hp: Hyperparameters, settings: TrainSettings | None = Non
     beta = np.zeros(n)
     b = 0.0
     z = K @ beta - b
-    loss = float(0.5 * np.sum(c * np.logaddexp(0.0, yf * z)))
+    loss = _loss(yf, c, eta, beta, z, z)     # K beta equals z while beta and b are 0
     monotone = True
     converged = False
     grad_norm = np.inf
     it = 0
 
     for it in range(1, max_iter + 1):
-        s = expit(yf * z)
+        grad_beta, grad_b, g, s = _gradient(K, yf, c, eta, beta, z)
         Kbeta = K @ beta
-        dz = 0.5 * (c * yf * s)     # derivative of the data term in z
-        g = beta / eta + dz
-        grad_beta = K @ g
-        grad_b = -float(np.sum(dz))
         grad_norm = max(float(np.abs(grad_beta).max()), abs(grad_b))
         if grad_norm <= settings.tol:
             converged = True
@@ -182,8 +189,7 @@ def train_sc_lr(train, hp: Hyperparameters, settings: TrainSettings | None = Non
             beta_try = beta + width * step_beta
             b_try = b + width * step_b
             z_try = z + width * (Kstep - step_b)
-            loss_try = float((beta_try @ (Kbeta + width * Kstep)) / (2.0 * eta)
-                             + 0.5 * np.sum(c * np.logaddexp(0.0, yf * z_try)))
+            loss_try = _loss(yf, c, eta, beta_try, Kbeta + width * Kstep, z_try)
             if loss_try <= loss + _ARMIJO * width * slope:
                 accepted = True
                 break

@@ -18,16 +18,15 @@ test points inside the region (empty when the region holds no test points).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .classifiers import expansion_margins, save_model
+from .classifiers import expansion_margins, load_model, save_model
 from .config import ExperimentConfig
-from .datagen import Dataset, sample_gaussian, standardize
+from .datagen import Dataset, sample_gaussian, standardize, write_csv
 from .errors import InvalidArgument, UncertifiedPlanError
 from .families import FamilyResult, calibrate_trained_family, train_family
 from .platoon import generate_platoon_dataset
@@ -38,7 +37,6 @@ __all__ = [
     "EVALUATION_COLUMNS",
     "ExperimentResult",
     "derive_seed",
-    "build_plans",
     "resolve_plans",
     "check_plans",
     "build_datasets",
@@ -87,21 +85,16 @@ class ExperimentResult:
     files: dict = field(default_factory=dict)
 
 
-def build_plans(config: ExperimentConfig, *, n_c: int | None = None) -> dict:
-    """One plan per configured eps; n_c overrides the closed-form size."""
-    risk = config.risk
-    explicit = n_c if n_c is not None else risk.n_c
-    return {eps: ScalingPlan.from_risk(eps, risk.delta, risk.beta, n_c=explicit)
-            for eps in risk.eps}
-
-
 def resolve_plans(config: ExperimentConfig) -> dict:
-    """The plans a run uses: ``build_plans``, except that a csv calibration
-    file sizes every plan when ``risk.n_c`` is unset."""
-    n_c = None
-    if config.data.generator == "csv" and config.risk.n_c is None:
+    """The plans a run uses, one per configured eps: sized by ``risk.n_c``
+    when set, else by the rows of a csv calibration file, else by the
+    closed-form rule."""
+    risk = config.risk
+    n_c = risk.n_c
+    if n_c is None and config.data.generator == "csv":
         n_c = Dataset.from_csv(config.data.paths["calib"]).n_samples
-    return build_plans(config, n_c=n_c)
+    return {eps: ScalingPlan.from_risk(eps, risk.delta, risk.beta, n_c=n_c)
+            for eps in risk.eps}
 
 
 def check_plans(plans: dict, force_uncertified: bool) -> bool:
@@ -159,23 +152,6 @@ def build_datasets(config: ExperimentConfig, plans: dict):
                 f"the eps={eps} plan requires n_c={plan.n_c}; set risk.n_c to the "
                 f"file size or supply a matching file")
     return train, {eps: calib for eps in plans}, test
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_csv(path: Path, header: list, rows: list) -> None:
-    """Rows as csv with ``\n`` line ends; floats as ``repr``, bools as 0/1."""
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
 
 
 def write_resolved_config(config: ExperimentConfig) -> Path:
@@ -333,7 +309,8 @@ def _write_outputs(result: ExperimentResult, memberships: dict | None) -> None:
 
 def boundary_grid_rows(model, certificate, bbox: tuple, resolution: int,
                        scaler=None) -> list:
-    """Uniform grid rows (x1, x2, f_value, inside) for a 2-D region boundary.
+    """Uniform grid rows (x1, x2, f_value, inside) for a 2-D region boundary:
+    ``f_value`` is the decision value, ``inside`` the model's ``predict``.
 
     Coordinates are in the original data space; the model is evaluated on the
     standardized image when a scaler is given.
@@ -345,10 +322,8 @@ def boundary_grid_rows(model, certificate, bbox: tuple, resolution: int,
     pts = np.column_stack([g1.ravel(), g2.ravel()])
     mapped = scaler.apply(pts) if scaler is not None else pts
     f = model.decision_value(mapped, certificate.rho_eps)
-    rows = []
-    for k in range(pts.shape[0]):
-        rows.append([float(pts[k, 0]), float(pts[k, 1]), float(f[k]), int(f[k] < 0.0)])
-    return rows
+    inside = model.predict(mapped, certificate.rho_eps) == 1
+    return [[float(p[0]), float(p[1]), float(v), int(i)] for p, v, i in zip(pts, f, inside)]
 
 
 def data_bbox(train: Dataset, margin: float) -> tuple:
@@ -357,7 +332,7 @@ def data_bbox(train: Dataset, margin: float) -> tuple:
     return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
 
 
-def evaluate_saved(run_dir, out_path=None) -> list:
+def evaluate_saved(run_dir) -> list:
     """Recompute test frequencies for the models saved by a previous run.
 
     Reads resolved_config.yaml and models/*.json from ``run_dir``, rebuilds
@@ -365,8 +340,6 @@ def evaluate_saved(run_dir, out_path=None) -> list:
     the stored config, and writes evaluation.csv with EVALUATION_COLUMNS.
     The frequencies must agree with the matching report.csv rows.
     """
-    from .classifiers import load_model
-
     run_dir = Path(run_dir)
     config_path = run_dir / "resolved_config.yaml"
     if not config_path.exists():
@@ -404,6 +377,5 @@ def evaluate_saved(run_dir, out_path=None) -> list:
                      "whole_space" if cert.kind == "whole_space" else float(cert.rho_eps),
                      cert.kind, cert.certified, float(cert.confidence),
                      joint, conditional, accuracy, test.n_samples])
-    out_path = Path(out_path) if out_path is not None else run_dir / "evaluation.csv"
-    write_csv(out_path, EVALUATION_COLUMNS, rows)
+    write_csv(run_dir / "evaluation.csv", EVALUATION_COLUMNS, rows)
     return rows

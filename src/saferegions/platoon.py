@@ -261,8 +261,29 @@ def _check_finite(v: np.ndarray, rows: np.ndarray, where: str) -> None:
             f"non-finite state in scenario {int(rows[bad][0])} {where}")
 
 
+def _scenario_specs(n_samples: int, ranges: PlatoonRanges, seed: int) -> list:
+    """The scenarios of ``generate_platoon_dataset``, each drawn from its own
+    substream seeded by (seed, index)."""
+    specs: list[PlatoonSpec] = []
+    for index in range(n_samples):
+        rng = np.random.default_rng([seed, index])
+        n = int(rng.integers(ranges.n_followers[0], ranges.n_followers[1] + 1))
+        specs.append(PlatoonSpec(
+            n_followers=n,
+            gaps=tuple(rng.uniform(*ranges.gap, size=n)),
+            speed_kmh=float(rng.uniform(*ranges.speed_kmh)),
+            brake_force=float(rng.uniform(*ranges.brake_force)),
+            masses=tuple(rng.uniform(*ranges.mass, size=n + 1)),
+            delay=float(rng.uniform(*ranges.delay)),
+            packet_error_rate=float(rng.uniform(*ranges.packet_error_rate)),
+            control_gain=float(rng.uniform(*ranges.control_gain)),
+            seed=int(rng.integers(2 ** 63)),
+        ))
+    return specs
+
+
 def generate_platoon_dataset(n_samples: int, ranges: PlatoonRanges | None = None,
-                             seed: int = 0, return_specs: bool = False):
+                             seed: int = 0) -> Dataset:
     """Sample scenarios from the ranges, simulate, and collect a dataset.
 
     Each scenario gets its own substream seeded by (seed, index), so any
@@ -273,25 +294,9 @@ def generate_platoon_dataset(n_samples: int, ranges: PlatoonRanges | None = None
     if n_samples < 0:
         raise InvalidArgument(f"n_samples must be non-negative, got {n_samples}")
     ranges = ranges or PlatoonRanges()
-    specs: list[PlatoonSpec] = []
-    receptions: list[np.ndarray] = []
-    for index in range(n_samples):
-        rng = np.random.default_rng([seed, index])
-        n = int(rng.integers(ranges.n_followers[0], ranges.n_followers[1] + 1))
-        spec = PlatoonSpec(
-            n_followers=n,
-            gaps=tuple(rng.uniform(*ranges.gap, size=n)),
-            speed_kmh=float(rng.uniform(*ranges.speed_kmh)),
-            brake_force=float(rng.uniform(*ranges.brake_force)),
-            masses=tuple(rng.uniform(*ranges.mass, size=n + 1)),
-            delay=float(rng.uniform(*ranges.delay)),
-            packet_error_rate=float(rng.uniform(*ranges.packet_error_rate)),
-            control_gain=float(rng.uniform(*ranges.control_gain)),
-            seed=int(rng.integers(2 ** 63)),
-        )
-        specs.append(spec)
-        # same draw path as simulate_platoon, so stored specs relabel exactly
-        receptions.append(_reception_steps(spec, np.random.default_rng(spec.seed)))
+    specs = _scenario_specs(n_samples, ranges, seed)
+    # same draw path as simulate_platoon, so stored specs relabel exactly
+    receptions = [_reception_steps(spec, np.random.default_rng(spec.seed)) for spec in specs]
 
     if n_samples == 0:
         x = np.empty((0, FEATURE_DIM))
@@ -302,7 +307,4 @@ def generate_platoon_dataset(n_samples: int, ranges: PlatoonRanges | None = None
 
     provenance = {"generator": "platoon", "seed": int(seed), "n": n_samples,
                   "ranges": ranges.to_record()}
-    data = Dataset(x, labels, provenance)
-    if return_specs:
-        return data, specs
-    return data
+    return Dataset(x, labels, provenance)

@@ -20,13 +20,13 @@ multiple threads.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgument, UncertifiedPlanError
+from .validation import checked_int, is_real
 
 __all__ = [
     "WHOLE_SPACE",
@@ -169,14 +169,11 @@ class ScalingPlan:
     def __post_init__(self):
         for name in ("eps", "delta", "beta"):
             value = getattr(self, name)
-            if not _is_real(value):
+            if not is_real(value):
                 raise InvalidArgument(f"{name} must be a real number, got {value!r}")
             object.__setattr__(self, name, _check_unit_open(name, value))
         for name in ("r", "n_c"):
-            value = getattr(self, name)
-            if not (_is_real(value) and float(value).is_integer()):
-                raise InvalidArgument(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, checked_int(getattr(self, name), name))
         if self.n_c < 1:
             raise InvalidArgument(f"n_c must be positive, got {self.n_c}")
         if not 1 <= self.r <= self.n_c:
@@ -189,8 +186,9 @@ class ScalingPlan:
         unless an explicit calibration size is supplied."""
         if n_c is None:
             n_c = min_calibration_size(eps, delta, beta)
-        r = discarding_parameter(beta, eps, int(n_c))
-        return cls(eps=float(eps), delta=float(delta), r=r, n_c=int(n_c), beta=float(beta))
+        n_c = checked_int(n_c, "n_c")
+        r = discarding_parameter(beta, eps, n_c)
+        return cls(eps=float(eps), delta=float(delta), r=r, n_c=n_c, beta=float(beta))
 
 
 class PlanCheck(NamedTuple):
@@ -278,13 +276,8 @@ class CalibrationCertificate:
                    confidence=float(confidence), certified=certified)
 
 
-def _is_real(value) -> bool:
-    """A real number, booleans and strings excluded."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _is_finite_number(value) -> bool:
-    return _is_real(value) and math.isfinite(value)
+    return is_real(value) and math.isfinite(value)
 
 
 def calibrate(model, calib, plan: ScalingPlan, *,

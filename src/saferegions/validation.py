@@ -1,10 +1,26 @@
-"""Input checks shared by the trainers."""
+"""Input checks shared across the package: training sets and numbers."""
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
 from .errors import InvalidArgument, TrainingError
+
+
+def is_real(value) -> bool:
+    """A real number, booleans and strings excluded."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def checked_int(value, name: str) -> int:
+    """``value`` as an int; ``InvalidArgument`` naming ``name`` unless it is
+    an integral number (``2.0`` passes, ``2.5``, ``True`` and ``"2"`` do not)."""
+    if not (is_real(value)
+            and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def training_arrays(train, require_both_classes: bool = True):

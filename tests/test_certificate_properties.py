@@ -1,9 +1,11 @@
-"""Property tests of the certificate arithmetic: the family union bound and
-the certificate record round trip."""
+"""Property tests of the certificate arithmetic (the family union bound and
+the certificate record round trip), and a Monte-Carlo check that the stated
+confidence holds over independent calibration draws."""
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,11 +15,15 @@ from saferegions import (
     CalibrationCertificate,
     Dataset,
     FamilyMember,
+    GaussianSpec,
     Hyperparameters,
     KernelSpec,
     ScalingPlan,
+    calibrate,
     calibrate_trained_family,
+    check_plan,
     discarding_parameter,
+    sample_gaussian,
 )
 from saferegions.classifiers import TrainingDiagnostics
 from saferegions.logistic import ScLrModel
@@ -70,3 +76,63 @@ def test_certificate_record_round_trips_through_json(certificate):
     back = CalibrationCertificate.from_record(json.loads(json.dumps(record)))
     assert back == certificate
     assert back.kind == certificate.kind
+
+
+_MIXTURE = GaussianSpec(mu_safe=(-1.0, -1.0), mu_unsafe=(1.0, 1.0),
+                        cov_safe=((1.0, 0.0), (0.0, 1.0)),
+                        cov_unsafe=((1.0, 0.0), (0.0, 1.0)))
+_DRAWS = 400
+
+
+def _linear_member(w, b) -> ScLrModel:
+    """A logistic member with margin s(x) = w.x + b."""
+    return ScLrModel(hyperparameters=Hyperparameters(kernel=KernelSpec(kind="linear")),
+                     diagnostics=TrainingDiagnostics(iterations=0, residual=0.0,
+                                                     converged=True, objective=0.0),
+                     train_x=np.array([w], dtype=float), beta=np.array([1.0]), offset=-b)
+
+
+def _risk(w, b, rho) -> float:
+    """P(unsafe and s(x) + rho < 0) on the mixture, in closed form: for an
+    unsafe x ~ N(mu_unsafe, I), w.x + b is normal with mean w.mu_unsafe + b
+    and standard deviation |w|."""
+    mean = w[0] * _MIXTURE.mu_unsafe[0] + w[1] * _MIXTURE.mu_unsafe[1] + b
+    z = -(mean + rho) / math.hypot(*w)
+    return (1.0 - _MIXTURE.safe_prob) * 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _violation_share(members, eps, calibrate_draw) -> tuple:
+    """(share of draws in which some member's risk exceeds eps, tail)."""
+    plan = ScalingPlan.from_risk(eps, 0.2)
+    assert (plan.n_c, plan.r) == (121, 7)
+    violations = 0
+    for draw in range(_DRAWS):
+        calib = sample_gaussian(_MIXTURE, plan.n_c, seed=draw)
+        levels = calibrate_draw(calib, plan)
+        violations += any(_risk(w, b, rho) > eps for (w, b), rho in zip(members, levels))
+    return violations / _DRAWS, check_plan(plan).tail
+
+
+def _bound(p: float) -> float:
+    return p + 3.0 * math.sqrt(p * (1.0 - p) / _DRAWS)
+
+
+def test_standalone_confidence_holds_over_calibration_draws():
+    member = ((1.0, 1.0), 0.0)
+    model = _linear_member(*member)
+    share, tail = _violation_share(
+        [member], 0.1, lambda calib, plan: [calibrate(model, calib, plan).rho_eps])
+    assert share <= _bound(tail), (share, tail)
+
+
+def test_family_confidence_holds_under_the_union_bound():
+    members = [((1.0, 1.0), 0.0), ((1.0, 0.5), 0.3), ((0.5, 1.0), -0.2)]
+    family = [FamilyMember(index=i, hyperparameters=Hyperparameters(), model=_linear_member(*m))
+              for i, m in enumerate(members)]
+
+    def levels(calib, plan):
+        result = calibrate_trained_family(family, calib, plan, "lr")
+        return [m.certificate.rho_eps for m in result.members]
+
+    share, tail = _violation_share(members, 0.1, levels)
+    assert share <= _bound(len(members) * tail), (share, tail)

@@ -9,16 +9,28 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saferegions import (
+    Dataset,
+    FamilyMember,
     GaussianSpec,
     Hyperparameters,
     KernelSpec,
+    ScalingPlan,
+    ScLrModel,
+    ScSvddModel,
+    ScSvmModel,
+    calibrate,
+    calibrate_trained_family,
+    safe_coverage,
     sample_gaussian,
     train_sc_lr,
     train_sc_svdd,
     train_sc_svm,
 )
+from saferegions.classifiers import TrainingDiagnostics
 
 _SPEC = GaussianSpec(mu_safe=(-1.0, -1.0), mu_unsafe=(1.0, 1.0),
                      cov_safe=((1.0, 0.0), (0.0, 1.0)),
@@ -118,3 +130,63 @@ def test_scalar_and_batch_agree(models, variant):
     # Single-row BLAS paths may associate differently; agreement is to float
     # precision, not bit identity.
     assert np.allclose(batch, singles, rtol=1e-10, atol=1e-12)
+
+
+_LINEAR = Hyperparameters(kernel=KernelSpec(kind="linear"))
+_DIAGNOSTICS = TrainingDiagnostics(iterations=0, residual=0.0, converged=True, objective=0.0)
+
+
+def _hand_built(variant):
+    """A linear member of each variant over the centers (1, 0) and (0, 2)."""
+    centers = np.array([[1.0, 0.0], [0.0, 2.0]])
+    shared = dict(hyperparameters=_LINEAR, diagnostics=_DIAGNOSTICS)
+    if variant == "svm":
+        return ScSvmModel(support_x=centers, support_alpha=np.array([0.5, 0.25]),
+                          support_y=np.array([1, -1]), offset=0.1, **shared)
+    if variant == "svdd":
+        return ScSvddModel(support_x=centers, support_alpha=np.array([0.75, 0.25]),
+                           support_y=np.array([1, -1]), r_squared=2.0,
+                           center_sq_norm=3.25, **shared)
+    return ScLrModel(train_x=centers, beta=np.array([0.5, -0.25]), offset=0.2, **shared)
+
+
+def test_a_safe_point_just_below_its_boundary_radius_counts_inside():
+    # margin(x) = x exactly: linear kernel, one center at 1, beta 1, offset 0
+    model = ScLrModel(train_x=np.array([[1.0]]), beta=np.array([1.0]), offset=0.0,
+                      hyperparameters=_LINEAR, diagnostics=_DIAGNOSTICS)
+    unsafe = np.nextafter(0.3, 1.0)
+    calib = Dataset(x=[[unsafe], [0.3]], y=[-1, 1])
+    plan = ScalingPlan(eps=0.9, delta=0.5, r=1, n_c=2)
+    safe_x = np.array([[0.3]])
+    cert = calibrate(model, calib, plan)
+    assert cert.rho_eps == -unsafe < -0.3
+    # 0.3 + rho_eps is one ulp below 0, which the sigmoid link rounds to 0
+    assert model.decision_value(safe_x, cert.rho_eps)[0] == 0.0
+    assert model.predict(safe_x, cert.rho_eps)[0] == 1
+    assert safe_coverage(model, cert, calib) == 1.0
+    family = calibrate_trained_family(
+        [FamilyMember(index=0, hyperparameters=_LINEAR, model=model)], calib, plan, "lr")
+    assert family.members[0].score == 1.0
+
+
+_COORDINATE = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(variant=st.sampled_from(["svm", "svdd", "lr"]),
+       points=st.lists(st.tuples(_COORDINATE, _COORDINATE), min_size=1, max_size=8),
+       extra=st.lists(st.floats(min_value=-50.0, max_value=50.0), max_size=4))
+def test_membership_is_a_level_below_the_boundary_radius(variant, points, extra):
+    model = _hand_built(variant)
+    x = np.array(points)
+    radii = model.boundary_radius(x)
+    # each point's exact root and its float neighbours, plus a few levels
+    levels = sorted({float(v) for r in radii
+                     for v in (np.nextafter(r, -np.inf), r, np.nextafter(r, np.inf))}
+                    | set(extra))
+    inside = [model.predict(x, rho) == 1 for rho in levels]
+    for rho, members in zip(levels, inside):
+        assert np.array_equal(members, rho < radii)
+    # a larger level never admits a point a smaller one leaves out
+    for smaller, larger in zip(inside, inside[1:]):
+        assert not (larger & ~smaller).any()

@@ -1,5 +1,7 @@
 """Config parsing: strict keys, defaults, YAML round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -147,3 +149,41 @@ def test_kernel_specs_parse_with_parameters():
                     {"kind": "polynomial", "degree": 3, "coef0": 1.0}]})
     labels = [hp.kernel.label() for hp in config.family()]
     assert labels == ["gaussian(gamma=0.25)", "polynomial(degree=3,coef0=1)"]
+
+
+_INTEGER_KEYS = ["data.n_train", "data.n_test", "seed", "classifier.max_iter", "risk.n_c",
+                 "grid.resolution"]
+
+
+def _with_key(key, value):
+    raw = _minimal_raw()
+    *parents, leaf = key.split(".")
+    node = raw
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[leaf] = value
+    return raw
+
+
+@pytest.mark.parametrize("key", _INTEGER_KEYS)
+@pytest.mark.parametrize("value", [1394.7, True, "12"], ids=["fraction", "boolean", "text"])
+def test_integer_keys_reject_non_integers(key, value):
+    # 1394.7 once ran as 1394 and true as 1
+    with pytest.raises(InvalidArgument, match=re.escape(f"{key} must be an integer")):
+        ExperimentConfig.from_mapping(_with_key(key, value))
+
+
+@pytest.mark.parametrize("key", _INTEGER_KEYS)
+def test_integer_keys_accept_integral_floats(key):
+    resolved = ExperimentConfig.from_mapping(_with_key(key, 12.0)).to_mapping()
+    node = resolved
+    for name in key.split("."):
+        node = node[name]
+    assert node == 12 and type(node) is int
+
+
+def test_kernel_entries_reject_unknown_keys_and_fractional_degrees():
+    with pytest.raises(InvalidArgument, match="gama"):
+        ClassifierConfig.from_mapping({"kernels": [{"kind": "gaussian", "gama": 0.5}]})
+    with pytest.raises(InvalidArgument, match="degree must be an integer"):
+        ClassifierConfig.from_mapping({"kernels": [{"kind": "polynomial", "degree": 2.5}]})

@@ -13,6 +13,7 @@ from saferegions import (
     sample_gaussian,
     standardize,
 )
+from saferegions.datagen import write_csv
 
 _SPEC = GaussianSpec(mu_safe=(-2.0, 0.0), mu_unsafe=(2.0, 0.0),
                      cov_safe=((1.0, 0.0), (0.0, 1.0)),
@@ -115,6 +116,17 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert back.provenance["generator"] == "gaussian"
     assert back.provenance["seed"] == 2
     assert back.provenance["source"] == str(path)
+
+
+def test_to_csv_writes_lf_lines_through_the_shared_writer(tmp_path):
+    data = Dataset(x=[[0.1, 2.0], [-1.5, 3.25]], y=[1, -1])
+    data.to_csv(tmp_path / "data.csv")
+    write_csv(tmp_path / "rows.csv", ["f0", "f1", "label"], [[0.1, 2.0, 1], [-1.5, 3.25, -1]])
+    written = (tmp_path / "data.csv").read_bytes()
+    assert written == b"f0,f1,label\n0.1,2.0,1\n-1.5,3.25,-1\n"
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    back = Dataset.from_csv(tmp_path / "data.csv")
+    assert np.array_equal(back.x, data.x) and np.array_equal(back.y, data.y)
 
 
 def test_csv_rejects_malformed_files(tmp_path):

@@ -192,6 +192,10 @@ MALFORMED = {
     "fractional_r": (_with_certificate(r=3.7), "r must be an integer"),
     "text_eps": (_with_certificate(eps="0.1"), "eps must be a real number"),
     "boolean_n_c": (_with_certificate(n_c=True), "n_c must be an integer"),
+    # once loaded as gamma=None and as degree 2
+    "misspelt_kernel_key": (_edited("lr", kernel={**_SHARED["kernel"], "gama": 0.5}), "gama"),
+    "fractional_degree": (_edited("svm", kernel={**_SHARED["kernel"], "degree": 2.5}),
+                          "degree must be an integer"),
 }
 
 

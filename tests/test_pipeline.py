@@ -20,7 +20,6 @@ from saferegions import (
     ScalingPlan,
     UncertifiedPlanError,
     boundary_grid_rows,
-    build_plans,
     calibrate,
     derive_seed,
     evaluate_saved,
@@ -55,11 +54,11 @@ def test_derive_seed_stable_and_distinct():
 def test_plans_follow_config():
     config = ExperimentConfig.from_mapping(
         _raw(None, risk={"eps": [0.1, 0.5], "delta": 0.5}))
-    plans = build_plans(config)
+    plans = resolve_plans(config)
     assert plans[0.1].n_c == 52 and plans[0.5].n_c == 11
     pinned = ExperimentConfig.from_mapping(
         _raw(None, risk={"eps": [0.1, 0.5], "delta": 0.5, "n_c": 64}))
-    assert {p.n_c for p in build_plans(pinned).values()} == {64}
+    assert {p.n_c for p in resolve_plans(pinned).values()} == {64}
 
 
 def test_uncertifiable_plan_blocks_with_minimal_size(tmp_path):
@@ -76,7 +75,7 @@ def test_uncertifiable_plan_blocks_with_minimal_size(tmp_path):
 def test_calibration_draws_are_independent_per_eps(tmp_path):
     config = ExperimentConfig.from_mapping(
         _raw(tmp_path, risk={"eps": [0.1, 0.25], "delta": 0.5}))
-    plans = build_plans(config)
+    plans = resolve_plans(config)
     train, calibs, test = build_datasets(config, plans)
     assert train.n_samples == 120 and test.n_samples == 400
     for eps, plan in plans.items():
@@ -90,7 +89,7 @@ def test_platoon_splits_are_disjoint_slices(tmp_path):
                data={"generator": "platoon", "n_train": 30, "n_test": 40},
                risk={"eps": [0.5], "delta": 0.5})
     config = ExperimentConfig.from_mapping(raw)
-    plans = build_plans(config)
+    plans = resolve_plans(config)
     train, calibs, test = build_datasets(config, plans)
     assert train.n_samples == 30
     assert calibs[0.5].n_samples == plans[0.5].n_c == 11
@@ -133,9 +132,6 @@ def test_resolve_plans_sizes_csv_plans_from_the_calibration_file(tmp_path):
     assert {eps: p.n_c for eps, p in resolve_plans(csv_config).items()} == {0.1: 11, 0.5: 11}
     pinned = ExperimentConfig.from_mapping(_csv_raw(tmp_path, n_c=64))
     assert resolve_plans(pinned)[0.5].n_c == 64
-    generated = ExperimentConfig.from_mapping(
-        _raw(None, risk={"eps": [0.1, 0.5], "delta": 0.5}))
-    assert resolve_plans(generated) == build_plans(generated)
 
 
 def test_evaluate_saved_runs_on_a_forced_uncertified_csv_run(tmp_path):
@@ -242,7 +238,7 @@ def test_single_member_family_equals_standalone_pipeline(tmp_path):
     result = run_experiment(config, write=False)
     member = result.family_results["svm", 0.1].selected
 
-    plans = build_plans(config)
+    plans = resolve_plans(config)
     train, calibs, test = build_datasets(config, plans)
     from saferegions import standardize
     (train, calib, test), _ = standardize(train, calibs[0.1], test)

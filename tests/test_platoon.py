@@ -19,7 +19,7 @@ from saferegions import (
     platoon_features,
     simulate_platoon,
 )
-from saferegions.platoon import _reception_steps, _simulate_batch
+from saferegions.platoon import _reception_steps, _scenario_specs, _simulate_batch
 
 from .oracles import platoon_label_oracle
 
@@ -219,7 +219,8 @@ def test_generated_dataset_is_deterministic_and_mixed():
 
 
 def test_stored_specs_relabel_to_the_stored_labels():
-    data, specs = generate_platoon_dataset(25, seed=12, return_specs=True)
+    data = generate_platoon_dataset(25, seed=12)
+    specs = _scenario_specs(25, PlatoonRanges(), 12)
     assert len(specs) == 25
     for i in (0, 7, 24):
         feat, label = simulate_platoon(specs[i])
@@ -240,7 +241,8 @@ def _receptions(specs):
 
 
 def test_generated_labels_match_plain_python_replay():
-    data, specs = generate_platoon_dataset(100, seed=31, return_specs=True)
+    data = generate_platoon_dataset(100, seed=31)
+    specs = _scenario_specs(100, PlatoonRanges(), 31)
     expected = [platoon_label_oracle(s, r) for s, r in zip(specs, _receptions(specs))]
     assert data.y.tolist() == expected
     assert 10 < expected.count(1) < 90
