@@ -17,8 +17,6 @@ from saferegions import (
     KernelSpec,
     ScalingPlan,
     calibrate,
-    discarding_parameter,
-    min_calibration_size,
     sample_gaussian,
     train_sc_svm,
 )
@@ -48,9 +46,8 @@ def main():
 
     print(f"{'eps':>6} {'n_c':>6} {'rho_eps':>10} {'joint freq':>11} {'bound':>6}")
     for eps in (0.01, 0.05, 0.1, 0.2):
-        n_c = min_calibration_size(eps, args.delta, 0.5)
-        plan = ScalingPlan(eps=eps, delta=args.delta, n_c=n_c,
-                           r=discarding_parameter(0.5, eps, n_c))
+        plan = ScalingPlan.from_risk(eps, args.delta)
+        n_c = plan.n_c
         calib = sample_gaussian(SPEC, n_c, seed=args.seed + 100 + int(1000 * eps))
         cert = calibrate(model, calib, plan)
         freq = float(np.mean(unsafe & (radii > cert.rho_eps)))

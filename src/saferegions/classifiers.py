@@ -21,6 +21,10 @@ identical from one kernel block, with each model's own product, and every
 variant's ``margin`` is that evaluator applied to a single model, so models
 sharing centers get the bits of their own ``margin``.
 
+The steps every trainer shares live here too: ``_training_problem`` (checked
+data, resolved kernel, Gram) and, for the margin and ball variants,
+``_fit_box_dual`` (dual solve, convergence check, diagnostics, support).
+
 Models are immutable after training; their prediction methods hold no state
 and can be shared freely across threads.
 
@@ -34,14 +38,16 @@ records that do not describe a finite model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from .errors import InvalidArgument
-from .kernels import KernelSpec, kernel_diag, kernel_matrix
+from .errors import InvalidArgument, TrainingError
+from .kernels import KernelSpec, gram, kernel_diag, kernel_matrix
+from .solvers import DEFAULT_MAX_UPDATES, ascent_objective, solve_box_qp
+from .validation import checked_real, training_arrays
 
 __all__ = [
     "Hyperparameters",
@@ -75,9 +81,9 @@ class Hyperparameters:
     kernel: KernelSpec = field(default_factory=KernelSpec)
 
     def __post_init__(self):
-        if not self.eta > 0:
+        if not checked_real(self.eta, "eta") > 0:
             raise InvalidArgument(f"eta must be positive, got {self.eta!r}")
-        if not 0.0 < self.tau < 1.0:
+        if not 0.0 < checked_real(self.tau, "tau") < 1.0:
             raise InvalidArgument(f"tau must lie strictly between 0 and 1, got {self.tau!r}")
 
 
@@ -89,7 +95,7 @@ class TrainSettings:
     max_iter: int | None = None
 
     def __post_init__(self):
-        if not self.tol > 0:
+        if not checked_real(self.tol, "tol") > 0:
             raise InvalidArgument(f"tol must be positive, got {self.tol!r}")
         if self.max_iter is not None and int(self.max_iter) < 1:
             raise InvalidArgument(f"max_iter must be positive, got {self.max_iter!r}")
@@ -120,6 +126,46 @@ def box_bounds(hp: Hyperparameters, y: np.ndarray) -> np.ndarray:
     unsafe ones.  These are the box constraints of the dual problems."""
     y = np.asarray(y)
     return np.where(y > 0, hp.eta * (1.0 - hp.tau), hp.eta * hp.tau)
+
+
+def _training_problem(train, hp: Hyperparameters, settings: TrainSettings | None,
+                      gram_matrix: np.ndarray | None, require_both_classes: bool = True):
+    """``(x, y, K, hp, settings)`` of a fit: checked arrays, the Gram of the
+    kernel resolved on ``x`` (the caller's shared one when given), ``hp`` with
+    that kernel as the model stores it, and the settings or their defaults."""
+    x, y = training_arrays(train, require_both_classes=require_both_classes)
+    hp = replace(hp, kernel=hp.kernel.resolved(x))
+    K = gram(hp.kernel, x) if gram_matrix is None else gram_matrix
+    return x, y, K, hp, settings or TrainSettings()
+
+
+_BOUND_REL = 1e-8   # relative margin for "strictly inside the box" of a dual
+
+
+def _fit_box_dual(x, y, K, s, C, alpha0, q, scale, settings: TrainSettings) -> tuple:
+    """Solve a ``solve_box_qp`` dual; ``TrainingError`` unless it converges.
+
+    Returns ``(alpha, g, gap, inside, at_upper, fields)``: the solution, its
+    gradient and violation gap, the coordinates strictly inside their box and
+    those at its top (both by _BOUND_REL), and the model fields ``support_*``
+    of the coordinates with alpha > 0 plus ``diagnostics``, to which the
+    caller adds the flags of its offset or radius recovery.
+    """
+    max_iter = settings.max_iter if settings.max_iter is not None else DEFAULT_MAX_UPDATES
+    alpha, g, iters, residual, converged, gap = solve_box_qp(
+        K, s, C, alpha0, q, scale, settings.tol, max_iter)
+    if not converged:
+        raise TrainingError(
+            f"dual solver stopped at residual {residual:.3e} > tol={settings.tol} "
+            f"after {iters} updates")
+    at_upper = alpha >= C * (1.0 - _BOUND_REL)
+    inside = (alpha > _BOUND_REL * C) & ~at_upper
+    diagnostics = TrainingDiagnostics(iterations=iters, residual=residual, converged=True,
+                                      objective=ascent_objective(K, s, alpha, q, scale))
+    support = alpha > 0.0
+    return alpha, g, gap, inside, at_upper, {
+        "support_x": x[support].copy(), "support_alpha": alpha[support].copy(),
+        "support_y": y[support].copy(), "diagnostics": diagnostics}
 
 
 @dataclass
@@ -225,6 +271,8 @@ def _shared_center_margins(models, x: np.ndarray) -> np.ndarray:
                 s += diag * w_d
             s += b0
             out[start:start + rows, column] = s[:, 0]
+        # free this block before the next one is built, so one block is live
+        del k
     return out
 
 

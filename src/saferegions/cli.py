@@ -93,10 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_experiment(args) -> ExperimentConfig:
     if args.config is None:
         raise SafeRegionsError("--config is required for this command")
-    config = load_config(args.config)
-    return config.with_overrides(
-        seed=args.seed,
-        output_dir=None if args.out is None else str(args.out))
+    return load_config(args.config).with_overrides(
+        seed=args.seed, output_dir=None if args.out is None else str(args.out))
 
 
 def cmd_plan(args) -> int:
@@ -228,10 +226,7 @@ def main(argv=None) -> int:
     except UncertifiedPlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    except SafeRegionsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (SafeRegionsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -8,6 +8,7 @@ to the outputs of every run.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .families import TRAINERS
 from .kernels import KernelSpec
 from .platoon import PlatoonRanges
 from .scaling import min_calibration_size
-from .validation import checked_int
+from .validation import checked_int, checked_real
 
 __all__ = [
     "DataConfig",
@@ -63,11 +64,12 @@ def _mapping(value, context: str) -> dict:
     return value
 
 
-def _float_list(value, context: str) -> tuple:
+def _float_list(value, context: str, distinct: bool = True) -> tuple:
+    """A non-empty list of finite reals, as floats, distinct unless told not."""
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise InvalidArgument(f"{context} must be a non-empty list")
-    out = tuple(float(v) for v in value)
-    if len(set(out)) != len(out):
+    out = tuple(checked_real(v, context) for v in value)
+    if distinct and len(set(out)) != len(out):
         raise InvalidArgument(f"{context} contains duplicates: {list(out)}")
     return out
 
@@ -95,10 +97,9 @@ class DataConfig:
                 raise InvalidArgument(f"csv generator needs paths for {missing}")
         else:
             # 0 is allowed so `generate` can emit header-only files
-            if int(self.n_train) < 0:
-                raise InvalidArgument(f"n_train must be >= 0, got {self.n_train}")
-            if int(self.n_test) < 0:
-                raise InvalidArgument(f"n_test must be >= 0, got {self.n_test}")
+            for name in ("n_train", "n_test"):
+                if int(getattr(self, name)) < 0:
+                    raise InvalidArgument(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @classmethod
     def from_mapping(cls, raw) -> "DataConfig":
@@ -114,8 +115,8 @@ class DataConfig:
                 mu_safe=tuple(spec["mu_safe"]), mu_unsafe=tuple(spec["mu_unsafe"]),
                 cov_safe=tuple(map(tuple, spec["cov_safe"])),
                 cov_unsafe=tuple(map(tuple, spec["cov_unsafe"])),
-                safe_prob=float(spec["safe_prob"]),
-                outlier_prob=float(spec["outlier_prob"]))
+                safe_prob=checked_real(spec["safe_prob"], "data.gaussian.safe_prob"),
+                outlier_prob=checked_real(spec["outlier_prob"], "data.gaussian.outlier_prob"))
         elif generator == "platoon":
             defaults = PlatoonRanges()
             spec = _take(_mapping(fields["platoon"], "data.platoon"), "data.platoon",
@@ -123,13 +124,16 @@ class DataConfig:
                             ("n_followers", "gap", "speed_kmh", "brake_force",
                              "mass", "delay", "packet_error_rate", "control_gain")})
             platoon = PlatoonRanges(**{k: tuple(v) for k, v in spec.items()})
+        if not isinstance(fields["standardize"], bool):
+            raise InvalidArgument(
+                f"data.standardize must be true or false, got {fields['standardize']!r}")
         paths = fields["paths"]
         if generator == "csv":
             paths = _take(_mapping(paths, "data.paths"), "data.paths",
                           train=None, calib=None, test=None)
         return cls(generator=generator, n_train=checked_int(fields["n_train"], "data.n_train"),
                    n_test=checked_int(fields["n_test"], "data.n_test"),
-                   standardize=bool(fields["standardize"]),
+                   standardize=fields["standardize"],
                    gaussian=gaussian, platoon=platoon, paths=paths)
 
     def to_mapping(self) -> dict:
@@ -167,9 +171,7 @@ class ClassifierConfig:
                 f"unknown variants {unknown}, expected a subset of {sorted(TRAINERS)}")
         if len(set(self.variants)) != len(self.variants):
             raise InvalidArgument(f"duplicate variants in {list(self.variants)}")
-        # constructing every member validates the whole grid now
-        for hp in self.family():
-            assert hp is not None
+        self.family()   # constructing every member validates the whole grid now
 
     def family(self) -> list:
         return [Hyperparameters(eta=eta, tau=tau, kernel=kernel)
@@ -192,7 +194,7 @@ class ClassifierConfig:
         return cls(variants=tuple(variants),
                    etas=_float_list(fields["etas"], "classifier.etas"),
                    taus=_float_list(fields["taus"], "classifier.taus"),
-                   kernels=kernels, tol=float(fields["tol"]),
+                   kernels=kernels, tol=checked_real(fields["tol"], "classifier.tol"),
                    max_iter=None if max_iter is None
                    else checked_int(max_iter, "classifier.max_iter"))
 
@@ -231,8 +233,9 @@ class RiskConfig:
         if isinstance(eps, (int, float)):
             eps = [eps]
         n_c = fields["n_c"]
-        return cls(eps=_float_list(eps, "risk.eps"), delta=float(fields["delta"]),
-                   beta=float(fields["beta"]),
+        return cls(eps=_float_list(eps, "risk.eps"),
+                   delta=checked_real(fields["delta"], "risk.delta"),
+                   beta=checked_real(fields["beta"], "risk.beta"),
                    n_c=None if n_c is None else checked_int(n_c, "risk.n_c"))
 
     def to_mapping(self) -> dict:
@@ -268,8 +271,8 @@ class GridConfig:
         fields = _take(raw, "grid", resolution=50, bbox=None, margin=0.5)
         bbox = fields["bbox"]
         return cls(resolution=checked_int(fields["resolution"], "grid.resolution"),
-                   bbox=None if bbox is None else tuple(float(v) for v in bbox),
-                   margin=float(fields["margin"]))
+                   bbox=None if bbox is None else _float_list(bbox, "grid.bbox", distinct=False),
+                   margin=checked_real(fields["margin"], "grid.margin"))
 
     def to_mapping(self) -> dict:
         return {"resolution": int(self.resolution),
@@ -318,15 +321,21 @@ class ExperimentConfig:
         return out
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """Safe YAML loader that also reads exponent floats without a dot, such as
+    ``1e-6`` (and JSON's ``1e-06``), as floats: YAML 1.1 reads them as strings,
+    which the real-valued keys reject."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"),
+    list("-+0123456789"))
+
+
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config from a YAML file; an empty file gives the
     defaults."""
     path = Path(path)
     if not path.exists():
         raise InvalidArgument(f"config file not found: {path}")
-    loaded = yaml.safe_load(path.read_text())
-    if loaded is None:
-        loaded = {}
-    if not isinstance(loaded, dict):
-        raise InvalidArgument(f"{path} must contain a YAML mapping at top level")
-    return ExperimentConfig.from_mapping(loaded)
+    return ExperimentConfig.from_mapping(yaml.load(path.read_text(), Loader=_ConfigLoader))

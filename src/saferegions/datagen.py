@@ -72,6 +72,8 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
+        """Read a file written by ``to_csv``; ``InvalidArgument`` names the file
+        and line of a ragged row, a non-number or a label other than 1 or -1."""
         path = Path(path)
         with path.open(newline="") as handle:
             reader = csv.reader(handle)
@@ -79,21 +81,26 @@ class Dataset:
             if header is None or header[-1] != "label":
                 raise InvalidArgument(f"{path}: expected a header ending in 'label'")
             dim = len(header) - 1
-            xs, ys = [], []
+            rows = []
             for row in reader:
+                where = f"{path}, line {reader.line_num}"
                 if len(row) != dim + 1:
-                    raise InvalidArgument(f"{path}: row with {len(row)} fields, expected {dim + 1}")
-                xs.append([float(v) for v in row[:dim]])
-                ys.append(int(float(row[dim])))
+                    raise InvalidArgument(f"{where}: row with {len(row)} fields, expected {dim + 1}")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise InvalidArgument(f"{where}: {exc}") from None
+                if rows[-1][dim] not in (1.0, -1.0):   # exact; NaN equals nothing
+                    raise InvalidArgument(f"{where}: label must be 1 or -1, got {row[dim]!r}")
         provenance = {"source": str(path)}
         sidecar = path.with_suffix(path.suffix + ".meta.yaml")
         if sidecar.exists():
             loaded = yaml.safe_load(sidecar.read_text())
             if isinstance(loaded, dict):
                 provenance.update(loaded)
-        x = np.asarray(xs, dtype=float) if xs else np.empty((0, dim))
+        table = np.array(rows, dtype=float).reshape(-1, dim + 1)
         try:
-            return cls(x, np.asarray(ys, dtype=int), provenance)
+            return cls(np.ascontiguousarray(table[:, :dim]), table[:, dim].astype(int), provenance)
         except InvalidArgument as exc:
             raise InvalidArgument(f"{path}: {exc}") from None
 

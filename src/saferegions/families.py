@@ -170,14 +170,8 @@ def _center_groups(members) -> list:
 def select_best(result: FamilyResult) -> int:
     """Index of the highest-scoring non-failed member, lowest index winning
     ties.  Raises ``TrainingError`` when every member failed."""
-    best_index = -1
-    best_score = -np.inf
-    for member in result.members:
-        if member.failed or member.score is None:
-            continue
-        if member.score > best_score:
-            best_score = member.score
-            best_index = member.index
-    if best_index < 0:
+    scored = [m for m in result.members if not m.failed and m.score is not None]
+    if not scored:
         raise TrainingError("every family member failed to train")
-    return best_index
+    # max keeps the first of equal scores, and members are in index order
+    return max(scored, key=lambda m: m.score).index

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgument
-from .validation import checked_int
+from .validation import checked_int, checked_real
 
 __all__ = ["KernelSpec", "default_gamma", "kernel_matrix", "gram", "kernel_diag"]
 
@@ -30,8 +30,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidArgument(f"unknown kernel kind {self.kind!r}, expected one of {_KINDS}")
-        if self.gamma is not None and not self.gamma > 0:
+        if self.gamma is not None and not checked_real(self.gamma, "gamma") > 0:
             raise InvalidArgument(f"gamma must be positive, got {self.gamma!r}")
+        checked_real(self.coef0, "coef0")
         if self.kind == "polynomial" and (int(self.degree) < 1 or self.degree != int(self.degree)):
             raise InvalidArgument(f"degree must be a positive integer, got {self.degree!r}")
 
@@ -57,15 +58,16 @@ class KernelSpec:
     @classmethod
     def from_record(cls, record: dict) -> "KernelSpec":
         """Inverse of ``to_record`` and the parser of config kernel entries;
-        missing keys take defaults, unknown keys and fractional degrees raise."""
+        missing keys take defaults; unknown keys, fractional degrees and
+        non-finite or non-numeric reals raise."""
         unknown = sorted(set(record) - {"kind", "gamma", "degree", "coef0"})
         if unknown:
             raise InvalidArgument(f"unknown kernel keys: {unknown}")
         gamma = record.get("gamma")
         return cls(kind=record.get("kind", "gaussian"),
-                   gamma=None if gamma is None else float(gamma),
+                   gamma=None if gamma is None else checked_real(gamma, "kernel gamma"),
                    degree=checked_int(record.get("degree", 3), "kernel degree"),
-                   coef0=float(record.get("coef0", 0.0)))
+                   coef0=checked_real(record.get("coef0", 0.0), "kernel coef0"))
 
 
 def default_gamma(x: np.ndarray) -> float:

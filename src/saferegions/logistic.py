@@ -40,7 +40,7 @@ gradient sup-norm reaches tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -52,10 +52,9 @@ from .classifiers import (
     TrainSettings,
     TrainingDiagnostics,
     _single_margin,
+    _training_problem,
 )
 from .errors import TrainingError
-from .kernels import gram
-from .validation import training_arrays
 
 __all__ = ["ScLrModel", "train_sc_lr", "lr_loss", "lr_gradient"]
 
@@ -144,17 +143,13 @@ def train_sc_lr(train, hp: Hyperparameters, settings: TrainSettings | None = Non
     Raises ``TrainingError`` on single-class data (the unregularized offset
     would run away) and when the optimizer cannot reach tolerance.
     """
-    settings = settings or TrainSettings()
-    x, y = training_arrays(train)
-    kernel = hp.kernel.resolved(x)
-    K = gram(kernel, x) if gram_matrix is None else gram_matrix
-    n = y.size
+    x, y, K, hp, settings = _training_problem(train, hp, settings, gram_matrix)
     yf = y.astype(float)
     c = (1.0 - 2.0 * hp.tau) * yf + 1.0
     eta = hp.eta
     max_iter = settings.max_iter if settings.max_iter is not None else _DEFAULT_MAX_ITER
 
-    beta = np.zeros(n)
+    beta = np.zeros(y.size)
     b = 0.0
     z = K @ beta - b
     loss = _loss(yf, c, eta, beta, z, z)     # K beta equals z while beta and b are 0
@@ -210,4 +205,4 @@ def train_sc_lr(train, hp: Hyperparameters, settings: TrainSettings | None = Non
         flags={"monotone_loss": monotone})
     return ScLrModel(
         train_x=x.copy(), beta=beta.copy(), offset=float(b),
-        hyperparameters=replace(hp, kernel=kernel), diagnostics=diagnostics)
+        hyperparameters=hp, diagnostics=diagnostics)

@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from .classifiers import expansion_margins, load_model, save_model
-from .config import ExperimentConfig
+from .config import ExperimentConfig, load_config
 from .datagen import Dataset, sample_gaussian, standardize, write_csv
 from .errors import InvalidArgument, UncertifiedPlanError
 from .families import FamilyResult, calibrate_trained_family, train_family
@@ -103,11 +103,9 @@ def check_plans(plans: dict, force_uncertified: bool) -> bool:
     failing = {eps: plan for eps, plan in plans.items()
                if not check_plan(plan).certified}
     if failing and not force_uncertified:
-        parts = []
-        for eps, plan in failing.items():
-            minimal = min_calibration_size(eps, plan.delta, plan.beta)
-            parts.append(f"eps={eps}: n_c={plan.n_c} is not certifiable at "
-                         f"delta={plan.delta}, minimal n_c is {minimal}")
+        parts = [f"eps={eps}: n_c={plan.n_c} is not certifiable at delta={plan.delta}, "
+                 f"minimal n_c is {min_calibration_size(eps, plan.delta, plan.beta)}"
+                 for eps, plan in failing.items()]
         raise UncertifiedPlanError(
             "; ".join(parts) + " (pass --force-uncertified to run anyway)")
     return not failing
@@ -345,7 +343,7 @@ def evaluate_saved(run_dir) -> list:
     if not config_path.exists():
         raise InvalidArgument(f"{run_dir} has no resolved_config.yaml; run the "
                               "pipeline first")
-    config = ExperimentConfig.from_mapping(yaml.safe_load(config_path.read_text()))
+    config = load_config(config_path)
     model_paths = sorted((run_dir / "models").glob("*.json"))
     if not model_paths:
         raise InvalidArgument(f"{run_dir}/models holds no saved models")

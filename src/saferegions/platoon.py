@@ -183,12 +183,10 @@ def _simulate_batch(specs: list[PlatoonSpec], receptions: list[np.ndarray]) -> n
     them back to batch indices.  A row leaves on the step it collides or
     fully stops, so every row sees the same operations as a lone run."""
     ref = specs[0]
-    for spec in specs[1:]:
-        if (spec.time_step != ref.time_step or spec.horizon != ref.horizon
-                or spec.rolling_resistance != ref.rolling_resistance
-                or spec.drag_coefficient != ref.drag_coefficient
-                or spec.collision_distance != ref.collision_distance):
-            raise InvalidArgument("batched scenarios must share physical constants")
+    constants = [(s.time_step, s.horizon, s.rolling_resistance, s.drag_coefficient,
+                  s.collision_distance) for s in specs]
+    if any(c != constants[0] for c in constants):
+        raise InvalidArgument("batched scenarios must share physical constants")
 
     batch = len(specs)
     n_veh = MAX_FOLLOWERS + 1

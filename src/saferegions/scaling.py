@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidArgument, UncertifiedPlanError
-from .validation import checked_int, is_real
+from .validation import checked_int, is_finite_real, is_real
 
 __all__ = [
     "WHOLE_SPACE",
@@ -229,9 +229,7 @@ class CalibrationCertificate:
 
     def to_record(self) -> dict:
         """Flat record with primitive values only, ready for JSON or YAML."""
-        rho: float | str = self.rho_eps
-        if self.rho_eps == WHOLE_SPACE:
-            rho = "whole_space"
+        rho = "whole_space" if self.kind == "whole_space" else self.rho_eps
         return {
             "eps": self.plan.eps,
             "delta": self.plan.delta,
@@ -260,10 +258,10 @@ class CalibrationCertificate:
                                            ("rho_eps", "confidence", "n_U", "certified"))
         if rho == "whole_space":
             rho = WHOLE_SPACE
-        elif not _is_finite_number(rho):
+        elif not is_finite_real(rho):
             raise InvalidArgument(
                 f"certificate rho_eps must be 'whole_space' or a finite number, got {rho!r}")
-        if not (_is_finite_number(confidence) and 0.0 <= confidence <= 1.0):
+        if not (is_finite_real(confidence) and 0.0 <= confidence <= 1.0):
             raise InvalidArgument(
                 f"certificate confidence must lie in [0, 1], got {confidence!r}")
         if not (isinstance(n_U, int) and not isinstance(n_U, bool) and 0 <= n_U <= plan.n_c):
@@ -274,10 +272,6 @@ class CalibrationCertificate:
                                   f"got {certified!r}")
         return cls(rho_eps=float(rho), plan=plan, n_U=n_U,
                    confidence=float(confidence), certified=certified)
-
-
-def _is_finite_number(value) -> bool:
-    return is_real(value) and math.isfinite(value)
 
 
 def calibrate(model, calib, plan: ScalingPlan, *,
@@ -320,10 +314,7 @@ def _certificate(plan: ScalingPlan, check: PlanCheck, radii) -> CalibrationCerti
     whole space when there are fewer than ``r`` of them."""
     radii = np.asarray(radii, dtype=float)
     n_unsafe = radii.size
-    if n_unsafe >= plan.r:
-        rho_eps = generalized_max(radii, plan.r)
-    else:
-        rho_eps = WHOLE_SPACE
+    rho_eps = generalized_max(radii, plan.r) if n_unsafe >= plan.r else WHOLE_SPACE
     confidence = min(1.0, max(0.0, 1.0 - check.tail))
     return CalibrationCertificate(rho_eps=rho_eps, plan=plan, n_U=n_unsafe,
                                   confidence=confidence, certified=check.certified)

@@ -18,7 +18,7 @@ Feasibility requires the safe-class capacity sum_{y_i=+1} C_i to reach 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,18 +26,15 @@ from .classifiers import (
     Hyperparameters,
     ScalableModel,
     TrainSettings,
-    TrainingDiagnostics,
+    _fit_box_dual,
     _single_margin,
+    _training_problem,
     box_bounds,
 )
 from .errors import TrainingError
-from .kernels import gram
-from .solvers import DEFAULT_MAX_UPDATES, ascent_objective, solve_box_qp
-from .validation import training_arrays
 
 __all__ = ["ScSvddModel", "train_sc_svdd"]
 
-_BOUND_REL = 1e-8
 _MASS = 0.5   # required weighted mass sum_i y_i alpha_i
 
 
@@ -70,10 +67,8 @@ def train_sc_svdd(train, hp: Hyperparameters, settings: TrainSettings | None = N
     when the safe-class capacity cannot carry the required weighted mass, and
     on solver non-convergence.
     """
-    settings = settings or TrainSettings()
-    x, y = training_arrays(train, require_both_classes=False)
-    kernel = hp.kernel.resolved(x)
-    K = gram(kernel, x) if gram_matrix is None else gram_matrix
+    x, y, K, hp, settings = _training_problem(train, hp, settings, gram_matrix,
+                                              require_both_classes=False)
     C = box_bounds(hp, y)
     safe = y > 0
     capacity = float(C[safe].sum())
@@ -81,7 +76,6 @@ def train_sc_svdd(train, hp: Hyperparameters, settings: TrainSettings | None = N
         raise TrainingError(
             f"safe-class capacity {capacity:.6g} cannot reach the required mass {_MASS}; "
             f"increase eta or decrease tau")
-    max_iter = settings.max_iter if settings.max_iter is not None else DEFAULT_MAX_UPDATES
 
     # deterministic feasible start: fill safe coordinates to their bound in
     # index order until the mass constraint is met
@@ -95,13 +89,8 @@ def train_sc_svdd(train, hp: Hyperparameters, settings: TrainSettings | None = N
             break
 
     yf = y.astype(float)
-    q = yf * np.diagonal(K)
-    alpha, g, iters, residual, converged, gap = solve_box_qp(
-        K, yf, C, alpha0, q, 4.0, settings.tol, max_iter)
-    if not converged:
-        raise TrainingError(
-            f"dual solver stopped at residual {residual:.3e} > tol={settings.tol} "
-            f"after {iters} updates")
+    alpha, g, _, inside, at_upper, fields = _fit_box_dual(
+        x, y, K, yf, C, alpha0, yf * np.diagonal(K), 4.0, settings)
 
     # y_i*g_i = K_ii - 4(Ku)_i = |phi_i - w|^2 - |w|^2, so squared distances
     # of training points to the center come straight from the gradient
@@ -109,12 +98,11 @@ def train_sc_svdd(train, hp: Hyperparameters, settings: TrainSettings | None = N
     center_sq_norm = float(4.0 * (u @ (K @ u)))
     dist_sq = yf * g + center_sq_norm
 
-    flags: dict = {}
-    inside = (alpha > _BOUND_REL * C) & (alpha < C * (1.0 - _BOUND_REL))
+    flags = fields["diagnostics"].flags
     if inside.any():
         r_squared = float(np.mean(dist_sq[inside]))
     else:
-        at_cap = safe & (alpha >= C * (1.0 - _BOUND_REL))
+        at_cap = safe & at_upper
         if not at_cap.any():
             raise TrainingError("no support points available to recover the ball radius")
         r_squared = float(dist_sq[at_cap].max())
@@ -122,16 +110,5 @@ def train_sc_svdd(train, hp: Hyperparameters, settings: TrainSettings | None = N
     if r_squared < 0.0:
         flags["radius_clipped"] = True
         r_squared = 0.0
-
-    objective = ascent_objective(K, yf, alpha, q, 4.0)
-    diagnostics = TrainingDiagnostics(iterations=iters, residual=residual,
-                                      converged=True, objective=objective, flags=flags)
-    support = alpha > 0.0
-    return ScSvddModel(
-        support_x=x[support].copy(),
-        support_alpha=alpha[support].copy(),
-        support_y=y[support].copy(),
-        r_squared=r_squared,
-        center_sq_norm=center_sq_norm,
-        hyperparameters=replace(hp, kernel=kernel),
-        diagnostics=diagnostics)
+    return ScSvddModel(**fields, r_squared=r_squared, center_sq_norm=center_sq_norm,
+                       hyperparameters=hp)

@@ -14,7 +14,7 @@ dual by pairwise coordinate ascent (see solvers.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +22,13 @@ from .classifiers import (
     Hyperparameters,
     ScalableModel,
     TrainSettings,
-    TrainingDiagnostics,
+    _fit_box_dual,
     _single_margin,
+    _training_problem,
     box_bounds,
 )
-from .errors import TrainingError
-from .kernels import gram
-from .solvers import DEFAULT_MAX_UPDATES, ascent_objective, solve_box_qp
-from .validation import training_arrays
 
 __all__ = ["ScSvmModel", "train_sc_svm"]
-
-_BOUND_REL = 1e-8   # relative margin for "strictly inside the box"
 
 
 @dataclass
@@ -62,42 +57,17 @@ def train_sc_svm(train, hp: Hyperparameters, settings: TrainSettings | None = No
     the same points; it must match ``hp.kernel`` resolved on the data.
     Raises ``TrainingError`` on single-class data or solver non-convergence.
     """
-    settings = settings or TrainSettings()
-    x, y = training_arrays(train)
-    kernel = hp.kernel.resolved(x)
-    K = gram(kernel, x) if gram_matrix is None else gram_matrix
+    x, y, K, hp, settings = _training_problem(train, hp, settings, gram_matrix)
     yhat = -y.astype(float)
-    C = box_bounds(hp, y)
-    max_iter = settings.max_iter if settings.max_iter is not None else DEFAULT_MAX_UPDATES
-
-    alpha, g, iters, residual, converged, gap = solve_box_qp(
-        K, yhat, C, np.zeros(y.size), np.ones(y.size), 1.0, settings.tol, max_iter)
-    if not converged:
-        raise TrainingError(
-            f"dual solver stopped at residual {residual:.3e} > tol={settings.tol} "
-            f"after {iters} updates")
-
-    yg = yhat * g
-    flags: dict = {}
-    inside = (alpha > _BOUND_REL * C) & (alpha < C * (1.0 - _BOUND_REL))
+    _, g, gap, inside, _, fields = _fit_box_dual(
+        x, y, K, yhat, box_bounds(hp, y), np.zeros(y.size), np.ones(y.size), 1.0, settings)
     if inside.any():
         # stationarity at a strictly-inside support vector pins the offset:
         # w.phi(x_i) - b = yhat_i there
-        b = float(np.mean(-yg[inside]))
+        b = float(np.mean(-(yhat * g)[inside]))
     else:
         # otherwise any offset in the optimality interval is valid; take its
         # midpoint and report the choice
         b = float(-(gap[0] + gap[1]) / 2.0)
-        flags["offset_from_interval"] = True
-
-    objective = ascent_objective(K, yhat, alpha, np.ones(y.size), 1.0)
-    diagnostics = TrainingDiagnostics(iterations=iters, residual=residual,
-                                      converged=True, objective=objective, flags=flags)
-    support = alpha > 0.0
-    return ScSvmModel(
-        support_x=x[support].copy(),
-        support_alpha=alpha[support].copy(),
-        support_y=y[support].copy(),
-        offset=b,
-        hyperparameters=replace(hp, kernel=kernel),
-        diagnostics=diagnostics)
+        fields["diagnostics"].flags["offset_from_interval"] = True
+    return ScSvmModel(**fields, offset=b, hyperparameters=hp)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+import sys
 
 import numpy as np
 
@@ -21,6 +22,19 @@ def checked_int(value, name: str) -> int:
             and (isinstance(value, numbers.Integral) or float(value).is_integer())):
         raise InvalidArgument(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def is_finite_real(value) -> bool:
+    """A real number within the float range (``10**400`` is not)."""
+    return is_real(value) and abs(value) <= sys.float_info.max
+
+
+def checked_real(value, name: str) -> float:
+    """``value`` as a float; ``InvalidArgument`` naming ``name`` unless it is
+    a finite real number (``True``, ``"0.5"`` and ``inf`` are not)."""
+    if not is_finite_real(value):
+        raise InvalidArgument(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def training_arrays(train, require_both_classes: bool = True):

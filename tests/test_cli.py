@@ -120,6 +120,21 @@ def test_run_writes_report_and_exits_0(tmp_path, capsys):
     assert (tmp_path / "out" / "models" / "svm_eps_0.1.json").exists()
 
 
+def test_run_on_a_csv_with_a_fractional_label_exits_1(tmp_path, capsys):
+    paths = {}
+    for name in ("train", "calib", "test"):
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("f0,f1,label\n0.1,0.2,1\n0.3,0.4,-1\n")
+    paths["calib"].write_text("f0,f1,label\n0.1,0.2,1\n0.3,0.4,1.7\n")
+    config = _write_config(
+        tmp_path, data={"generator": "csv", "paths": {k: str(v) for k, v in paths.items()}},
+        risk={"eps": [0.5], "delta": 0.5})
+    assert main(["run", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert f"{paths['calib']}, line 3: label must be 1 or -1" in captured.err
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
 def test_run_uncertifiable_exit_codes(tmp_path, capsys):
     config = _write_config(
         tmp_path, risk={"eps": [0.1], "delta": 1.0e-6, "n_c": 50})

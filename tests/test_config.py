@@ -10,8 +10,11 @@ from saferegions import (
     ClassifierConfig,
     DataConfig,
     ExperimentConfig,
+    Hyperparameters,
     InvalidArgument,
+    KernelSpec,
     RiskConfig,
+    TrainSettings,
     load_config,
 )
 
@@ -187,3 +190,72 @@ def test_kernel_entries_reject_unknown_keys_and_fractional_degrees():
         ClassifierConfig.from_mapping({"kernels": [{"kind": "gaussian", "gama": 0.5}]})
     with pytest.raises(InvalidArgument, match="degree must be an integer"):
         ClassifierConfig.from_mapping({"kernels": [{"kind": "polynomial", "degree": 2.5}]})
+
+
+# (key, valid value to wrap): a scalar key, or a list key checked per element
+_REAL_KEYS = [
+    ("classifier.etas", [1.0]),
+    ("classifier.taus", [0.5]),
+    ("classifier.tol", 1e-6),
+    ("risk.eps", [0.1]),
+    ("risk.delta", 0.01),
+    ("risk.beta", 0.5),
+    ("grid.margin", 0.5),
+    ("grid.bbox", [-1.0, 1.0, -2.0, 2.0]),
+    ("data.gaussian.safe_prob", 0.5),
+    ("data.gaussian.outlier_prob", 0.0),
+]
+
+
+def _spoiled(valid, bad):
+    return [bad] + list(valid[1:]) if isinstance(valid, list) else bad
+
+
+@pytest.mark.parametrize("key, valid", _REAL_KEYS, ids=[k for k, _ in _REAL_KEYS])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), True, "0.5"],
+                         ids=["inf", "minus_inf", "nan", "boolean", "text"])
+def test_real_keys_reject_non_finite_and_non_numeric_values(key, valid, bad):
+    # "0.5" and true once parsed through float(); a tol of inf once stopped
+    # the logistic trainer at beta = 0, a certified but empty region
+    with pytest.raises(InvalidArgument, match=re.escape(f"{key} must be a finite real number")):
+        ExperimentConfig.from_mapping(_with_key(key, _spoiled(valid, bad)))
+
+
+@pytest.mark.parametrize("name", ["gamma", "coef0"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), True, "0.5"],
+                         ids=["inf", "nan", "boolean", "text"])
+def test_kernel_entries_reject_non_finite_and_non_numeric_reals(name, bad):
+    # a gamma of inf once trained models whose margins were all NaN
+    with pytest.raises(InvalidArgument, match=f"kernel {name} must be a finite real number"):
+        ClassifierConfig.from_mapping({"kernels": [{"kind": "polynomial", name: bad}]})
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: KernelSpec(kind="gaussian", gamma=bad),
+    lambda bad: KernelSpec(kind="polynomial", coef0=bad),
+    lambda bad: Hyperparameters(eta=bad),
+    lambda bad: TrainSettings(tol=bad),
+], ids=["gamma", "coef0", "eta", "tol"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_training_values_reject_non_finite_values(make, bad):
+    with pytest.raises(InvalidArgument, match="must be a finite real number"):
+        make(bad)
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_standardize_must_be_a_boolean(value):
+    # bool("false") is True, so the string once switched standardizing on
+    with pytest.raises(InvalidArgument, match="data.standardize must be true or false"):
+        ExperimentConfig.from_mapping(_with_key("data.standardize", value))
+
+
+def test_exponent_floats_without_a_dot_load_as_floats(tmp_path):
+    # YAML 1.1 reads 1e-6 as a string, which the real-valued keys reject;
+    # JSON configs write small deltas that way
+    path = tmp_path / "config.yaml"
+    path.write_text('{"risk": {"eps": [5e-02], "delta": 1e-06}, "grid": {"margin": 1E+0}}\n')
+    config = load_config(path)
+    assert (config.risk.eps, config.risk.delta, config.grid.margin) == ((0.05,), 1e-06, 1.0)
+    path.write_text('risk: {delta: "1e-6"}\n')
+    with pytest.raises(InvalidArgument, match="risk.delta must be a finite real number"):
+        load_config(path)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,31 @@ def test_csv_rejects_malformed_files(tmp_path):
     ragged.write_text("f0,label\n1.0,1\n2.0\n")
     with pytest.raises(InvalidArgument):
         Dataset.from_csv(ragged)
+
+
+@pytest.mark.parametrize("line, fragment", [
+    ("0.5,1.7", "label must be 1 or -1, got '1.7'"),      # once loaded as +1
+    ("0.5,-1.9", "label must be 1 or -1, got '-1.9'"),    # once loaded as -1
+    ("0.5,0", "label must be 1 or -1, got '0'"),
+    ("0.5,nan", "label must be 1 or -1, got 'nan'"),      # once a bare ValueError
+    ("0.5,inf", "label must be 1 or -1, got 'inf'"),      # once an OverflowError
+    ("0.5,safe", "could not convert"),
+    ("abc,1", "could not convert"),
+    ("0.5", "row with 1 fields"),
+], ids=["fraction", "negative_fraction", "zero", "nan", "inf", "text_label", "text_point",
+        "ragged"])
+def test_csv_names_the_file_and_line_of_a_bad_cell(tmp_path, line, fragment):
+    path = tmp_path / "cells.csv"
+    path.write_text(f"f0,label\n1.0,1\n2.0,-1.0\n{line}\n")
+    with pytest.raises(InvalidArgument, match=re.escape(f"{path}, line 4: {fragment}")):
+        Dataset.from_csv(path)
+
+
+def test_csv_labels_written_as_floats_load_as_integers(tmp_path):
+    path = tmp_path / "floats.csv"
+    path.write_text("f0,label\n1.0,1.0\n2.0,-1.0\n3.0,1e0\n")
+    back = Dataset.from_csv(path)
+    assert back.y.tolist() == [1, -1, 1]
 
 
 def test_standardizer_centers_and_scales():

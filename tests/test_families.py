@@ -18,11 +18,13 @@ from saferegions import (
     GaussianSpec,
     Hyperparameters,
     KernelSpec,
+    TRAINERS,
     ScalingPlan,
     TrainingError,
     UncertifiedPlanError,
     calibrate,
     calibrate_trained_family,
+    model_to_record,
     safe_coverage,
     sample_gaussian,
     select_best,
@@ -200,6 +202,21 @@ def test_gram_shared_per_resolved_kernel(monkeypatch):
     train_family(train, family, "svm")
     # three members share one Gram; the linear member adds a second
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("variant", ["svm", "svdd", "lr"])
+def test_family_fits_equal_standalone_fits(variant):
+    # a member trained on the family's shared Gram is the model its trainer
+    # builds from its own Gram, record for record
+    train, _ = _splits(seed=31)
+    family = [Hyperparameters(eta=eta, tau=tau, kernel=kernel)
+              for eta in (0.5, 2.0) for tau in (0.3, 0.5)
+              for kernel in (KernelSpec(kind="gaussian"), KernelSpec(kind="linear"))]
+    members = train_family(train, family, variant)
+    assert not any(member.failed for member in members)
+    for member, hp in zip(members, family):
+        standalone = TRAINERS[variant](train, hp)
+        assert model_to_record(member.model) == model_to_record(standalone)
 
 
 def test_family_requires_known_variant_and_members():

@@ -196,6 +196,12 @@ MALFORMED = {
     "misspelt_kernel_key": (_edited("lr", kernel={**_SHARED["kernel"], "gama": 0.5}), "gama"),
     "fractional_degree": (_edited("svm", kernel={**_SHARED["kernel"], "degree": 2.5}),
                           "degree must be an integer"),
+    # once loaded as coef0=1.0; an infinite gamma or eta trained NaN margins
+    "boolean_coef0": (_edited("svm", kernel={**_SHARED["kernel"], "coef0": True}),
+                      "kernel coef0 must be a finite real number"),
+    "infinite_gamma": (_edited("lr", kernel={**_SHARED["kernel"], "gamma": float("inf")}),
+                       "kernel gamma must be a finite real number"),
+    "infinite_eta": (_edited("svdd", eta=float("inf")), "eta must be a finite real number"),
 }
 
 
