@@ -112,9 +112,8 @@ class DataConfig:
             spec = {**_DEFAULT_GAUSSIAN, **_mapping(fields["gaussian"], "data.gaussian")}
             spec = _take(spec, "data.gaussian", **_DEFAULT_GAUSSIAN)
             gaussian = GaussianSpec(
-                mu_safe=tuple(spec["mu_safe"]), mu_unsafe=tuple(spec["mu_unsafe"]),
-                cov_safe=tuple(map(tuple, spec["cov_safe"])),
-                cov_unsafe=tuple(map(tuple, spec["cov_unsafe"])),
+                mu_safe=spec["mu_safe"], mu_unsafe=spec["mu_unsafe"],
+                cov_safe=spec["cov_safe"], cov_unsafe=spec["cov_unsafe"],
                 safe_prob=checked_real(spec["safe_prob"], "data.gaussian.safe_prob"),
                 outlier_prob=checked_real(spec["outlier_prob"], "data.gaussian.outlier_prob"))
         elif generator == "platoon":
@@ -334,8 +333,16 @@ _ConfigLoader.add_implicit_resolver(
 
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config from a YAML file; an empty file gives the
-    defaults."""
+    defaults.  A file that is not valid YAML raises ``InvalidArgument``
+    naming the file."""
     path = Path(path)
     if not path.exists():
         raise InvalidArgument(f"config file not found: {path}")
-    return ExperimentConfig.from_mapping(yaml.load(path.read_text(), Loader=_ConfigLoader))
+    try:
+        raw = yaml.load(path.read_bytes(), Loader=_ConfigLoader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{path}, line {mark.line + 1}, column {mark.column + 1}" if mark else str(path)
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise InvalidArgument(f"{where}: not valid YAML: {problem}") from None
+    return ExperimentConfig.from_mapping(raw)

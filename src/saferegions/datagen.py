@@ -14,6 +14,7 @@ import numpy as np
 import yaml
 
 from .errors import InvalidArgument
+from .validation import checked_real
 
 __all__ = [
     "Dataset",
@@ -135,6 +136,18 @@ def _plain(obj):
     return obj
 
 
+def _sequence(value, name: str, what: str):
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise InvalidArgument(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _real_tuple(values, name: str) -> tuple:
+    """``values`` as a tuple of floats; ``InvalidArgument`` naming ``name``
+    unless every entry passes ``checked_real``."""
+    return tuple(checked_real(v, name) for v in _sequence(values, name, "a list of numbers"))
+
+
 @dataclass(frozen=True)
 class GaussianSpec:
     """Two-Gaussian mixture with optional label-preserving contamination.
@@ -153,18 +166,23 @@ class GaussianSpec:
     outlier_prob: float = 0.0
 
     def __post_init__(self):
+        for name in ("mu_safe", "mu_unsafe"):
+            object.__setattr__(self, name, _real_tuple(getattr(self, name), name))
+        for name in ("cov_safe", "cov_unsafe"):
+            rows = _sequence(getattr(self, name), name, "a list of rows")
+            object.__setattr__(self, name, tuple(_real_tuple(row, name) for row in rows))
         if not 0.0 < self.safe_prob < 1.0:
             raise InvalidArgument(f"safe_prob must lie in (0, 1), got {self.safe_prob!r}")
         if not 0.0 <= self.outlier_prob < 0.5:
             raise InvalidArgument(f"outlier_prob must lie in [0, 0.5), got {self.outlier_prob!r}")
-        mu_s = np.asarray(self.mu_safe, dtype=float)
-        mu_u = np.asarray(self.mu_unsafe, dtype=float)
-        if mu_s.ndim != 1 or mu_s.shape != mu_u.shape:
-            raise InvalidArgument("class means must be 1-D and share a dimension")
+        dim = len(self.mu_safe)
+        if len(self.mu_unsafe) != dim:
+            raise InvalidArgument("class means must share a dimension")
         for name in ("cov_safe", "cov_unsafe"):
-            cov = np.asarray(getattr(self, name), dtype=float)
-            if cov.shape != (mu_s.size, mu_s.size):
-                raise InvalidArgument(f"{name} must be {mu_s.size}x{mu_s.size}")
+            rows = getattr(self, name)
+            if len(rows) != dim or any(len(row) != dim for row in rows):
+                raise InvalidArgument(f"{name} must be {dim}x{dim}")
+            cov = np.array(rows)
             if not np.allclose(cov, cov.T):
                 raise InvalidArgument(f"{name} must be symmetric")
             try:

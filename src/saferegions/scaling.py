@@ -60,6 +60,10 @@ def _snapped_ceil(value: float) -> int:
 
 
 def _check_unit_open(name: str, value: float) -> float:
+    """``value`` as a float strictly inside (0, 1); booleans and strings are
+    not numbers here, as in ``checked_real``."""
+    if not is_real(value):
+        raise InvalidArgument(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value) or not 0.0 < value < 1.0:
         raise InvalidArgument(f"{name} must lie strictly between 0 and 1, got {value!r}")
@@ -168,10 +172,7 @@ class ScalingPlan:
 
     def __post_init__(self):
         for name in ("eps", "delta", "beta"):
-            value = getattr(self, name)
-            if not is_real(value):
-                raise InvalidArgument(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, _check_unit_open(name, value))
+            object.__setattr__(self, name, _check_unit_open(name, getattr(self, name)))
         for name in ("r", "n_c"):
             object.__setattr__(self, name, checked_int(getattr(self, name), name))
         if self.n_c < 1:

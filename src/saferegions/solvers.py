@@ -7,28 +7,31 @@ single linear equality.  In the variables ``u = alpha * s`` the problem is
     subject to  sum(u) = mass,  alpha in [0, C] coordinatewise,
 
 where ``s`` is the per-coordinate sign carrying the equality constraint.
-``solve_box_qp`` drives a primal-dual interior-point method to the
-neighbourhood of the optimum, then certifies the first-order conditions
-with two-coordinate ascent passes on the exact K; the pairwise stage alone
-is a complete (if slower) solver and is what the oracle tests exercise
-directly.
+Two-coordinate ascent (``pairwise_ascent``, with the second-order pair
+choice of Fan, Chen & Lin 2005) is a complete solver on its own and is what
+certifies the first-order conditions on the exact K at the end of every
+solve.  A primal-dual interior-point method can bring it close to the
+optimum first.
 
-The interior point is only a warm start, so it may work on an approximation
-of K.  Each call runs a greedy pivoted incomplete Cholesky of K (Fine &
-Scheinberg 2001, "Efficient SVM training using low-rank kernel
-representations") and picks the factorization of its Newton systems from
-the numerical rank it finds:
+``solve_box_qp`` picks a route from a greedy pivoted incomplete Cholesky of
+K (Fine & Scheinberg 2001, "Efficient SVM training using low-rank kernel
+representations"), run for at most n/4 pivots:
 
 - low-rank route: the residual trace falls to ``1e-12 * trace(K)`` within
-  n/4 pivots, giving K~ = G G^T + diag(res).  Newton systems are solved by
-  the Sherman-Morrison-Woodbury identity through a k x k capacitance matrix,
-  at O(n k^2) per iteration instead of O(n^3).
-- dense route: K still has residual past n/4 pivots (a full-rank Gram, such
-  as a standardized high-dimensional one).  Newton systems are factored by a
-  dense Cholesky of the exact Hessian.
+  n/4 pivots, giving K~ = G G^T + diag(res).  The interior point solves its
+  Newton systems by the Sherman-Morrison-Woodbury identity through a k x k
+  capacitance matrix, at O(n k^2) per iteration instead of O(n^3).
+- dense route: some residual is left after n/4 pivots, but less than
+  ``1e-2 * trace(K)`` (an ill-conditioned Gram, such as a 2-D Gaussian one,
+  on which pairwise ascent from a cold start stalls).  The interior point
+  factors its Newton systems by a dense Cholesky of the exact Hessian.
+- full-rank route: at least ``1e-2 * trace(K)`` is left (a standardized
+  high-dimensional Gram).  Pairwise ascent from ``alpha0`` alone converges
+  in a few updates per coordinate; if it has not within ``10 n`` updates,
+  the solve falls back to the dense route.
 
-The iterate is then snapped onto nearby bounds and its equality mass
-restored exactly before pairwise finishing.
+On the first two routes the interior iterate is snapped onto nearby bounds
+and its equality mass restored exactly before pairwise finishing.
 """
 
 from __future__ import annotations
@@ -47,6 +50,17 @@ _IP_BOUNDARY = 0.995
 # finishing needs orders of magnitude more updates.
 _RANK_RTOL = 1e-12
 _SNAP_REL = 1e-9
+# A Gram whose residual trace after n/4 pivots is still this share of
+# trace(K) is full rank: pairwise ascent alone converges on it in a few
+# updates per coordinate, faster than the dense interior point alone runs
+# (at most 2.95 n updates on the standardized 40-D platoon Grams for
+# n = 150 to 1500, residual share 0.14 to 0.39).  Below it sit
+# ill-conditioned Grams (2-D Gaussian ones, residual share 2e-9 to 3e-3) on
+# which pairwise ascent from a cold start stalls.
+_FULL_RANK_RESIDUAL = 1e-2
+# Pair updates per coordinate pairwise ascent may spend on a full-rank Gram
+# before the solve falls back to the interior-point route.
+_PAIRWISE_FIRST_UPDATES = 10
 
 
 def ascent_gradient(K, s, alpha, q, scale):
@@ -66,24 +80,30 @@ def pairwise_ascent(K, s, C, alpha0, q, scale, tol, max_iter):
 
     Returns (alpha, gradient, iterations, residual, converged, (m, M)).
     The residual is the violation gap m - M; convergence means the gap is
-    within tol under a freshly recomputed gradient.  The gradient is
-    maintained incrementally and refreshed periodically to bound float
-    drift.
+    within tol under a freshly recomputed gradient.  The pair is chosen by
+    the second-order working-set rule of Fan, Chen & Lin (2005, JMLR).
+    ``s * gradient`` and the masks of coordinates free to move up or down
+    are maintained incrementally (``s`` holds signs, so ``s * s == 1`` and
+    the kept product is exact); the gradient is refreshed periodically to
+    bound float drift.
     """
     alpha = alpha0.astype(float).copy()
-    g = ascent_gradient(K, s, alpha, q, scale)
+    sg = s * ascent_gradient(K, s, alpha, q, scale)
     diag = np.diagonal(K)
     pos = s > 0
+    can_up = np.where(pos, alpha < C, alpha > 0.0)
+    can_down = np.where(pos, alpha > 0.0, alpha < C)
     stall = 0
     it = 0
     while it < max_iter:
         if it and it % REFRESH_EVERY == 0:
-            g = ascent_gradient(K, s, alpha, q, scale)
-        sg, can_down, i, m, M = _violating_pair(s, g, alpha, C, pos)
+            sg = s * ascent_gradient(K, s, alpha, q, scale)
+        i, m, M = _violating_pair(sg, can_up, can_down)
         if m - M <= tol:
             # Confirm against a fresh gradient before declaring victory.
             g = ascent_gradient(K, s, alpha, q, scale)
-            sg, can_down, i, m, M = _violating_pair(s, g, alpha, C, pos)
+            sg = s * g
+            i, m, M = _violating_pair(sg, can_up, can_down)
             if m - M <= tol:
                 return alpha, g, it, max(m - M, 0.0), True, (m, M)
             stall += 1
@@ -109,6 +129,7 @@ def pairwise_ascent(K, s, C, alpha0, q, scale, tol, max_iter):
         if t <= 0.0:
             # No pair makes progress: refresh the gradient and retry.
             g = ascent_gradient(K, s, alpha, q, scale)
+            sg = s * g
             stall += 1
             if stall > 3:
                 return alpha, g, it, m - M, False, (m, M)
@@ -118,25 +139,25 @@ def pairwise_ascent(K, s, C, alpha0, q, scale, tol, max_iter):
         alpha[j] -= t if pos[j] else -t
         alpha[i] = min(max(alpha[i], 0.0), C[i])
         alpha[j] = min(max(alpha[j], 0.0), C[j])
-        g -= scale * t * s * (Ki - K[j])
+        sg -= (scale * t) * (Ki - K[j])
+        for k in (i, j):
+            lower, upper = alpha[k] > 0.0, alpha[k] < C[k]
+            can_up[k], can_down[k] = (upper, lower) if pos[k] else (lower, upper)
         stall = 0
         it += 1
     g = ascent_gradient(K, s, alpha, q, scale)
-    _, _, _, m, M = _violating_pair(s, g, alpha, C, pos)
+    _, m, M = _violating_pair(s * g, can_up, can_down)
     return alpha, g, it, m - M, m - M <= tol, (m, M)
 
 
-def _violating_pair(s, g, alpha, C, pos):
-    """First-order violation at gradient ``g``: ``(s * g, can_down, i, m, M)``
-    where ``m = (s * g)[i]`` is the largest entry over coordinates free to
-    move up and ``M`` the smallest over those free to move down."""
-    sg = s * g
-    can_up = np.where(pos, alpha < C, alpha > 0.0)
-    can_down = np.where(pos, alpha > 0.0, alpha < C)
+def _violating_pair(sg, can_up, can_down):
+    """First-order violation of ``sg = s * gradient``: ``(i, m, M)`` where
+    ``m = sg[i]`` is the largest entry over coordinates free to move up and
+    ``M`` the smallest over those free to move down."""
     up_vals = np.where(can_up, sg, -np.inf)
     i = int(np.argmax(up_vals))
     M = float(np.where(can_down, sg, np.inf).min())
-    return sg, can_down, i, float(up_vals[i]), M
+    return i, float(up_vals[i]), M
 
 
 def _step_fraction(current, delta):
@@ -153,7 +174,9 @@ def _pivoted_cholesky(K, max_rank):
     Pivots on the largest remaining diagonal entry until the residual trace
     is at most ``_RANK_RTOL * trace(K)``.  Returns ``(G, res, pivots)`` with
     ``K ~ G @ G.T`` and ``res = diag(K - G @ G.T)`` clipped at zero (zero on
-    the pivots), or None when that takes more than ``max_rank`` columns.
+    the pivots).  When that takes more than ``max_rank`` columns, K is
+    refused: ``G`` is None and ``res`` is the residual left after
+    ``max_rank`` pivots.
     """
     res = np.diagonal(K).astype(float)
     stop = _RANK_RTOL * float(res.sum())
@@ -163,7 +186,7 @@ def _pivoted_cholesky(K, max_rank):
         if float(res.sum()) <= stop:
             return Gt[:k].T, res, pivots
         if k == max_rank:
-            return None
+            return None, res, pivots
         p = int(np.argmax(res))
         pivots.append(p)
         # K is symmetric, so row p is column p
@@ -229,23 +252,21 @@ class _LowRankNewton:
         return solve
 
 
-def _interior_point(K, s, C, q, scale, mass):
+def _interior_point(K, s, C, q, scale, mass, pivoted=None):
     """Primal-dual path following for the dual quadratic.
 
     Minimizes (scale/2) a^T Q a - q^T a over the box with s^T a = mass,
     Q = (s s^T) * K, using a predictor-corrector scheme.  Q is replaced by
     its pivoted Cholesky approximation when K has numerical rank at most
-    n/4.  Returns the primal iterate when the barrier parameter and KKT
-    residuals are driven to near float precision, or the best iterate at the
-    iteration cap; the caller certifies optimality separately.
+    n/4; ``pivoted`` is ``_pivoted_cholesky(K, n // 4)`` when the caller
+    already has it.  Returns the primal iterate when the barrier parameter
+    and KKT residuals are driven to near float precision, or the best
+    iterate at the iteration cap; the caller certifies optimality
+    separately.
     """
     n = C.size
-    low_rank = _pivoted_cholesky(K, n // 4)
-    if low_rank is None:
-        newton = _DenseNewton(K, s, scale)
-    else:
-        G, res, _pivots = low_rank
-        newton = _LowRankNewton(G, res, s, scale)
+    G, res, _pivots = pivoted if pivoted is not None else _pivoted_cholesky(K, n // 4)
+    newton = _DenseNewton(K, s, scale) if G is None else _LowRankNewton(G, res, s, scale)
     alpha = 0.5 * C
     z_scale = max(1.0, float(np.abs(q).max()))
     z_lo = np.full(n, z_scale)
@@ -342,14 +363,26 @@ def _restore_mass(alpha, s, C, mass):
 
 
 def solve_box_qp(K, s, C, alpha0, q, scale, tol, max_iter):
-    """Solve the dual to tolerance: interior point plus pairwise finishing.
+    """Solve the dual to tolerance on the route the numerical rank of K picks.
 
-    Same return contract as ``pairwise_ascent``; the reported iteration
-    count is the number of finishing pair updates.  ``alpha0`` fixes the
-    equality mass ``s @ alpha0`` the solution must carry.
+    A full-rank Gram is solved by pairwise ascent from ``alpha0`` alone,
+    within ``_PAIRWISE_FIRST_UPDATES * n`` updates; any other Gram, or one
+    on which that budget runs out, by the interior point plus pairwise
+    finishing.  Same return contract as ``pairwise_ascent``; the reported
+    iteration count is the number of pair updates of the route that
+    returned.  ``alpha0`` is feasible and fixes the equality mass
+    ``s @ alpha0`` the solution must carry.
     """
+    n = C.size
+    pivoted = _pivoted_cholesky(K, n // 4)
+    G, res, _pivots = pivoted
+    if G is None and float(res.sum()) >= _FULL_RANK_RESIDUAL * float(np.trace(K)):
+        budget = min(max_iter, _PAIRWISE_FIRST_UPDATES * n)
+        result = pairwise_ascent(K, s, C, alpha0, q, scale, tol, budget)
+        if result[4]:
+            return result
     mass = float(s @ alpha0)
-    warm = _interior_point(K, s, C, q, scale, mass)
+    warm = _interior_point(K, s, C, q, scale, mass, pivoted)
     # Interior iterates never reach the bounds; place the ones within
     # _SNAP_REL * C of a bound on it, so pairwise finishing does not spend
     # an update per coordinate doing so.  The interior iterate satisfies the

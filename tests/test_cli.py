@@ -215,3 +215,12 @@ def test_evaluate_recomputes_from_run_dir(tmp_path, capsys):
 
 def test_evaluate_without_run_dir_fails(tmp_path, capsys):
     assert main(["evaluate", "--out", str(tmp_path)]) == 1
+
+
+def test_config_that_is_not_yaml_exits_1_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("risk: {eps: [0.1")
+    assert main(["plan", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "not valid YAML" in err

@@ -259,3 +259,30 @@ def test_exponent_floats_without_a_dot_load_as_floats(tmp_path):
     path.write_text('risk: {delta: "1e-6"}\n')
     with pytest.raises(InvalidArgument, match="risk.delta must be a finite real number"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key, text", [
+    ("mu_safe", "[a, 1.0]"),
+    ("mu_safe", "['0.5', 1.0]"),
+    ("mu_unsafe", "[.inf, 1.0]"),
+    ("mu_unsafe", "[1.0, true]"),
+    ("cov_safe", "[[1.0, 0.0], [0.0, .nan]]"),
+    ("cov_unsafe", "[[1.0, '0'], [0.0, 1.0]]"),
+], ids=["name", "text", "inf", "boolean", "cov_nan", "cov_text"])
+def test_gaussian_means_and_covariances_reject_non_numbers(tmp_path, key, text):
+    # a name once ended in a bare ValueError, strings loaded, and .inf was
+    # caught only when sampling, without naming the key
+    path = tmp_path / "config.yaml"
+    path.write_text(f"data: {{gaussian: {{{key}: {text}}}}}\n")
+    with pytest.raises(InvalidArgument, match=f"{key} must be a finite real number"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("mu_safe", 1.0, "a list of numbers"),
+    ("cov_safe", 1.0, "a list of rows"),
+    ("cov_unsafe", [1.0, 0.0], "a list of numbers"),
+])
+def test_gaussian_means_and_covariances_must_be_lists(key, value, what):
+    with pytest.raises(InvalidArgument, match=f"{key} must be {what}"):
+        ExperimentConfig.from_mapping({"data": {"gaussian": {key: value}}})

@@ -51,6 +51,21 @@ def test_kappa_rejects_endpoints():
             kappa(bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda bad: kappa(bad),
+    lambda bad: min_calibration_size(bad, 0.01),
+    lambda bad: min_calibration_size(0.1, bad),
+    lambda bad: discarding_parameter(bad, 0.1, 20),
+    lambda bad: binomial_cdf(1, 10, bad),
+], ids=["kappa", "min_calibration_size_eps", "min_calibration_size_delta",
+        "discarding_parameter", "binomial_cdf"])
+@pytest.mark.parametrize("bad", ["0.5", True], ids=["text", "boolean"])
+def test_unit_interval_arguments_reject_strings_and_booleans(call, bad):
+    # float() once parsed them: kappa('0.5') gave 7.4641
+    with pytest.raises(InvalidArgument, match="must be a real number"):
+        call(bad)
+
+
 def test_min_calibration_size_frozen_values():
     # Frozen from an exact recomputation of ceil((kappa/eps)*ln(1/delta)).
     assert min_calibration_size(0.05, 1e-6) == 2063

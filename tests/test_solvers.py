@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from saferegions import Hyperparameters, KernelSpec
+from saferegions import Hyperparameters, KernelSpec, solvers
 from saferegions.classifiers import box_bounds
 from saferegions.kernels import gram
 from saferegions.solvers import (
@@ -136,8 +136,29 @@ def test_pivoted_cholesky_against_numpy():
         assert res.sum() <= 1e-12 * trace
         assert (res >= 0.0).all()
         assert np.linalg.eigvalsh(R).min() >= -1e-12 * trace
-    # a full-rank Gram is refused once the rank passes the cap
-    assert _pivoted_cholesky(gram(KernelSpec(kind="gaussian", gamma=0.7), x), 30 // 4) is None
+    # a full-rank Gram is refused once the rank passes the cap, with the
+    # residual those pivots leave
+    K = gram(KernelSpec(kind="gaussian", gamma=0.7), x)
+    G, res, pivots = _pivoted_cholesky(K, 30 // 4)
+    assert G is None and len(pivots) == 30 // 4
+    assert res.sum() > 1e-12 * float(np.trace(K))
+    full, _, _ = _pivoted_cholesky(K, 30)
+    assert np.allclose(res, np.diagonal(K - full[:, :30 // 4] @ full[:, :30 // 4].T),
+                       rtol=0.0, atol=1e-12 * float(np.trace(K)))
+
+
+def _svm_and_svdd_forms(K, y, C):
+    """The SVM dual and the SVDD dual (ball mass 0.5 on the safe class) of
+    one Gram, as ``(K, s, C, alpha0, q, scale)``."""
+    yf = y.astype(float)
+    yield K, -yf, C, np.zeros(y.size), np.ones(y.size), 1.0
+    alpha0 = np.zeros(y.size)
+    remaining = 0.5
+    for i in np.flatnonzero(y > 0):
+        alpha0[i] = min(C[i], remaining)
+        remaining -= alpha0[i]
+    assert remaining <= 0.0
+    yield K, yf, C, alpha0, yf * np.diagonal(K), 4.0
 
 
 def _low_rank_problems(rng):
@@ -146,16 +167,60 @@ def _low_rank_problems(rng):
     y = np.where(x[:, 0] + x[:, 1] + 0.7 * rng.normal(size=n) < 0.0, 1, -1)
     for spec in (KernelSpec(kind="linear"), KernelSpec(kind="gaussian", gamma=0.001)):
         K = gram(spec, x)
-        assert _pivoted_cholesky(K, n // 4) is not None   # low-rank route
+        assert _pivoted_cholesky(K, n // 4)[0] is not None   # low-rank route
         C = box_bounds(Hyperparameters(eta=0.05, tau=0.5, kernel=spec), y)
-        yf = y.astype(float)
-        yield K, -yf, C, np.zeros(n), np.ones(n), 1.0            # svm form
-        alpha0 = np.zeros(n)
-        remaining = 0.5
-        for i in np.flatnonzero(y > 0):
-            alpha0[i] = min(C[i], remaining)
-            remaining -= alpha0[i]
-        yield K, yf, C, alpha0, yf * np.diagonal(K), 4.0          # svdd form
+        yield from _svm_and_svdd_forms(K, y, C)
+
+
+def _full_rank_problems(rng):
+    # standardized 10-D points under a gaussian kernel of width 1/d, as on
+    # the platoon features: a Gram far from any low-rank approximation
+    n = 40
+    x = rng.normal(size=(n, 10))
+    y = np.where(x[:, 0] + x[:, 1] + 0.7 * rng.normal(size=n) < 0.0, 1, -1)
+    spec = KernelSpec(kind="gaussian", gamma=0.1)
+    K = gram(spec, x)
+    G, res, _ = _pivoted_cholesky(K, n // 4)
+    assert G is None and res.sum() >= solvers._FULL_RANK_RESIDUAL * np.trace(K)
+    C = box_bounds(Hyperparameters(eta=0.05, tau=0.5, kernel=spec), y)
+    yield from _svm_and_svdd_forms(K, y, C)
+
+
+def _assert_matches_oracle(problem, solution):
+    K, s, C, alpha0, q, scale = problem
+    alpha, g, iters, residual, converged, gap = solution
+    assert converged and residual <= 1e-8
+    mass = float(s @ alpha0)
+    _, oracle_obj = qp_oracle(K, s, C, q, scale, mass)
+    assert abs(ascent_objective(K, s, alpha, q, scale) - oracle_obj) <= 1e-6
+    assert abs(float(s @ alpha) - mass) <= 1e-12
+    assert (alpha >= 0.0).all() and (alpha <= C).all()
+
+
+def test_full_rank_route_is_pairwise_ascent_alone(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("interior point run on a full-rank Gram")
+
+    monkeypatch.setattr(solvers, "_interior_point", refuse)
+    for problem in _full_rank_problems(np.random.default_rng(47)):
+        solution = solve_box_qp(*problem, 1e-8, 100_000)
+        _assert_matches_oracle(problem, solution)
+        assert solution[2] <= solvers._PAIRWISE_FIRST_UPDATES * problem[2].size
+
+
+def test_full_rank_route_falls_back_when_its_budget_runs_out(monkeypatch):
+    calls = {"_interior_point": 0, "_pivoted_cholesky": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(solvers, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(solvers, name, counted)
+    monkeypatch.setattr(solvers, "_PAIRWISE_FIRST_UPDATES", 0)
+    problems = list(_full_rank_problems(np.random.default_rng(47)))
+    for problem in problems:
+        _assert_matches_oracle(problem, solve_box_qp(*problem, 1e-8, 100_000))
+    # every solve fell back, and the interior point reused the pivoting
+    assert calls == {"_interior_point": len(problems), "_pivoted_cholesky": len(problems)}
 
 
 def test_low_rank_route_matches_oracle():
