@@ -47,7 +47,7 @@ import numpy as np
 from .errors import InvalidArgument, TrainingError
 from .kernels import KernelSpec, gram, kernel_diag, kernel_matrix
 from .solvers import DEFAULT_MAX_UPDATES, ascent_objective, solve_box_qp
-from .validation import checked_real, training_arrays
+from .validation import checked_int, checked_real, training_arrays
 
 __all__ = [
     "Hyperparameters",
@@ -97,8 +97,10 @@ class TrainSettings:
     def __post_init__(self):
         if not checked_real(self.tol, "tol") > 0:
             raise InvalidArgument(f"tol must be positive, got {self.tol!r}")
-        if self.max_iter is not None and int(self.max_iter) < 1:
-            raise InvalidArgument(f"max_iter must be positive, got {self.max_iter!r}")
+        if self.max_iter is not None:
+            object.__setattr__(self, "max_iter", checked_int(self.max_iter, "max_iter"))
+            if self.max_iter < 1:
+                raise InvalidArgument(f"max_iter must be positive, got {self.max_iter!r}")
 
 
 @dataclass

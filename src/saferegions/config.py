@@ -122,7 +122,7 @@ class DataConfig:
                          **{name: getattr(defaults, name) for name in
                             ("n_followers", "gap", "speed_kmh", "brake_force",
                              "mass", "delay", "packet_error_rate", "control_gain")})
-            platoon = PlatoonRanges(**{k: tuple(v) for k, v in spec.items()})
+            platoon = PlatoonRanges(**spec)
         if not isinstance(fields["standardize"], bool):
             raise InvalidArgument(
                 f"data.standardize must be true or false, got {fields['standardize']!r}")

@@ -30,6 +30,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .errors import InvalidArgument, SimulationError
+from .validation import checked_int, checked_real
 
 __all__ = ["PlatoonSpec", "PlatoonRanges", "platoon_features", "simulate_platoon",
            "generate_platoon_dataset", "FEATURE_DIM"]
@@ -122,9 +123,12 @@ class PlatoonRanges:
     def __post_init__(self):
         for name in ("n_followers", "gap", "speed_kmh", "mass", "delay",
                      "packet_error_rate", "control_gain", "brake_force"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise InvalidArgument(f"range {name} must be finite, got ({lo!r}, {hi!r})")
+            bounds = getattr(self, name)
+            if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+                raise InvalidArgument(f"range {name} must be a pair [lo, hi], got {bounds!r}")
+            checked = checked_int if name == "n_followers" else checked_real
+            lo, hi = (checked(bound, f"range {name} bound") for bound in bounds)
+            object.__setattr__(self, name, (lo, hi))
             if lo > hi:
                 raise InvalidArgument(f"range {name} has lo > hi: {lo!r} > {hi!r}")
         if self.n_followers[0] < 1 or self.n_followers[1] > MAX_FOLLOWERS:

@@ -102,8 +102,8 @@ def binomial_cdf(k: int, n: int, eps: float) -> float:
     the result is accurate, stays within [0, 1], and is monotone in ``k``
     for ``n`` well beyond 1e6.  ``k = -1`` is allowed and yields 0.
     """
-    n = int(n)
-    k = int(k)
+    n = checked_int(n, "n")
+    k = checked_int(k, "k")
     if n < 1:
         raise InvalidArgument(f"n must be a positive integer, got {n}")
     if k < -1:
@@ -154,7 +154,7 @@ def discarding_parameter(beta: float, eps: float, n: int) -> int:
     """Discarding rank ``r = ceil(beta * eps * n)`` (snapped ceiling, >= 1)."""
     beta = _check_unit_open("beta", beta)
     eps = _check_unit_open("eps", eps)
-    n = int(n)
+    n = checked_int(n, "n")
     if n < 1:
         raise InvalidArgument(f"n must be a positive integer, got {n}")
     return max(1, _snapped_ceil(beta * eps * n))

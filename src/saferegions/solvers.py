@@ -17,21 +17,17 @@ optimum first.
 K (Fine & Scheinberg 2001, "Efficient SVM training using low-rank kernel
 representations"), run for at most n/4 pivots:
 
-- low-rank route: the residual trace falls to ``1e-12 * trace(K)`` within
-  n/4 pivots, giving K~ = G G^T + diag(res).  The interior point solves its
-  Newton systems by the Sherman-Morrison-Woodbury identity through a k x k
-  capacitance matrix, at O(n k^2) per iteration instead of O(n^3).
-- dense route: some residual is left after n/4 pivots, but less than
-  ``1e-2 * trace(K)`` (an ill-conditioned Gram, such as a 2-D Gaussian one,
-  on which pairwise ascent from a cold start stalls).  The interior point
-  factors its Newton systems by a dense Cholesky of the exact Hessian.
-- full-rank route: at least ``1e-2 * trace(K)`` is left (a standardized
-  high-dimensional Gram).  Pairwise ascent from ``alpha0`` alone converges
-  in a few updates per coordinate; if it has not within ``10 n`` updates,
-  the solve falls back to the dense route.
-
-On the first two routes the interior iterate is snapped onto nearby bounds
-and its equality mass restored exactly before pairwise finishing.
+- full-rank route: at least ``1e-2 * trace(K)`` is left after n/4 pivots (a
+  standardized high-dimensional Gram).  Pairwise ascent from ``alpha0``
+  alone converges in a few updates per coordinate; if it has not within
+  ``10 n`` updates, the solve falls back to the interior-point route.
+- interior-point route: every other Gram.  The pivoting is taken on until
+  the residual trace falls to ``1e-12 * trace(K)``, giving
+  K~ = G G^T + diag(res) with k <= n columns.  The interior point solves
+  its Newton systems by the Sherman-Morrison-Woodbury identity through a
+  k x k capacitance matrix, at O(n k^2) per iteration.  Its iterate is
+  snapped onto nearby bounds and its equality mass restored exactly before
+  pairwise finishing.
 """
 
 from __future__ import annotations
@@ -52,9 +48,9 @@ _RANK_RTOL = 1e-12
 _SNAP_REL = 1e-9
 # A Gram whose residual trace after n/4 pivots is still this share of
 # trace(K) is full rank: pairwise ascent alone converges on it in a few
-# updates per coordinate, faster than the dense interior point alone runs
-# (at most 2.95 n updates on the standardized 40-D platoon Grams for
-# n = 150 to 1500, residual share 0.14 to 0.39).  Below it sit
+# updates per coordinate (at most 2.95 n updates on the standardized 40-D
+# platoon Grams for n = 150 to 1500, residual share 0.14 to 0.39), where the
+# interior point would need a factor of nearly n columns.  Below it sit
 # ill-conditioned Grams (2-D Gaussian ones, residual share 2e-9 to 3e-3) on
 # which pairwise ascent from a cold start stalls.
 _FULL_RANK_RESIDUAL = 1e-2
@@ -197,76 +193,23 @@ def _pivoted_cholesky(K, max_rank):
         np.maximum(res, 0.0, out=res)
 
 
-class _DenseNewton:
-    """Newton systems on the exact Hessian Q = scale * (s s^T) * K."""
-
-    def __init__(self, K, s, scale):
-        self.Q = scale * (K * np.outer(s, s))
-
-    def hessian_times(self, a):
-        return self.Q @ a
-
-    def factor(self, diag):
-        """Solver for (Q + diag(diag)) x = b, or None if not positive definite."""
-        M = self.Q.copy()
-        M.flat[::M.shape[0] + 1] += diag
-        try:
-            # M is symmetric, so its transpose is the Fortran-ordered view
-            # LAPACK can factor in place
-            factor = cho_factor(M.T, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            return None
-        return lambda b: cho_solve(factor, b, check_finite=False)
-
-
-class _LowRankNewton:
-    """Newton systems on Q~ = V V^T + diag(d), the Hessian of the pivoted
-    Cholesky approximation K~ = G G^T + diag(res) of K.
-
-    Each system is solved by the Sherman-Morrison-Woodbury identity through
-    the k x k capacitance matrix I + V^T E^-1 V, at O(n k^2) per factor.
-    """
-
-    def __init__(self, G, res, s, scale):
-        self.V = np.sqrt(scale) * (s[:, None] * G)
-        # s holds signs, so diag(s) diag(res) diag(s) = diag(res)
-        self.d = scale * res
-
-    def hessian_times(self, a):
-        return self.V @ (self.V.T @ a) + self.d * a
-
-    def factor(self, diag):
-        """Solver for (Q~ + diag(diag)) x = b, or None if not positive definite."""
-        E = diag + self.d
-        W = self.V / E[:, None]
-        cap = self.V.T @ W
-        cap.flat[::cap.shape[0] + 1] += 1.0
-        try:
-            factor = cho_factor(cap, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            return None
-
-        def solve(b):
-            y = b / E
-            return y - W @ cho_solve(factor, self.V.T @ y, check_finite=False)
-        return solve
-
-
-def _interior_point(K, s, C, q, scale, mass, pivoted=None):
+def _interior_point(K, s, C, q, scale, mass, G, res):
     """Primal-dual path following for the dual quadratic.
 
     Minimizes (scale/2) a^T Q a - q^T a over the box with s^T a = mass,
-    Q = (s s^T) * K, using a predictor-corrector scheme.  Q is replaced by
-    its pivoted Cholesky approximation when K has numerical rank at most
-    n/4; ``pivoted`` is ``_pivoted_cholesky(K, n // 4)`` when the caller
-    already has it.  Returns the primal iterate when the barrier parameter
-    and KKT residuals are driven to near float precision, or the best
-    iterate at the iteration cap; the caller certifies optimality
-    separately.
+    where Q = (s s^T) * K~ is taken on the pivoted Cholesky approximation
+    K~ = G G^T + diag(res) of K, using a predictor-corrector scheme.  Each
+    Newton system is solved by the Sherman-Morrison-Woodbury identity
+    through the k x k capacitance matrix I + V^T E^-1 V (V = sqrt(scale)
+    diag(s) G), at O(n k^2) per factor.  Returns the primal iterate when
+    the barrier parameter and KKT residuals are driven to near float
+    precision, or the best iterate at the iteration cap; the caller
+    certifies optimality separately.
     """
     n = C.size
-    G, res, _pivots = pivoted if pivoted is not None else _pivoted_cholesky(K, n // 4)
-    newton = _DenseNewton(K, s, scale) if G is None else _LowRankNewton(G, res, s, scale)
+    V = np.sqrt(scale) * (s[:, None] * G)
+    # s holds signs, so diag(s) diag(res) diag(s) = diag(res)
+    d = scale * res
     alpha = 0.5 * C
     z_scale = max(1.0, float(np.abs(q).max()))
     z_lo = np.full(n, z_scale)
@@ -276,7 +219,7 @@ def _interior_point(K, s, C, q, scale, mass, pivoted=None):
     ridge_base = 1e-13 * (1.0 + scale * float(np.trace(K)) / n)
     for _ in range(_IP_MAX_ITERS):
         slack_hi = C - alpha
-        grad = newton.hessian_times(alpha) - q
+        grad = V @ (V.T @ alpha) + d * alpha - q
         r_d = grad + nu * s - z_lo + z_hi
         r_p = float(s @ alpha - mass)
         comp_lo = alpha * z_lo
@@ -287,15 +230,25 @@ def _interior_point(K, s, C, q, scale, mass, pivoted=None):
             break
 
         D = z_lo / alpha + z_hi / slack_hi
-        solve = None
+        factor = None
         ridge = ridge_base
         for _try in range(6):
-            solve = newton.factor(D + ridge)
-            if solve is not None:
+            E = D + ridge + d
+            W = V / E[:, None]
+            cap = V.T @ W
+            cap.flat[::cap.shape[0] + 1] += 1.0
+            try:
+                factor = cho_factor(cap, lower=True, overwrite_a=True, check_finite=False)
                 break
-            ridge *= 100.0
-        if solve is None:
+            except np.linalg.LinAlgError:
+                ridge *= 100.0
+        if factor is None:
             break
+
+        def solve(b):
+            y = b / E
+            return y - W @ cho_solve(factor, V.T @ y, check_finite=False)
+
         h_a = solve(s)
         denom = float(s @ h_a)
         if not np.isfinite(denom) or abs(denom) < 1e-300:
@@ -374,15 +327,19 @@ def solve_box_qp(K, s, C, alpha0, q, scale, tol, max_iter):
     ``s @ alpha0`` the solution must carry.
     """
     n = C.size
-    pivoted = _pivoted_cholesky(K, n // 4)
-    G, res, _pivots = pivoted
-    if G is None and float(res.sum()) >= _FULL_RANK_RESIDUAL * float(np.trace(K)):
-        budget = min(max_iter, _PAIRWISE_FIRST_UPDATES * n)
-        result = pairwise_ascent(K, s, C, alpha0, q, scale, tol, budget)
-        if result[4]:
-            return result
+    G, res, _ = _pivoted_cholesky(K, n // 4)
+    if G is None:
+        if float(res.sum()) >= _FULL_RANK_RESIDUAL * float(np.trace(K)):
+            budget = min(max_iter, _PAIRWISE_FIRST_UPDATES * n)
+            result = pairwise_ascent(K, s, C, alpha0, q, scale, tol, budget)
+            if result[4]:
+                return result
+        # Restarting repeats the n/4 pivots rather than resuming them; on
+        # 400-point 2-D Gaussian Grams that is 0.9 ms against about 9 ms
+        # for the interior point that follows (one BLAS thread).
+        G, res, _ = _pivoted_cholesky(K, n)
     mass = float(s @ alpha0)
-    warm = _interior_point(K, s, C, q, scale, mass, pivoted)
+    warm = _interior_point(K, s, C, q, scale, mass, G, res)
     # Interior iterates never reach the bounds; place the ones within
     # _SNAP_REL * C of a bound on it, so pairwise finishing does not spend
     # an update per coordinate doing so.  The interior iterate satisfies the

@@ -224,3 +224,15 @@ def test_config_that_is_not_yaml_exits_1_with_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err and "not valid YAML" in err
+
+
+@pytest.mark.parametrize("gap", [["a", 5.0], 5.0, [4.0, 5.0, 6.0], [True, 5.0]],
+                         ids=["text", "scalar", "triple", "boolean"])
+def test_bad_platoon_range_exits_1_with_one_error_line(tmp_path, capsys, gap):
+    # the first three once ended in a traceback, the last loaded silently
+    path = _write_config(tmp_path, data={"generator": "platoon", "n_train": 40,
+                                         "n_test": 40, "platoon": {"gap": gap}})
+    assert main(["plan", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "range gap" in err

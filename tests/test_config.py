@@ -242,6 +242,18 @@ def test_training_values_reject_non_finite_values(make, bad):
         make(bad)
 
 
+@pytest.mark.parametrize("bad", ["5", 2.5, True], ids=["text", "fraction", "boolean"])
+def test_train_settings_max_iter_must_be_an_integer(bad):
+    # it was once stored as given
+    with pytest.raises(InvalidArgument, match="max_iter must be an integer"):
+        TrainSettings(max_iter=bad)
+
+
+def test_train_settings_max_iter_stores_an_int():
+    settings = TrainSettings(max_iter=5.0)
+    assert settings.max_iter == 5 and type(settings.max_iter) is int
+
+
 @pytest.mark.parametrize("value", ["false", 0, 1, None])
 def test_standardize_must_be_a_boolean(value):
     # bool("false") is True, so the string once switched standardizing on

@@ -195,6 +195,27 @@ def test_ranges_reject_non_finite_bounds(field, bad):
             PlatoonRanges(**{field: bounds})
 
 
+@pytest.mark.parametrize("field, bounds, message", [
+    ("gap", ("a", 5.0), "range gap bound must be a finite real number"),
+    ("gap", (True, 5.0), "range gap bound must be a finite real number"),
+    ("gap", 5.0, "range gap must be a pair"),
+    ("gap", (4.0, 5.0, 6.0), "range gap must be a pair"),
+    ("n_followers", (3.5, 8), "range n_followers bound must be an integer"),
+    ("n_followers", (True, 8), "range n_followers bound must be an integer"),
+], ids=["text", "boolean", "scalar", "triple", "fraction", "boolean_count"])
+def test_ranges_reject_bounds_that_are_not_a_pair_of_numbers(field, bounds, message):
+    # a string or a scalar once ended in a TypeError, a triple in a
+    # ValueError, and a boolean bound loaded as 1.0
+    with pytest.raises(InvalidArgument, match=message):
+        PlatoonRanges(**{field: bounds})
+
+
+def test_ranges_store_pairs_of_numbers():
+    ranges = PlatoonRanges(n_followers=[2.0, 4], gap=[4, 5])
+    assert ranges.n_followers == (2, 4) and type(ranges.n_followers[0]) is int
+    assert ranges.gap == (4.0, 5.0) and type(ranges.gap[0]) is float
+
+
 def test_ranges_validation():
     PlatoonRanges()
     with pytest.raises(InvalidArgument):

@@ -66,6 +66,23 @@ def test_unit_interval_arguments_reject_strings_and_booleans(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda bad: binomial_cdf(bad, 10, 0.3),
+    lambda bad: binomial_cdf(3, bad, 0.3),
+    lambda bad: discarding_parameter(0.5, 0.1, bad),
+], ids=["binomial_cdf_k", "binomial_cdf_n", "discarding_parameter_n"])
+@pytest.mark.parametrize("bad", ["3", 2.7, True], ids=["text", "fraction", "boolean"])
+def test_integer_arguments_reject_strings_fractions_and_booleans(call, bad):
+    # int() once parsed them: binomial_cdf(2.7, 10, 0.3) used k=2
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        call(bad)
+
+
+def test_integer_arguments_take_integral_floats():
+    assert binomial_cdf(3.0, 10.0, 0.3) == binomial_cdf(3, 10, 0.3)
+    assert discarding_parameter(0.5, 0.2, 50.0) == 5
+
+
 def test_min_calibration_size_frozen_values():
     # Frozen from an exact recomputation of ceil((kappa/eps)*ln(1/delta)).
     assert min_calibration_size(0.05, 1e-6) == 2063

@@ -219,8 +219,33 @@ def test_full_rank_route_falls_back_when_its_budget_runs_out(monkeypatch):
     problems = list(_full_rank_problems(np.random.default_rng(47)))
     for problem in problems:
         _assert_matches_oracle(problem, solve_box_qp(*problem, 1e-8, 100_000))
-    # every solve fell back, and the interior point reused the pivoting
-    assert calls == {"_interior_point": len(problems), "_pivoted_cholesky": len(problems)}
+    # every solve fell back; the pivoting refused at n/4 is not resumed but
+    # run again to tolerance, so each solve pivots twice
+    assert calls == {"_interior_point": len(problems), "_pivoted_cholesky": 2 * len(problems)}
+
+
+def test_ill_conditioned_gram_takes_a_factor_past_n_over_4(monkeypatch):
+    # a 2-D Gaussian Gram neither low rank at n/4 pivots nor full rank: the
+    # interior point runs on a pivoting taken on to tolerance
+    n = 60
+    rng = np.random.default_rng(53)
+    x = rng.normal(size=(n, 2))
+    y = np.where(x[:, 0] + x[:, 1] + 0.7 * rng.normal(size=n) < 0.0, 1, -1)
+    spec = KernelSpec(kind="gaussian", gamma=0.02)
+    K = gram(spec, x)
+    G, res, _ = _pivoted_cholesky(K, n // 4)
+    assert G is None and res.sum() < solvers._FULL_RANK_RESIDUAL * np.trace(K)
+    columns = []
+
+    def spy(*args, _inner=solvers._interior_point):
+        columns.append(args[6].shape[1])
+        return _inner(*args)
+
+    monkeypatch.setattr(solvers, "_interior_point", spy)
+    C = box_bounds(Hyperparameters(eta=0.05, tau=0.5, kernel=spec), y)
+    for problem in _svm_and_svdd_forms(K, y, C):
+        _assert_matches_oracle(problem, solve_box_qp(*problem, 1e-8, 100_000))
+    assert len(columns) == 2 and min(columns) > n // 4
 
 
 def test_low_rank_route_matches_oracle():
@@ -235,7 +260,8 @@ def test_low_rank_route_matches_oracle():
         assert abs(float(s @ alpha) - mass) <= 1e-12
         assert (alpha >= 0.0).all() and (alpha <= C).all()
         # the low-rank warm start alone already sits at the optimum
-        warm = _interior_point(K, s, C, q, scale, mass)
+        G, res, _ = _pivoted_cholesky(K, C.size)
+        warm = _interior_point(K, s, C, q, scale, mass, G, res)
         assert abs(ascent_objective(K, s, warm, q, scale) - oracle_obj) <= 1e-6
 
 
