@@ -118,8 +118,13 @@ class TrainingDiagnostics:
 
     @classmethod
     def from_record(cls, record: dict) -> "TrainingDiagnostics":
-        return cls(iterations=int(record["iterations"]), residual=float(record["residual"]),
-                   converged=bool(record["converged"]), objective=float(record["objective"]),
+        iterations, residual, converged, objective = (
+            record[key] for key in ("iterations", "residual", "converged", "objective"))
+        if not isinstance(converged, bool):
+            raise InvalidArgument(f"diagnostics converged must be true or false, got {converged!r}")
+        return cls(iterations=checked_int(iterations, "diagnostics iterations"),
+                   residual=checked_real(residual, "diagnostics residual"), converged=converged,
+                   objective=checked_real(objective, "diagnostics objective"),
                    flags=dict(record.get("flags", {})))
 
 
@@ -367,7 +372,8 @@ def model_from_record(record: dict) -> ScalableModel:
     cls = table[variant]
     spec = _fitted_fields(cls)
     try:
-        hp = Hyperparameters(eta=float(record["eta"]), tau=float(record["tau"]),
+        hp = Hyperparameters(eta=checked_real(record["eta"], "eta"),
+                             tau=checked_real(record["tau"], "tau"),
                              kernel=KernelSpec.from_record(record["kernel"]))
         diagnostics = TrainingDiagnostics.from_record(record["diagnostics"])
         fitted = {name: np.asarray(record[name]) if is_array else float(record[name])

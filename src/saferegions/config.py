@@ -90,16 +90,16 @@ class DataConfig:
         if self.generator not in _GENERATORS:
             raise InvalidArgument(
                 f"unknown generator {self.generator!r}, expected one of {_GENERATORS}")
+        for name in ("n_train", "n_test"):
+            object.__setattr__(self, name, checked_int(getattr(self, name), f"data.{name}"))
+            # 0 is allowed so `generate` can emit header-only files
+            if self.generator != "csv" and getattr(self, name) < 0:
+                raise InvalidArgument(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.generator == "csv":
             paths = self.paths or {}
             missing = [k for k in ("train", "calib", "test") if not paths.get(k)]
             if missing:
                 raise InvalidArgument(f"csv generator needs paths for {missing}")
-        else:
-            # 0 is allowed so `generate` can emit header-only files
-            for name in ("n_train", "n_test"):
-                if int(getattr(self, name)) < 0:
-                    raise InvalidArgument(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @classmethod
     def from_mapping(cls, raw) -> "DataConfig":
@@ -117,11 +117,8 @@ class DataConfig:
                 safe_prob=checked_real(spec["safe_prob"], "data.gaussian.safe_prob"),
                 outlier_prob=checked_real(spec["outlier_prob"], "data.gaussian.outlier_prob"))
         elif generator == "platoon":
-            defaults = PlatoonRanges()
             spec = _take(_mapping(fields["platoon"], "data.platoon"), "data.platoon",
-                         **{name: getattr(defaults, name) for name in
-                            ("n_followers", "gap", "speed_kmh", "brake_force",
-                             "mass", "delay", "packet_error_rate", "control_gain")})
+                         **PlatoonRanges().to_record())
             platoon = PlatoonRanges(**spec)
         if not isinstance(fields["standardize"], bool):
             raise InvalidArgument(
@@ -130,8 +127,7 @@ class DataConfig:
         if generator == "csv":
             paths = _take(_mapping(paths, "data.paths"), "data.paths",
                           train=None, calib=None, test=None)
-        return cls(generator=generator, n_train=checked_int(fields["n_train"], "data.n_train"),
-                   n_test=checked_int(fields["n_test"], "data.n_test"),
+        return cls(generator=generator, n_train=fields["n_train"], n_test=fields["n_test"],
                    standardize=fields["standardize"],
                    gaussian=gaussian, platoon=platoon, paths=paths)
 
@@ -140,8 +136,8 @@ class DataConfig:
         if self.generator == "csv":
             out["paths"] = dict(self.paths)
         else:
-            out["n_train"] = int(self.n_train)
-            out["n_test"] = int(self.n_test)
+            out["n_train"] = self.n_train
+            out["n_test"] = self.n_test
         if self.gaussian is not None:
             out["gaussian"] = self.gaussian.to_record()
         if self.platoon is not None:
@@ -221,8 +217,10 @@ class RiskConfig:
         for eps in self.eps:
             # raises on out-of-range values; result unused here
             min_calibration_size(eps, self.delta, self.beta)
-        if self.n_c is not None and int(self.n_c) < 1:
-            raise InvalidArgument(f"risk.n_c must be positive, got {self.n_c}")
+        if self.n_c is not None:
+            object.__setattr__(self, "n_c", checked_int(self.n_c, "risk.n_c"))
+            if self.n_c < 1:
+                raise InvalidArgument(f"risk.n_c must be positive, got {self.n_c}")
 
     @classmethod
     def from_mapping(cls, raw) -> "RiskConfig":
@@ -231,11 +229,10 @@ class RiskConfig:
         eps = fields["eps"]
         if isinstance(eps, (int, float)):
             eps = [eps]
-        n_c = fields["n_c"]
         return cls(eps=_float_list(eps, "risk.eps"),
                    delta=checked_real(fields["delta"], "risk.delta"),
                    beta=checked_real(fields["beta"], "risk.beta"),
-                   n_c=None if n_c is None else checked_int(n_c, "risk.n_c"))
+                   n_c=fields["n_c"])
 
     def to_mapping(self) -> dict:
         return {"eps": [float(v) for v in self.eps], "delta": float(self.delta),
@@ -253,7 +250,8 @@ class GridConfig:
     margin: float = 0.5
 
     def __post_init__(self):
-        if int(self.resolution) < 2:
+        object.__setattr__(self, "resolution", checked_int(self.resolution, "grid.resolution"))
+        if self.resolution < 2:
             raise InvalidArgument(f"grid.resolution must be >= 2, got {self.resolution}")
         if self.bbox is not None:
             if len(self.bbox) != 4:
@@ -269,12 +267,12 @@ class GridConfig:
         raw = _mapping(raw, "grid")
         fields = _take(raw, "grid", resolution=50, bbox=None, margin=0.5)
         bbox = fields["bbox"]
-        return cls(resolution=checked_int(fields["resolution"], "grid.resolution"),
+        return cls(resolution=fields["resolution"],
                    bbox=None if bbox is None else _float_list(bbox, "grid.bbox", distinct=False),
                    margin=checked_real(fields["margin"], "grid.margin"))
 
     def to_mapping(self) -> dict:
-        return {"resolution": int(self.resolution),
+        return {"resolution": self.resolution,
                 "bbox": None if self.bbox is None else [float(v) for v in self.bbox],
                 "margin": float(self.margin)}
 

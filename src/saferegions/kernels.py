@@ -33,7 +33,8 @@ class KernelSpec:
         if self.gamma is not None and not checked_real(self.gamma, "gamma") > 0:
             raise InvalidArgument(f"gamma must be positive, got {self.gamma!r}")
         checked_real(self.coef0, "coef0")
-        if self.kind == "polynomial" and (int(self.degree) < 1 or self.degree != int(self.degree)):
+        object.__setattr__(self, "degree", checked_int(self.degree, "kernel degree"))
+        if self.kind == "polynomial" and self.degree < 1:
             raise InvalidArgument(f"degree must be a positive integer, got {self.degree!r}")
 
     def resolved(self, x: np.ndarray) -> "KernelSpec":
@@ -49,11 +50,11 @@ class KernelSpec:
         if self.kind == "gaussian":
             g = "auto" if self.gamma is None else f"{self.gamma:.6g}"
             return f"gaussian(gamma={g})"
-        return f"polynomial(degree={int(self.degree)},coef0={self.coef0:.6g})"
+        return f"polynomial(degree={self.degree},coef0={self.coef0:.6g})"
 
     def to_record(self) -> dict:
         return {"kind": self.kind, "gamma": self.gamma,
-                "degree": int(self.degree), "coef0": float(self.coef0)}
+                "degree": self.degree, "coef0": float(self.coef0)}
 
     @classmethod
     def from_record(cls, record: dict) -> "KernelSpec":
@@ -66,7 +67,7 @@ class KernelSpec:
         gamma = record.get("gamma")
         return cls(kind=record.get("kind", "gaussian"),
                    gamma=None if gamma is None else checked_real(gamma, "kernel gamma"),
-                   degree=checked_int(record.get("degree", 3), "kernel degree"),
+                   degree=record.get("degree", 3),
                    coef0=checked_real(record.get("coef0", 0.0), "kernel coef0"))
 
 
@@ -100,7 +101,7 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         k = _squared_distances(a, b)
         k *= -_require_gamma(spec)
         return np.exp(k, out=k)
-    return (a @ b.T + spec.coef0) ** int(spec.degree)
+    return (a @ b.T + spec.coef0) ** spec.degree
 
 
 def gram(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
@@ -128,7 +129,7 @@ def kernel_diag(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     sq_norms = np.einsum("ij,ij->i", points, points)
     if spec.kind == "linear":
         return sq_norms
-    return (sq_norms + spec.coef0) ** int(spec.degree)
+    return (sq_norms + spec.coef0) ** spec.degree
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -12,19 +12,21 @@ Longitudinal dynamics per vehicle:
 
 integrated with the explicit Euler rule.  A run is labelled unsafe (-1) when
 any spacing falls to the collision distance within the horizon, safe (+1)
-otherwise.  Simulations are vectorized across a batch that shrinks as it
-runs: each Euler step works only on the active set, the scenarios with no
-collision yet and at least one vehicle still moving.  A scenario leaves the
-set on the step it collides or fully stops (or never enters it when it is
-finished at t = 0), and its speeds are checked for non-finite values as it
-leaves.  Every scenario goes through the same floating-point operations as
-it would alone, so batch labels equal single-scenario labels bit for bit.
+otherwise.  Generation writes each scenario as a feature row plus a row of
+reception steps, and the simulator reads those rows.  Simulations are
+vectorized across a batch that shrinks as it runs: each Euler step works only
+on the active set, the scenarios with no collision yet and at least one
+vehicle still moving.  A scenario leaves the set on the step it collides or
+fully stops (or never enters it when it is finished at t = 0), and its speeds
+are checked for non-finite values as it leaves.  Every scenario goes through
+the same floating-point operations as it would alone, so batch labels equal
+single-scenario labels bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,10 +39,15 @@ __all__ = ["PlatoonSpec", "PlatoonRanges", "platoon_features", "simulate_platoon
 
 MAX_FOLLOWERS = 8
 FEATURE_DIM = 40   # 1 + 8 gaps + 9 speeds + 9 accels + 1 force + 9 masses + 3 comms
-# scalar PlatoonSpec fields that must be finite (packet_error_rate is checked
-# against [0, 1), which NaN already fails)
-_SCALAR_FIELDS = ("brake_force", "delay", "control_gain", "rolling_resistance",
-                  "drag_coefficient", "time_step", "horizon", "collision_distance")
+_SCALAR_FIELDS = ("brake_force", "delay", "packet_error_rate", "control_gain",
+                  "rolling_resistance", "drag_coefficient", "time_step", "horizon",
+                  "collision_distance")
+
+
+def _checked_reals(values, name: str) -> tuple:
+    if np.ndim(values) != 1:
+        raise InvalidArgument(f"{name} must be a sequence of numbers, got {values!r}")
+    return tuple(checked_real(value, name) for value in values)
 
 
 @dataclass(frozen=True)
@@ -63,21 +70,26 @@ class PlatoonSpec:
     seed: int = 0
 
     def __post_init__(self):
-        n = int(self.n_followers)
+        n = checked_int(self.n_followers, "n_followers")
         if not 1 <= n <= MAX_FOLLOWERS:
             raise InvalidArgument(f"n_followers must lie in [1, {MAX_FOLLOWERS}], got {n}")
-        if len(self.gaps) != n:
-            raise InvalidArgument(f"expected {n} gaps, got {len(self.gaps)}")
-        if len(self.masses) != n + 1:
-            raise InvalidArgument(f"expected {n + 1} masses, got {len(self.masses)}")
-        speed = self.speed_kmh
-        for name, values in (("gaps", self.gaps), ("masses", self.masses),
-                             ("speed_kmh", (speed,) if np.ndim(speed) == 0 else speed)):
-            if not all(map(math.isfinite, values)):
-                raise InvalidArgument(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in _SCALAR_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidArgument(f"{name} must be finite, got {getattr(self, name)!r}")
+        checked = {
+            "n_followers": n,
+            "gaps": _checked_reals(self.gaps, "gaps"),
+            "masses": _checked_reals(self.masses, "masses"),
+            "speed_kmh": (checked_real(self.speed_kmh, "speed_kmh") if np.ndim(self.speed_kmh) == 0
+                          else _checked_reals(self.speed_kmh, "speed_kmh")),
+            "seed": checked_int(self.seed, "seed"),
+            **{name: checked_real(getattr(self, name), name) for name in _SCALAR_FIELDS},
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        for name, size in (("gaps", n), ("masses", n + 1), ("speed_kmh", n + 1)):
+            values = getattr(self, name)
+            if np.ndim(values) == 1 and len(values) != size:
+                raise InvalidArgument(f"expected {size} {name}, got {values!r}")
+        if (self.speeds() < 0).any():
+            raise InvalidArgument("speeds must be non-negative")
         if any(m <= 0 for m in self.masses):
             raise InvalidArgument("masses must be positive")
         if self.brake_force > 0:
@@ -95,21 +107,15 @@ class PlatoonSpec:
             raise InvalidArgument("collision_distance must be non-negative")
 
     def speeds(self) -> np.ndarray:
-        v = np.asarray(self.speed_kmh, dtype=float)
-        if v.ndim == 0:
-            v = np.full(int(self.n_followers) + 1, float(v))
-        if v.shape != (int(self.n_followers) + 1,):
-            raise InvalidArgument(
-                f"speed_kmh must be scalar or one value per vehicle, got shape {v.shape}")
-        if (v < 0).any():
-            raise InvalidArgument("speeds must be non-negative")
-        return v
+        """Initial speed of each vehicle, leader first, km/h."""
+        return np.full(self.n_followers + 1, self.speed_kmh, dtype=float)
 
 
 @dataclass(frozen=True)
 class PlatoonRanges:
     """Sampling ranges for scenario generation (defaults for a heavy-vehicle
-    platoon; inclusive bounds, uniform draws)."""
+    platoon; inclusive bounds, uniform draws).  Every scenario drawn from
+    ranges that construct is a valid ``PlatoonSpec``."""
 
     n_followers: tuple = (3, 8)
     gap: tuple = (4.0, 9.0)              # m
@@ -121,25 +127,48 @@ class PlatoonRanges:
     control_gain: tuple = (0.8, 1.2)
 
     def __post_init__(self):
-        for name in ("n_followers", "gap", "speed_kmh", "mass", "delay",
-                     "packet_error_rate", "control_gain", "brake_force"):
+        for name in (f.name for f in fields(self)):
             bounds = getattr(self, name)
             if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
                 raise InvalidArgument(f"range {name} must be a pair [lo, hi], got {bounds!r}")
             checked = checked_int if name == "n_followers" else checked_real
             lo, hi = (checked(bound, f"range {name} bound") for bound in bounds)
             object.__setattr__(self, name, (lo, hi))
-            if lo > hi:
-                raise InvalidArgument(f"range {name} has lo > hi: {lo!r} > {hi!r}")
+            if not (lo <= hi and math.isfinite(hi - lo)):
+                raise InvalidArgument(f"range {name} must have lo <= hi and a finite width "
+                                      f"hi - lo, got [{lo!r}, {hi!r}]")
         if self.n_followers[0] < 1 or self.n_followers[1] > MAX_FOLLOWERS:
             raise InvalidArgument(f"n_followers range must stay within [1, {MAX_FOLLOWERS}]")
         if self.brake_force[1] > 0:
             raise InvalidArgument("brake_force range must be non-positive")
+        if self.mass[0] <= 0:
+            raise InvalidArgument(f"range mass must be positive, got {self.mass}")
+        if not (0 <= self.packet_error_rate[0] and self.packet_error_rate[1] < 1):
+            raise InvalidArgument(f"range packet_error_rate must lie in [0, 1), "
+                                  f"got {self.packet_error_rate}")
+        for name in ("speed_kmh", "delay", "control_gain"):
+            if getattr(self, name)[0] < 0:
+                raise InvalidArgument(
+                    f"range {name} must be non-negative, got {getattr(self, name)}")
+        if not math.isfinite(self.brake_force[0] / self.mass[0]):
+            raise InvalidArgument("range brake_force / range mass must stay finite")
 
     def to_record(self) -> dict:
-        return {name: list(map(float, getattr(self, name)))
-                for name in ("n_followers", "gap", "speed_kmh", "brake_force",
-                             "mass", "delay", "packet_error_rate", "control_gain")}
+        return {f.name: list(map(float, getattr(self, f.name))) for f in fields(self)}
+
+
+def _fill_row(row, n, gaps, speed_kmh, brake_force, masses, delay, packet_error_rate,
+              control_gain) -> np.ndarray:
+    """Write one scenario into a zeroed feature row (layout in
+    ``platoon_features``); ``masses`` is an array."""
+    row[0] = n
+    row[1:1 + n] = gaps
+    row[9:9 + n + 1] = speed_kmh
+    row[18:18 + n + 1] = brake_force / masses
+    row[27] = brake_force
+    row[28:28 + n + 1] = masses
+    row[37:40] = delay, packet_error_rate, control_gain
+    return row
 
 
 def platoon_features(spec: PlatoonSpec) -> np.ndarray:
@@ -149,74 +178,50 @@ def platoon_features(spec: PlatoonSpec) -> np.ndarray:
     to 9; per-vehicle F0/m accelerations padded to 9; F0; masses padded to 9;
     delay; packet error rate; control gain.  Padding is zero.
     """
-    n = int(spec.n_followers)
-    out = np.zeros(FEATURE_DIM)
-    out[0] = n
-    out[1:1 + n] = spec.gaps
-    out[9:9 + n + 1] = spec.speeds()
-    masses = np.asarray(spec.masses, dtype=float)
-    out[18:18 + n + 1] = spec.brake_force / masses
-    out[27] = spec.brake_force
-    out[28:28 + n + 1] = masses
-    out[37] = spec.delay
-    out[38] = spec.packet_error_rate
-    out[39] = spec.control_gain
+    return _fill_row(np.zeros(FEATURE_DIM), spec.n_followers, spec.gaps, spec.speeds(),
+                     spec.brake_force, np.asarray(spec.masses), spec.delay,
+                     spec.packet_error_rate, spec.control_gain)
+
+
+def _reception_steps(row: np.ndarray, physics, seed: int) -> np.ndarray:
+    """Step at which each follower of feature row ``row`` starts braking, zero
+    padded to ``MAX_FOLLOWERS``: the delay in whole steps, plus one step per
+    packet lost, drawn from ``seed``.  A delay past the horizon counts as the
+    horizon, which no step reaches."""
+    base = int(np.ceil(min(row[37], physics.horizon) / physics.time_step - 1e-12))
+    n = int(row[0])
+    out = np.zeros(MAX_FOLLOWERS, dtype=np.int64)
+    out[:n] = base + (np.random.default_rng(seed).geometric(1.0 - row[38], size=n) - 1)
     return out
-
-
-def _reception_steps(spec: PlatoonSpec, rng: np.random.Generator) -> np.ndarray:
-    # base delay in steps, plus one step per lost packet per follower
-    base = int(np.ceil(spec.delay / spec.time_step - 1e-12))
-    tries = rng.geometric(1.0 - spec.packet_error_rate, size=int(spec.n_followers))
-    return base + (tries - 1)
 
 
 def simulate_platoon(spec: PlatoonSpec) -> tuple[np.ndarray, int]:
     """Run one scenario; returns (features, label)."""
-    rng = np.random.default_rng(spec.seed)
-    reception = _reception_steps(spec, rng)
-    labels = _simulate_batch([spec], [reception])
-    return platoon_features(spec), int(labels[0])
+    row = platoon_features(spec)
+    labels = _simulate_batch(row[None], _reception_steps(row, spec, spec.seed)[None], spec)
+    return row, int(labels[0])
 
 
-def _simulate_batch(specs: list[PlatoonSpec], receptions: list[np.ndarray]) -> np.ndarray:
-    """Integrate many scenarios in lockstep; they must share the physical
-    constants (time step, horizon, resistances, collision distance).
+def _simulate_batch(x: np.ndarray, reception: np.ndarray, physics) -> np.ndarray:
+    """Label the scenarios of feature rows ``x`` in lockstep; ``reception``
+    holds their rows of reception steps.  The physical constants (time step,
+    horizon, resistances, collision distance) are read from ``physics``, a
+    ``PlatoonSpec`` or the class itself for its defaults.
 
     Each step works on compact arrays of the rows still active; ``rows`` maps
     them back to batch indices.  A row leaves on the step it collides or
     fully stops, so every row sees the same operations as a lone run."""
-    ref = specs[0]
-    constants = [(s.time_step, s.horizon, s.rolling_resistance, s.drag_coefficient,
-                  s.collision_distance) for s in specs]
-    if any(c != constants[0] for c in constants):
-        raise InvalidArgument("batched scenarios must share physical constants")
+    dt = physics.time_step
+    steps = int(round(physics.horizon / dt))
+    a_roll = physics.rolling_resistance
+    b_drag = physics.drag_coefficient
+    threshold = physics.collision_distance
 
-    batch = len(specs)
-    n_veh = MAX_FOLLOWERS + 1
-    dt = ref.time_step
-    steps = int(round(ref.horizon / dt))
-    a_roll = ref.rolling_resistance
-    b_drag = ref.drag_coefficient
-    threshold = ref.collision_distance
-
-    pad = np.ones((batch, n_veh), dtype=bool)
-    v = np.zeros((batch, n_veh))
-    d = np.full((batch, MAX_FOLLOWERS), np.inf)   # inert padding: never collides
-    masses = np.ones((batch, n_veh))
-    force0 = np.zeros(batch)
-    gain = np.zeros(batch)
-    reception = np.full((batch, MAX_FOLLOWERS), np.iinfo(np.int64).max, dtype=np.int64)
-
-    for b, spec in enumerate(specs):
-        n = int(spec.n_followers)
-        pad[b, :n + 1] = False
-        v[b, :n + 1] = spec.speeds() / 3.6
-        d[b, :n] = spec.gaps
-        masses[b, :n + 1] = spec.masses
-        force0[b] = spec.brake_force
-        gain[b] = spec.control_gain
-        reception[b, :n] = receptions[b]
+    # vehicles past the follower count: still, unit mass, spacing never collides
+    pad = np.arange(MAX_FOLLOWERS + 1) > x[:, :1]
+    v = x[:, 9:18] / 3.6
+    d = np.where(pad[:, 1:], np.inf, x[:, 1:9])
+    masses = np.where(pad, 1.0, x[:, 28:37])
 
     collided = (d <= threshold).any(axis=1)
     leaving = collided | (~(v > 0.0).any(axis=1))
@@ -224,9 +229,9 @@ def _simulate_batch(specs: list[PlatoonSpec], receptions: list[np.ndarray]) -> n
     # compact state of the active rows; rows[i] is the batch index of row i
     rows = np.flatnonzero(~leaving)
     pad, v, d, masses, reception = pad[rows], v[rows], d[rows], masses[rows], reception[rows]
-    brake = (gain * force0)[rows, None]     # a notified follower's force
+    brake = (x[rows, 39] * x[rows, 27])[:, None]     # a notified follower's force
     force = np.empty_like(v)
-    force[:, 0] = force0[rows]
+    force[:, 0] = x[rows, 27]
 
     for k in range(steps):
         if rows.size == 0:
@@ -263,25 +268,22 @@ def _check_finite(v: np.ndarray, rows: np.ndarray, where: str) -> None:
             f"non-finite state in scenario {int(rows[bad][0])} {where}")
 
 
-def _scenario_specs(n_samples: int, ranges: PlatoonRanges, seed: int) -> list:
-    """The scenarios of ``generate_platoon_dataset``, each drawn from its own
-    substream seeded by (seed, index)."""
-    specs: list[PlatoonSpec] = []
+def _scenario_rows(n_samples: int, ranges: PlatoonRanges, seed: int):
+    """Feature rows and reception rows of ``generate_platoon_dataset``'s
+    scenarios, each drawn from its own substream seeded by (seed, index),
+    with ``PlatoonSpec``'s default physical constants."""
+    x = np.zeros((n_samples, FEATURE_DIM))
+    reception = np.zeros((n_samples, MAX_FOLLOWERS), dtype=np.int64)
     for index in range(n_samples):
         rng = np.random.default_rng([seed, index])
         n = int(rng.integers(ranges.n_followers[0], ranges.n_followers[1] + 1))
-        specs.append(PlatoonSpec(
-            n_followers=n,
-            gaps=tuple(rng.uniform(*ranges.gap, size=n)),
-            speed_kmh=float(rng.uniform(*ranges.speed_kmh)),
-            brake_force=float(rng.uniform(*ranges.brake_force)),
-            masses=tuple(rng.uniform(*ranges.mass, size=n + 1)),
-            delay=float(rng.uniform(*ranges.delay)),
-            packet_error_rate=float(rng.uniform(*ranges.packet_error_rate)),
-            control_gain=float(rng.uniform(*ranges.control_gain)),
-            seed=int(rng.integers(2 ** 63)),
-        ))
-    return specs
+        # the arguments are drawn in the order they are written
+        _fill_row(x[index], n, rng.uniform(*ranges.gap, size=n), rng.uniform(*ranges.speed_kmh),
+                  rng.uniform(*ranges.brake_force), rng.uniform(*ranges.mass, size=n + 1),
+                  rng.uniform(*ranges.delay), rng.uniform(*ranges.packet_error_rate),
+                  rng.uniform(*ranges.control_gain))
+        reception[index] = _reception_steps(x[index], PlatoonSpec, int(rng.integers(2 ** 63)))
+    return x, reception
 
 
 def generate_platoon_dataset(n_samples: int, ranges: PlatoonRanges | None = None,
@@ -289,24 +291,14 @@ def generate_platoon_dataset(n_samples: int, ranges: PlatoonRanges | None = None
     """Sample scenarios from the ranges, simulate, and collect a dataset.
 
     Each scenario gets its own substream seeded by (seed, index), so any
-    stored spec re-simulates to its stored label.  n_samples = 0 yields an
+    generated row re-simulates alone to its label.  n_samples = 0 yields an
     empty dataset of the fixed feature width.
     """
-    n_samples = int(n_samples)
+    n_samples = checked_int(n_samples, "n_samples")
     if n_samples < 0:
         raise InvalidArgument(f"n_samples must be non-negative, got {n_samples}")
     ranges = ranges or PlatoonRanges()
-    specs = _scenario_specs(n_samples, ranges, seed)
-    # same draw path as simulate_platoon, so stored specs relabel exactly
-    receptions = [_reception_steps(spec, np.random.default_rng(spec.seed)) for spec in specs]
-
-    if n_samples == 0:
-        x = np.empty((0, FEATURE_DIM))
-        labels = np.empty((0,), dtype=int)
-    else:
-        labels = _simulate_batch(specs, receptions)
-        x = np.stack([platoon_features(s) for s in specs])
-
+    x, reception = _scenario_rows(n_samples, ranges, seed)
     provenance = {"generator": "platoon", "seed": int(seed), "n": n_samples,
                   "ranges": ranges.to_record()}
-    return Dataset(x, labels, provenance)
+    return Dataset(x, _simulate_batch(x, reception, PlatoonSpec), provenance)

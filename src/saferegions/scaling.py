@@ -88,7 +88,7 @@ def generalized_max(values, r: int) -> float:
     n = arr.size
     if n == 0:
         raise InvalidArgument("generalized_max of an empty collection")
-    r = int(r)
+    r = checked_int(r, "rank r")
     if not 1 <= r <= n:
         raise InvalidArgument(f"rank r={r} outside [1, {n}]")
     # k-th smallest with k = n - r is the r-th largest.

@@ -226,13 +226,18 @@ def test_config_that_is_not_yaml_exits_1_with_one_error_line(tmp_path, capsys):
     assert str(path) in err and "not valid YAML" in err
 
 
-@pytest.mark.parametrize("gap", [["a", 5.0], 5.0, [4.0, 5.0, 6.0], [True, 5.0]],
-                         ids=["text", "scalar", "triple", "boolean"])
-def test_bad_platoon_range_exits_1_with_one_error_line(tmp_path, capsys, gap):
-    # the first three once ended in a traceback, the last loaded silently
+@pytest.mark.parametrize("field, bounds", [
+    ("gap", ["a", 5.0]), ("gap", 5.0), ("gap", [4.0, 5.0, 6.0]), ("gap", [True, 5.0]),
+    ("mass", [-5.0, 10.0]), ("packet_error_rate", [0.0, 3.0]), ("gap", [-1e308, 1e308]),
+], ids=["text", "scalar", "triple", "boolean", "negative_mass", "error_rate_above_one",
+        "infinite_width"])
+def test_bad_platoon_range_exits_1_with_one_error_line(tmp_path, capsys, field, bounds):
+    # text, scalar, triple and infinite width once ended in a traceback, a
+    # boolean loaded silently; the negative mass failed only after planning
+    # and the error rate above one named a drawn value, not the range
     path = _write_config(tmp_path, data={"generator": "platoon", "n_train": 40,
-                                         "n_test": 40, "platoon": {"gap": gap}})
+                                         "n_test": 40, "platoon": {field: bounds}})
     assert main(["plan", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "range gap" in err
+    assert f"range {field}" in err

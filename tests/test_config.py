@@ -10,6 +10,7 @@ from saferegions import (
     ClassifierConfig,
     DataConfig,
     ExperimentConfig,
+    GridConfig,
     Hyperparameters,
     InvalidArgument,
     KernelSpec,
@@ -183,6 +184,18 @@ def test_integer_keys_accept_integral_floats(key):
     for name in key.split("."):
         node = node[name]
     assert node == 12 and type(node) is int
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: KernelSpec(kind="polynomial", degree=True), "kernel degree"),
+    (lambda: GridConfig(resolution=2.5), "grid.resolution"),
+    (lambda: RiskConfig(n_c=2.5), "risk.n_c"),
+    (lambda: DataConfig(n_train=2.5), "data.n_train"),
+], ids=["boolean_degree", "fractional_resolution", "fractional_n_c", "fractional_n_train"])
+def test_constructors_reject_non_integers(build, key):
+    # each once loaded through int(), as degree 1, resolution 2, n_c 2 and n_train 2
+    with pytest.raises(InvalidArgument, match=re.escape(f"{key} must be an integer")):
+        build()
 
 
 def test_kernel_entries_reject_unknown_keys_and_fractional_degrees():

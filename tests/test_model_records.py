@@ -202,6 +202,13 @@ MALFORMED = {
     "infinite_gamma": (_edited("lr", kernel={**_SHARED["kernel"], "gamma": float("inf")}),
                        "kernel gamma must be a finite real number"),
     "infinite_eta": (_edited("svdd", eta=float("inf")), "eta must be a finite real number"),
+    # once loaded as eta 0.5, as converged=True and as 2 iterations
+    "text_eta": (_edited("svm", eta="0.5"), "eta must be a finite real number"),
+    "text_converged": (_edited("lr", diagnostics={**_SHARED["diagnostics"], "converged": "no"}),
+                       "converged must be true or false"),
+    "fractional_iterations": (_edited("svdd", diagnostics={**_SHARED["diagnostics"],
+                                                           "iterations": 2.7}),
+                              "iterations must be an integer"),
 }
 
 

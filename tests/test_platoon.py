@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from saferegions import (
     FEATURE_DIM,
@@ -19,7 +21,7 @@ from saferegions import (
     platoon_features,
     simulate_platoon,
 )
-from saferegions.platoon import _reception_steps, _scenario_specs, _simulate_batch
+from saferegions.platoon import _reception_steps, _scenario_rows, _simulate_batch
 
 from .oracles import platoon_label_oracle
 
@@ -162,6 +164,38 @@ def test_spec_validation():
         PlatoonSpec(**{**good, "speed_kmh": (50.0, 40.0, 30.0)}).speeds()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_followers", 1.5, "n_followers must be an integer"),
+    ("n_followers", True, "n_followers must be an integer"),
+    ("gaps", (True,), "gaps must be a finite real number"),
+    ("gaps", ("5.0",), "gaps must be a finite real number"),
+    ("gaps", 5.0, "gaps must be a sequence of numbers"),
+    ("masses", (1000.0, "1000"), "masses must be a finite real number"),
+    ("speed_kmh", "50", "speed_kmh must be a finite real number"),
+    ("speed_kmh", (50.0, None), "speed_kmh must be a finite real number"),
+    ("brake_force", False, "brake_force must be a finite real number"),
+    ("delay", "0.1", "delay must be a finite real number"),
+    ("seed", 1.5, "seed must be an integer"),
+], ids=["fractional_count", "boolean_count", "boolean_gap", "text_gap", "scalar_gaps",
+        "text_mass", "text_speed", "none_speed", "boolean_force", "text_delay",
+        "fractional_seed"])
+def test_spec_rejects_fields_that_are_not_numbers(field, value, message):
+    # a fractional count was stored as 2.5 and a boolean one passed as one
+    # follower, a boolean gap loaded as 1.0, a text gap ended in a TypeError
+    with pytest.raises(InvalidArgument, match=message):
+        PlatoonSpec(**{**_GOOD_SPEC, field: value})
+
+
+def test_spec_stores_its_fields_as_numbers():
+    spec = PlatoonSpec(**{**_GOOD_SPEC, "n_followers": 1.0, "gaps": [5], "speed_kmh": 50,
+                          "masses": np.array([1000.0, 1000.0]), "delay": 0})
+    assert spec.n_followers == 1 and type(spec.n_followers) is int
+    assert spec.gaps == (5.0,) and type(spec.gaps[0]) is float
+    assert type(spec.speed_kmh) is float and type(spec.delay) is float
+    assert spec.masses == (1000.0, 1000.0)
+    assert np.array_equal(spec.speeds(), [50.0, 50.0])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field, value", [
     ("gaps", lambda bad: (bad,)),
@@ -226,6 +260,25 @@ def test_ranges_validation():
         PlatoonRanges(brake_force=(-100.0, 50.0))
 
 
+@pytest.mark.parametrize("field, bounds, message", [
+    ("gap", (-1e308, 1e308), "range gap must have lo <= hi and a finite width"),
+    ("mass", (-5.0, 10.0), "range mass must be positive"),
+    ("mass", (0.0, 10.0), "range mass must be positive"),
+    ("speed_kmh", (-1.0, 10.0), "range speed_kmh must be non-negative"),
+    ("delay", (-0.1, 0.5), "range delay must be non-negative"),
+    ("control_gain", (-0.5, 1.0), "range control_gain must be non-negative"),
+    ("packet_error_rate", (-0.1, 0.5), r"range packet_error_rate must lie in \[0, 1\)"),
+    ("packet_error_rate", (0.0, 3.0), r"range packet_error_rate must lie in \[0, 1\)"),
+    ("mass", (1e-320, 1.0), "range brake_force / range mass must stay finite"),
+], ids=["infinite_width", "negative_mass", "zero_mass", "negative_speed", "negative_delay",
+        "negative_gain", "negative_error_rate", "error_rate_above_one", "infinite_acceleration"])
+def test_ranges_reject_values_no_scenario_may_take(field, bounds, message):
+    # once checked scenario by scenario: the first ended in numpy's
+    # OverflowError, the others failed naming a drawn value or none
+    with pytest.raises(InvalidArgument, match=message):
+        PlatoonRanges(**{field: bounds})
+
+
 def test_generated_dataset_is_deterministic_and_mixed():
     data = generate_platoon_dataset(150, seed=5)
     again = generate_platoon_dataset(150, seed=5)
@@ -239,14 +292,69 @@ def test_generated_dataset_is_deterministic_and_mixed():
     assert data.provenance["ranges"] == PlatoonRanges().to_record()
 
 
+def _row_spec(row):
+    """The scenario of a feature row, with the default physical constants."""
+    n = int(row[0])
+    return PlatoonSpec(n_followers=n, gaps=tuple(row[1:1 + n]), speed_kmh=tuple(row[9:10 + n]),
+                       brake_force=row[27], masses=tuple(row[28:29 + n]), delay=row[37],
+                       packet_error_rate=row[38], control_gain=row[39])
+
+
 def test_stored_specs_relabel_to_the_stored_labels():
     data = generate_platoon_dataset(25, seed=12)
-    specs = _scenario_specs(25, PlatoonRanges(), 12)
-    assert len(specs) == 25
+    x, reception = _scenario_rows(25, PlatoonRanges(), 12)
+    assert np.array_equal(x, data.x)
     for i in (0, 7, 24):
-        feat, label = simulate_platoon(specs[i])
-        assert np.array_equal(feat, data.x[i])
-        assert label == data.y[i]
+        # a generated row relabels alone, and is the feature row of its scenario
+        assert _simulate_batch(x[i:i + 1], reception[i:i + 1], PlatoonSpec)[0] == data.y[i]
+        assert np.array_equal(platoon_features(_row_spec(x[i])), x[i])
+
+
+def test_generation_constructs_no_scenario_object(monkeypatch):
+    expected = generate_platoon_dataset(30, seed=4)
+
+    def refuse(spec):
+        raise AssertionError("a PlatoonSpec was constructed")
+
+    monkeypatch.setattr(PlatoonSpec, "__post_init__", refuse)
+    data = generate_platoon_dataset(30, seed=4)
+    assert np.array_equal(data.x, expected.x) and np.array_equal(data.y, expected.y)
+
+
+def test_delays_past_the_horizon_never_notify():
+    # one delay draw of 1e306 s once ended in an OverflowError; past the
+    # 30 s horizon no follower is notified, whatever the delay
+    far = generate_platoon_dataset(40, PlatoonRanges(delay=(1e306, 1e307)), seed=3)
+    late = generate_platoon_dataset(40, PlatoonRanges(delay=(31.0, 100.0)), seed=3)
+    assert np.array_equal(far.y, late.y)
+    assert np.array_equal(np.delete(far.x, 37, axis=1), np.delete(late.x, 37, axis=1))
+
+
+def _bounds(values):
+    return st.tuples(values, values).map(sorted)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_followers=_bounds(st.integers(1, 8)), gap=_bounds(_FINITE),
+       speed_kmh=_bounds(_NON_NEGATIVE),
+       brake_force=_bounds(st.floats(max_value=0.0, allow_infinity=False)),
+       mass=_bounds(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+       delay=_bounds(_NON_NEGATIVE),
+       packet_error_rate=_bounds(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+       control_gain=_bounds(_NON_NEGATIVE), seed=st.integers(0, 2 ** 32))
+def test_every_row_drawn_from_valid_ranges_is_a_valid_scenario(seed, **bounds):
+    try:
+        ranges = PlatoonRanges(**bounds)
+    except InvalidArgument:
+        assume(False)
+    x, reception = _scenario_rows(4, ranges, seed)
+    assert np.isfinite(x).all() and (reception >= 0).all()
+    for row in x:
+        assert np.array_equal(platoon_features(_row_spec(row)), row)
 
 
 def test_empty_generation():
@@ -255,16 +363,15 @@ def test_empty_generation():
     assert data.n_samples == 0
     with pytest.raises(InvalidArgument):
         generate_platoon_dataset(-1, seed=0)
-
-
-def _receptions(specs):
-    return [_reception_steps(s, np.random.default_rng(s.seed)) for s in specs]
+    # 2.5 once generated two scenarios
+    with pytest.raises(InvalidArgument, match="n_samples must be an integer"):
+        generate_platoon_dataset(2.5, seed=0)
 
 
 def test_generated_labels_match_plain_python_replay():
     data = generate_platoon_dataset(100, seed=31)
-    specs = _scenario_specs(100, PlatoonRanges(), 31)
-    expected = [platoon_label_oracle(s, r) for s, r in zip(specs, _receptions(specs))]
+    x, reception = _scenario_rows(100, PlatoonRanges(), 31)
+    expected = [platoon_label_oracle(_row_spec(row), steps) for row, steps in zip(x, reception)]
     assert data.y.tolist() == expected
     assert 10 < expected.count(1) < 90
 
@@ -289,13 +396,20 @@ def _mixed_batch():
     ]
 
 
+def _rows(specs):
+    """Feature rows and reception rows of the scenarios, as simulate_platoon
+    builds them."""
+    x = np.stack([platoon_features(spec) for spec in specs])
+    return x, np.stack([_reception_steps(row, spec, spec.seed) for row, spec in zip(x, specs)])
+
+
 def test_mixed_batch_labels_equal_lone_runs():
     specs = _mixed_batch()
-    receptions = _receptions(specs)
-    labels = _simulate_batch(specs, receptions).tolist()
-    alone = [int(_simulate_batch([s], [r])[0]) for s, r in zip(specs, receptions)]
+    x, reception = _rows(specs)
+    labels = _simulate_batch(x, reception, PlatoonSpec).tolist()
+    alone = [simulate_platoon(spec)[1] for spec in specs]
     assert labels == alone == [-1, 1, -1, 1]
-    assert labels == [platoon_label_oracle(s, r) for s, r in zip(specs, receptions)]
+    assert labels == [platoon_label_oracle(s, r) for s, r in zip(specs, reception)]
 
 
 def test_non_finite_state_names_the_batch_index():
@@ -305,21 +419,21 @@ def test_non_finite_state_names_the_batch_index():
     bad = PlatoonSpec(n_followers=1, gaps=(50.0,), speed_kmh=1e308,
                       brake_force=-4000.0, masses=(1000.0, 1000.0), delay=1000.0,
                       packet_error_rate=0.0, control_gain=1.0)
-    batch = [specs[0], specs[3], bad]
+    x, reception = _rows([specs[0], specs[3], bad])
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(SimulationError, match=r"scenario 2 at step 0$"):
-        _simulate_batch(batch, _receptions(batch))
+        _simulate_batch(x, reception, PlatoonSpec)
 
 
 def test_non_finite_state_finished_at_start_is_caught():
     # a NaN speed is not > 0, so this scenario counts as stopped at t = 0
     # and never enters the active set; it must not be labelled safe.
-    # PlatoonSpec rejects a NaN speed, so it is set past the constructor.
+    # PlatoonSpec rejects a NaN speed, so it is set in the feature row.
     specs = _mixed_batch()
     bad = PlatoonSpec(n_followers=1, gaps=(50.0,), speed_kmh=50.0,
                       brake_force=-4000.0, masses=(1000.0, 1000.0), delay=0.0,
                       packet_error_rate=0.0, control_gain=1.0)
-    object.__setattr__(bad, "speed_kmh", float("nan"))
-    batch = [specs[3], bad, specs[2]]
+    x, reception = _rows([specs[3], bad, specs[2]])
+    x[1, 9:11] = np.nan
     with pytest.raises(SimulationError, match=r"scenario 1 in its initial state"):
-        _simulate_batch(batch, _receptions(batch))
+        _simulate_batch(x, reception, PlatoonSpec)

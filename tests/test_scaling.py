@@ -120,6 +120,14 @@ def test_generalized_max_validation():
         generalized_max([[1.0, 2.0]], 1)
 
 
+@pytest.mark.parametrize("r", [2.7, "2", True], ids=["fraction", "text", "boolean"])
+def test_generalized_max_rank_must_be_an_integer(r):
+    # once read by int(r): 2.7 gave the second largest, True the maximum
+    with pytest.raises(InvalidArgument, match="rank r must be an integer"):
+        generalized_max([3.0, 1.0, 2.0], r)
+    assert generalized_max([3.0, 1.0, 2.0], 2.0) == 2.0
+
+
 def test_generalized_max_rejects_non_finite_values():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InvalidArgument, match="non-finite"):
