@@ -60,14 +60,7 @@ from .pipeline import (
     resolve_plans,
     run_experiment,
 )
-from .platoon import (
-    FEATURE_DIM,
-    PlatoonRanges,
-    PlatoonSpec,
-    generate_platoon_dataset,
-    platoon_features,
-    simulate_platoon,
-)
+from .platoon import FEATURE_DIM, PlatoonRanges, generate_platoon_dataset
 from .scaling import (
     WHOLE_SPACE,
     CalibrationCertificate,

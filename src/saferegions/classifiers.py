@@ -354,7 +354,8 @@ def model_from_record(record: dict) -> ScalableModel:
     Arrays keep the JSON number type (integer labels stay integers).  Raises
     ``InvalidArgument`` unless the record is a version-1 record of a known
     variant with every key present, centers forming a 2-D array, every other
-    fitted array holding one entry per center, and every fitted value finite.
+    fitted array holding one entry per center, every fitted value finite and
+    every scalar field a real number (a string or a boolean is not).
     """
     from .logistic import ScLrModel
     from .svdd import ScSvddModel
@@ -376,7 +377,8 @@ def model_from_record(record: dict) -> ScalableModel:
                              tau=checked_real(record["tau"], "tau"),
                              kernel=KernelSpec.from_record(record["kernel"]))
         diagnostics = TrainingDiagnostics.from_record(record["diagnostics"])
-        fitted = {name: np.asarray(record[name]) if is_array else float(record[name])
+        fitted = {name: np.asarray(record[name]) if is_array
+                  else checked_real(record[name], name)
                   for name, is_array in spec}
     except KeyError as exc:
         raise InvalidArgument(f"model record has no key {exc}") from None

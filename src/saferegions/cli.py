@@ -164,10 +164,9 @@ def cmd_run(args) -> int:
     for (variant, eps), family_result in result.family_results.items():
         member = family_result.selected
         cert = member.certificate
-        rho = "whole_space" if cert.kind == "whole_space" else repr(cert.rho_eps)
         print(f"{variant} eps={eps!r}: selected member {member.index} "
               f"(eta={member.hyperparameters.eta!r}, tau={member.hyperparameters.tau!r}), "
-              f"rho_eps={rho}, confidence={cert.confidence!r}, "
+              f"rho_eps={cert.reported_rho}, confidence={cert.confidence!r}, "
               f"certified={'yes' if cert.certified else 'no'}")
     print(f"report: {result.files['report']}")
     return EXIT_OK if result.all_certified else EXIT_UNCERTIFIED

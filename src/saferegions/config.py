@@ -64,12 +64,12 @@ def _mapping(value, context: str) -> dict:
     return value
 
 
-def _float_list(value, context: str, distinct: bool = True) -> tuple:
-    """A non-empty list of finite reals, as floats, distinct unless told not."""
+def _float_list(value, context: str) -> tuple:
+    """A non-empty list of distinct finite reals, as floats."""
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise InvalidArgument(f"{context} must be a non-empty list")
     out = tuple(checked_real(v, context) for v in value)
-    if distinct and len(set(out)) != len(out):
+    if len(set(out)) != len(out):
         raise InvalidArgument(f"{context} contains duplicates: {list(out)}")
     return out
 
@@ -95,6 +95,9 @@ class DataConfig:
             # 0 is allowed so `generate` can emit header-only files
             if self.generator != "csv" and getattr(self, name) < 0:
                 raise InvalidArgument(f"{name} must be >= 0, got {getattr(self, name)}")
+        # sampling needs a spec: the two-unit-Gaussian benchmark unless one is given
+        if self.generator == "gaussian" and self.gaussian is None:
+            object.__setattr__(self, "gaussian", GaussianSpec(**_DEFAULT_GAUSSIAN))
         if self.generator == "csv":
             paths = self.paths or {}
             missing = [k for k in ("train", "calib", "test") if not paths.get(k)]
@@ -166,6 +169,7 @@ class ClassifierConfig:
                 f"unknown variants {unknown}, expected a subset of {sorted(TRAINERS)}")
         if len(set(self.variants)) != len(self.variants):
             raise InvalidArgument(f"duplicate variants in {list(self.variants)}")
+        object.__setattr__(self, "tol", checked_real(self.tol, "classifier.tol"))
         self.family()   # constructing every member validates the whole grid now
 
     def family(self) -> list:
@@ -189,7 +193,7 @@ class ClassifierConfig:
         return cls(variants=tuple(variants),
                    etas=_float_list(fields["etas"], "classifier.etas"),
                    taus=_float_list(fields["taus"], "classifier.taus"),
-                   kernels=kernels, tol=checked_real(fields["tol"], "classifier.tol"),
+                   kernels=kernels, tol=fields["tol"],
                    max_iter=None if max_iter is None
                    else checked_int(max_iter, "classifier.max_iter"))
 
@@ -254,22 +258,21 @@ class GridConfig:
         if self.resolution < 2:
             raise InvalidArgument(f"grid.resolution must be >= 2, got {self.resolution}")
         if self.bbox is not None:
-            if len(self.bbox) != 4:
-                raise InvalidArgument(f"grid.bbox needs 4 numbers, got {list(self.bbox)}")
-            x1_min, x1_max, x2_min, x2_max = map(float, self.bbox)
+            if not isinstance(self.bbox, (list, tuple)) or len(self.bbox) != 4:
+                raise InvalidArgument(f"grid.bbox needs 4 numbers, got {self.bbox!r}")
+            bbox = tuple(checked_real(v, "grid.bbox") for v in self.bbox)
+            object.__setattr__(self, "bbox", bbox)
+            x1_min, x1_max, x2_min, x2_max = bbox
             if not (x1_min < x1_max and x2_min < x2_max):
                 raise InvalidArgument(f"grid.bbox must satisfy min < max per axis")
+        object.__setattr__(self, "margin", checked_real(self.margin, "grid.margin"))
         if not self.margin >= 0:
             raise InvalidArgument(f"grid.margin must be non-negative, got {self.margin}")
 
     @classmethod
     def from_mapping(cls, raw) -> "GridConfig":
         raw = _mapping(raw, "grid")
-        fields = _take(raw, "grid", resolution=50, bbox=None, margin=0.5)
-        bbox = fields["bbox"]
-        return cls(resolution=fields["resolution"],
-                   bbox=None if bbox is None else _float_list(bbox, "grid.bbox", distinct=False),
-                   margin=checked_real(fields["margin"], "grid.margin"))
+        return cls(**_take(raw, "grid", resolution=50, bbox=None, margin=0.5))
 
     def to_mapping(self) -> dict:
         return {"resolution": self.resolution,

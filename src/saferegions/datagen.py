@@ -171,6 +171,8 @@ class GaussianSpec:
         for name in ("cov_safe", "cov_unsafe"):
             rows = _sequence(getattr(self, name), name, "a list of rows")
             object.__setattr__(self, name, tuple(_real_tuple(row, name) for row in rows))
+        for name in ("safe_prob", "outlier_prob"):
+            object.__setattr__(self, name, checked_real(getattr(self, name), name))
         if not 0.0 < self.safe_prob < 1.0:
             raise InvalidArgument(f"safe_prob must lie in (0, 1), got {self.safe_prob!r}")
         if not 0.0 <= self.outlier_prob < 0.5:

@@ -213,8 +213,7 @@ def _member_rows(variant: str, eps_value: float, result: FamilyResult,
             continue
         k = column[member.index]
         joint, conditional, accuracy = _frequencies(table[:, 2 + k] == 1, margins[:, k], labels)
-        rho_cell = "whole_space" if cert.kind == "whole_space" else float(cert.rho_eps)
-        rows.append(base + [cert.n_U, rho_cell, cert.kind, cert.certified,
+        rows.append(base + [cert.n_U, cert.reported_rho, cert.kind, cert.certified,
                             float(cert.confidence), float(member.score), joint,
                             conditional, accuracy, n_test,
                             int(member.index == result.selected_index)])
@@ -371,9 +370,7 @@ def evaluate_saved(run_dir) -> list:
         joint, conditional, accuracy = _frequencies((s + cert.rho_eps) < 0.0, s, test.y)
         hp = model.hyperparameters
         rows.append([model.variant, float(hp.eta), float(hp.tau), model.kernel.label(),
-                     float(cert.plan.eps),
-                     "whole_space" if cert.kind == "whole_space" else float(cert.rho_eps),
-                     cert.kind, cert.certified, float(cert.confidence),
-                     joint, conditional, accuracy, test.n_samples])
+                     float(cert.plan.eps), cert.reported_rho, cert.kind, cert.certified,
+                     float(cert.confidence), joint, conditional, accuracy, test.n_samples])
     write_csv(run_dir / "evaluation.csv", EVALUATION_COLUMNS, rows)
     return rows

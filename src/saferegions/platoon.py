@@ -12,8 +12,9 @@ Longitudinal dynamics per vehicle:
 
 integrated with the explicit Euler rule.  A run is labelled unsafe (-1) when
 any spacing falls to the collision distance within the horizon, safe (+1)
-otherwise.  Generation writes each scenario as a feature row plus a row of
-reception steps, and the simulator reads those rows.  Simulations are
+otherwise.  A scenario is one feature row (layout in ``_fill_row``) plus a
+row of reception steps, the step at which each follower starts braking; the
+constants every scenario shares form one ``Physics`` record.  Simulations are
 vectorized across a batch that shrinks as it runs: each Euler step works only
 on the active set, the scenarios with no collision yet and at least one
 vehicle still moving.  A scenario leaves the set on the step it collides or
@@ -34,88 +35,31 @@ from .datagen import Dataset
 from .errors import InvalidArgument, SimulationError
 from .validation import checked_int, checked_real
 
-__all__ = ["PlatoonSpec", "PlatoonRanges", "platoon_features", "simulate_platoon",
-           "generate_platoon_dataset", "FEATURE_DIM"]
+__all__ = ["PlatoonRanges", "generate_platoon_dataset", "FEATURE_DIM"]
 
 MAX_FOLLOWERS = 8
 FEATURE_DIM = 40   # 1 + 8 gaps + 9 speeds + 9 accels + 1 force + 9 masses + 3 comms
-_SCALAR_FIELDS = ("brake_force", "delay", "packet_error_rate", "control_gain",
-                  "rolling_resistance", "drag_coefficient", "time_step", "horizon",
-                  "collision_distance")
-
-
-def _checked_reals(values, name: str) -> tuple:
-    if np.ndim(values) != 1:
-        raise InvalidArgument(f"{name} must be a sequence of numbers, got {values!r}")
-    return tuple(checked_real(value, name) for value in values)
 
 
 @dataclass(frozen=True)
-class PlatoonSpec:
-    """Concrete scenario: geometry, masses, braking, and network behaviour."""
+class Physics:
+    """Physical constants of a simulation; generation always uses the
+    defaults, and only tests set others."""
 
-    n_followers: int
-    gaps: tuple                  # initial spacings, one per follower, m
-    speed_kmh: tuple | float     # initial speed(s), scalar or one per vehicle
-    brake_force: float           # leader braking force F0 <= 0, N
-    masses: tuple                # one per vehicle (leader first), kg
-    delay: float                 # notification network delay, s
-    packet_error_rate: float     # probability a retransmission is lost
-    control_gain: float          # follower braking force = gain * F0
-    rolling_resistance: float = 100.0   # N
-    drag_coefficient: float = 0.5       # N s^2 / m^2
     time_step: float = 0.01             # s
     horizon: float = 30.0               # s
+    rolling_resistance: float = 100.0   # N
+    drag_coefficient: float = 0.5       # N s^2 / m^2
     collision_distance: float = 2.0     # m
-    seed: int = 0
-
-    def __post_init__(self):
-        n = checked_int(self.n_followers, "n_followers")
-        if not 1 <= n <= MAX_FOLLOWERS:
-            raise InvalidArgument(f"n_followers must lie in [1, {MAX_FOLLOWERS}], got {n}")
-        checked = {
-            "n_followers": n,
-            "gaps": _checked_reals(self.gaps, "gaps"),
-            "masses": _checked_reals(self.masses, "masses"),
-            "speed_kmh": (checked_real(self.speed_kmh, "speed_kmh") if np.ndim(self.speed_kmh) == 0
-                          else _checked_reals(self.speed_kmh, "speed_kmh")),
-            "seed": checked_int(self.seed, "seed"),
-            **{name: checked_real(getattr(self, name), name) for name in _SCALAR_FIELDS},
-        }
-        for name, value in checked.items():
-            object.__setattr__(self, name, value)
-        for name, size in (("gaps", n), ("masses", n + 1), ("speed_kmh", n + 1)):
-            values = getattr(self, name)
-            if np.ndim(values) == 1 and len(values) != size:
-                raise InvalidArgument(f"expected {size} {name}, got {values!r}")
-        if (self.speeds() < 0).any():
-            raise InvalidArgument("speeds must be non-negative")
-        if any(m <= 0 for m in self.masses):
-            raise InvalidArgument("masses must be positive")
-        if self.brake_force > 0:
-            raise InvalidArgument(f"brake_force must be <= 0, got {self.brake_force!r}")
-        if not 0.0 <= self.packet_error_rate < 1.0:
-            raise InvalidArgument(
-                f"packet_error_rate must lie in [0, 1), got {self.packet_error_rate!r}")
-        if self.delay < 0 or self.control_gain < 0:
-            raise InvalidArgument("delay and control_gain must be non-negative")
-        if self.rolling_resistance < 0 or self.drag_coefficient < 0:
-            raise InvalidArgument("resistance coefficients must be non-negative")
-        if self.time_step <= 0 or self.horizon <= 0:
-            raise InvalidArgument("time_step and horizon must be positive")
-        if self.collision_distance < 0:
-            raise InvalidArgument("collision_distance must be non-negative")
-
-    def speeds(self) -> np.ndarray:
-        """Initial speed of each vehicle, leader first, km/h."""
-        return np.full(self.n_followers + 1, self.speed_kmh, dtype=float)
 
 
 @dataclass(frozen=True)
 class PlatoonRanges:
     """Sampling ranges for scenario generation (defaults for a heavy-vehicle
     platoon; inclusive bounds, uniform draws).  Every scenario drawn from
-    ranges that construct is a valid ``PlatoonSpec``."""
+    ranges that construct has finite features, non-negative speeds, delay
+    and gain, positive masses, a non-positive braking force and a packet
+    error rate in [0, 1)."""
 
     n_followers: tuple = (3, 8)
     gap: tuple = (4.0, 9.0)              # m
@@ -159,8 +103,12 @@ class PlatoonRanges:
 
 def _fill_row(row, n, gaps, speed_kmh, brake_force, masses, delay, packet_error_rate,
               control_gain) -> np.ndarray:
-    """Write one scenario into a zeroed feature row (layout in
-    ``platoon_features``); ``masses`` is an array."""
+    """Write one scenario into a zeroed feature row; ``masses`` is an array.
+
+    Layout: follower count; gaps padded to 8; per-vehicle speeds (km/h) padded
+    to 9; per-vehicle F0/m accelerations padded to 9; F0; masses padded to 9;
+    delay; packet error rate; control gain.  Padding is zero.
+    """
     row[0] = n
     row[1:1 + n] = gaps
     row[9:9 + n + 1] = speed_kmh
@@ -171,19 +119,7 @@ def _fill_row(row, n, gaps, speed_kmh, brake_force, masses, delay, packet_error_
     return row
 
 
-def platoon_features(spec: PlatoonSpec) -> np.ndarray:
-    """Fixed-width feature vector of a scenario (simulation not needed).
-
-    Layout: follower count; gaps padded to 8; per-vehicle speeds (km/h) padded
-    to 9; per-vehicle F0/m accelerations padded to 9; F0; masses padded to 9;
-    delay; packet error rate; control gain.  Padding is zero.
-    """
-    return _fill_row(np.zeros(FEATURE_DIM), spec.n_followers, spec.gaps, spec.speeds(),
-                     spec.brake_force, np.asarray(spec.masses), spec.delay,
-                     spec.packet_error_rate, spec.control_gain)
-
-
-def _reception_steps(row: np.ndarray, physics, seed: int) -> np.ndarray:
+def _reception_steps(row: np.ndarray, physics: Physics, seed: int) -> np.ndarray:
     """Step at which each follower of feature row ``row`` starts braking, zero
     padded to ``MAX_FOLLOWERS``: the delay in whole steps, plus one step per
     packet lost, drawn from ``seed``.  A delay past the horizon counts as the
@@ -195,18 +131,9 @@ def _reception_steps(row: np.ndarray, physics, seed: int) -> np.ndarray:
     return out
 
 
-def simulate_platoon(spec: PlatoonSpec) -> tuple[np.ndarray, int]:
-    """Run one scenario; returns (features, label)."""
-    row = platoon_features(spec)
-    labels = _simulate_batch(row[None], _reception_steps(row, spec, spec.seed)[None], spec)
-    return row, int(labels[0])
-
-
-def _simulate_batch(x: np.ndarray, reception: np.ndarray, physics) -> np.ndarray:
-    """Label the scenarios of feature rows ``x`` in lockstep; ``reception``
-    holds their rows of reception steps.  The physical constants (time step,
-    horizon, resistances, collision distance) are read from ``physics``, a
-    ``PlatoonSpec`` or the class itself for its defaults.
+def _simulate_batch(x: np.ndarray, reception: np.ndarray, physics: Physics) -> np.ndarray:
+    """Label the scenarios of feature rows ``x`` in lockstep under the
+    constants ``physics``; ``reception`` holds their rows of reception steps.
 
     Each step works on compact arrays of the rows still active; ``rows`` maps
     them back to batch indices.  A row leaves on the step it collides or
@@ -271,7 +198,8 @@ def _check_finite(v: np.ndarray, rows: np.ndarray, where: str) -> None:
 def _scenario_rows(n_samples: int, ranges: PlatoonRanges, seed: int):
     """Feature rows and reception rows of ``generate_platoon_dataset``'s
     scenarios, each drawn from its own substream seeded by (seed, index),
-    with ``PlatoonSpec``'s default physical constants."""
+    under the default physical constants."""
+    physics = Physics()
     x = np.zeros((n_samples, FEATURE_DIM))
     reception = np.zeros((n_samples, MAX_FOLLOWERS), dtype=np.int64)
     for index in range(n_samples):
@@ -282,7 +210,7 @@ def _scenario_rows(n_samples: int, ranges: PlatoonRanges, seed: int):
                   rng.uniform(*ranges.brake_force), rng.uniform(*ranges.mass, size=n + 1),
                   rng.uniform(*ranges.delay), rng.uniform(*ranges.packet_error_rate),
                   rng.uniform(*ranges.control_gain))
-        reception[index] = _reception_steps(x[index], PlatoonSpec, int(rng.integers(2 ** 63)))
+        reception[index] = _reception_steps(x[index], physics, int(rng.integers(2 ** 63)))
     return x, reception
 
 
@@ -301,4 +229,4 @@ def generate_platoon_dataset(n_samples: int, ranges: PlatoonRanges | None = None
     x, reception = _scenario_rows(n_samples, ranges, seed)
     provenance = {"generator": "platoon", "seed": int(seed), "n": n_samples,
                   "ranges": ranges.to_record()}
-    return Dataset(x, _simulate_batch(x, reception, PlatoonSpec), provenance)
+    return Dataset(x, _simulate_batch(x, reception, Physics()), provenance)

@@ -228,9 +228,14 @@ class CalibrationCertificate:
     def kind(self) -> str:
         return "whole_space" if self.rho_eps == WHOLE_SPACE else "scaled"
 
+    @property
+    def reported_rho(self):
+        """``rho_eps`` as records, csv cells and messages write it: the
+        string ``"whole_space"`` for the whole-space sentinel, else the float."""
+        return "whole_space" if self.kind == "whole_space" else float(self.rho_eps)
+
     def to_record(self) -> dict:
         """Flat record with primitive values only, ready for JSON or YAML."""
-        rho = "whole_space" if self.kind == "whole_space" else self.rho_eps
         return {
             "eps": self.plan.eps,
             "delta": self.plan.delta,
@@ -238,7 +243,7 @@ class CalibrationCertificate:
             "r": self.plan.r,
             "n_c": self.plan.n_c,
             "n_U": self.n_U,
-            "rho_eps": rho,
+            "rho_eps": self.reported_rho,
             "region_kind": self.kind,
             "confidence": self.confidence,
             "certified": self.certified,

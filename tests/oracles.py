@@ -112,41 +112,45 @@ def central_difference_gradient(fn, x0, h: float = 1e-6):
     return grad
 
 
-def platoon_label_oracle(spec, reception) -> int:
+def platoon_label_oracle(row, reception, physics) -> int:
     """Label of one platoon scenario by a plain-Python Euler replay.
 
-    Follows the recurrence of the simulator's module docstring one vehicle at
-    a time, with the simulator's operation order, so every float agrees bit
-    for bit: the resistance is ``a + (b * v) * v``; the speed update is
+    ``row`` is the scenario's feature row: follower count n at 0, gaps at
+    1..n, speeds (km/h) at 9..9+n, the leader's force F0 at 27, masses at
+    28..28+n and the control gain at 39.  ``physics`` holds the time step,
+    horizon, resistances and collision distance.  Follows the recurrence of
+    the simulator's module docstring one vehicle at a time, with the
+    simulator's operation order, so every float agrees bit for bit: the
+    resistance is ``a + (b * v) * v``; the speed update is
     ``max(v + (dt * (F - resistance)) / m, 0)``; spacings advance with the
     pre-update speeds.  ``reception[i]`` is the step at which follower i + 1
     starts braking with ``gain * F0``.  Returns -1 on a collision, else +1.
     """
-    n = int(spec.n_followers)
-    speed = spec.speed_kmh
-    speeds = [float(speed)] * (n + 1) if np.ndim(speed) == 0 else [float(s) for s in speed]
-    v = [s / 3.6 for s in speeds]
-    d = [float(g) for g in spec.gaps]
-    masses = [float(m) for m in spec.masses]
-    dt = spec.time_step
-    a_roll, b_drag = spec.rolling_resistance, spec.drag_coefficient
-    brake = spec.control_gain * spec.brake_force
-    if min(d) <= spec.collision_distance:
+    row = [float(value) for value in row]
+    n = int(row[0])
+    v = [s / 3.6 for s in row[9:10 + n]]
+    d = row[1:1 + n]
+    masses = row[28:29 + n]
+    dt = physics.time_step
+    a_roll, b_drag = physics.rolling_resistance, physics.drag_coefficient
+    brake_force = row[27]
+    brake = row[39] * brake_force
+    if min(d) <= physics.collision_distance:
         return -1
-    for k in range(int(round(spec.horizon / dt))):
+    for k in range(int(round(physics.horizon / dt))):
         if not any(s > 0.0 for s in v):
             return 1
         new_v = []
         for i in range(n + 1):
             resistance = a_roll + b_drag * v[i] * v[i]
             if i == 0:
-                force = spec.brake_force
+                force = brake_force
             else:
                 force = brake if k >= reception[i - 1] else resistance
             new_v.append(max(v[i] + dt * (force - resistance) / masses[i], 0.0))
         d = [d[j] + dt * (v[j] - v[j + 1]) for j in range(n)]
         v = new_v
-        if min(d) <= spec.collision_distance:
+        if min(d) <= physics.collision_distance:
             return -1
     return 1
 

@@ -10,6 +10,7 @@ from saferegions import (
     ClassifierConfig,
     DataConfig,
     ExperimentConfig,
+    GaussianSpec,
     GridConfig,
     Hyperparameters,
     InvalidArgument,
@@ -17,6 +18,7 @@ from saferegions import (
     RiskConfig,
     TrainSettings,
     load_config,
+    run_experiment,
 )
 
 
@@ -196,6 +198,31 @@ def test_constructors_reject_non_integers(build, key):
     # each once loaded through int(), as degree 1, resolution 2, n_c 2 and n_train 2
     with pytest.raises(InvalidArgument, match=re.escape(f"{key} must be an integer")):
         build()
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: GridConfig(margin="0.5"), "grid.margin"),
+    (lambda: GridConfig(bbox=("a", 1.0, 2.0, 3.0)), "grid.bbox"),
+    (lambda: ClassifierConfig(tol="x"), "classifier.tol"),
+    (lambda: GaussianSpec((0.0, 0.0), (1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)),
+                          ((1.0, 0.0), (0.0, 1.0)), safe_prob="0.5"), "safe_prob"),
+], ids=["text_margin", "text_bbox", "text_tol", "text_safe_prob"])
+def test_constructors_reject_values_that_are_not_real_numbers(build, key):
+    # the margin and the safe_prob once ended in a TypeError, the bbox in a
+    # bare ValueError, and the tol was stored as given
+    with pytest.raises(InvalidArgument, match=re.escape(f"{key} must be a finite real number")):
+        build()
+
+
+def test_default_gaussian_data_config_carries_the_default_spec(tmp_path):
+    # a gaussian DataConfig built without a spec once held None, and a run
+    # of it ended in an AttributeError
+    assert DataConfig().gaussian == ExperimentConfig.from_mapping({}).data.gaussian
+    config = ExperimentConfig(data=DataConfig(n_train=60, n_test=50),
+                              risk=RiskConfig(eps=(0.2,), delta=0.05),
+                              output_dir=str(tmp_path / "out"))
+    result = run_experiment(config, write=False)
+    assert result.train_original.n_samples == 60
 
 
 def test_kernel_entries_reject_unknown_keys_and_fractional_degrees():

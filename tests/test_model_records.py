@@ -178,6 +178,9 @@ MALFORMED = {
     "nan_radius": (_edited("svdd", r_squared=float("nan")), "r_squared"),
     "text_alpha": (_edited("svm", support_alpha=["a", "b"]), "support_alpha"),
     "list_offset": (_edited("lr", offset=[0.2]), "malformed"),
+    # once loaded as 0.2 and as 1.0
+    "text_offset": (_edited("svm", offset="0.2"), "offset must be a finite real number"),
+    "boolean_offset": (_edited("lr", offset=True), "offset must be a finite real number"),
     "not_an_object": ([1, 2], "JSON object"),
     "unknown_version": (_edited("svm", format_version=2), "format version"),
     # a non-finite level would mark every point outside: a silently empty region
