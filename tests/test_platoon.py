@@ -20,6 +20,7 @@ from saferegions import (
     SimulationError,
     generate_platoon_dataset,
 )
+from saferegions import platoon
 from saferegions.platoon import (
     Physics,
     _fill_row,
@@ -134,6 +135,40 @@ def test_feature_layout():
     assert np.array_equal(feat[37:], [0.25, 0.1, 1.1])
 
 
+# A scenario is specified by ranges pinned to one value each: uniform(v, v) is v.
+_GOOD_SPEC = dict(n_followers=1, gap=5.0, speed_kmh=50.0, brake_force=-1000.0,
+                  mass=1000.0, delay=0.0, packet_error_rate=0.0, control_gain=1.0)
+
+
+def _pinned(**values):
+    return PlatoonRanges(**{name: (value, value) for name, value in values.items()})
+
+
+def test_spec_validation():
+    data = generate_platoon_dataset(1, _pinned(**_GOOD_SPEC), seed=0)
+    assert np.array_equal(data.x[0], _row(1, [5.0], 50.0, -1000.0, [1000.0, 1000.0]))
+    # the values a scenario may not take are refused before any is drawn
+    for field, value in [("brake_force", 10.0), ("mass", -5.0), ("mass", 0.0),
+                         ("packet_error_rate", 1.0), ("n_followers", 9),
+                         ("n_followers", 0), ("speed_kmh", -3.0), ("delay", -0.1),
+                         ("control_gain", -1.0)]:
+        with pytest.raises(InvalidArgument):
+            _pinned(**{**_GOOD_SPEC, field: value})
+
+
+def test_spec_stores_its_fields_as_numbers():
+    # integers, lists and numpy scalars pin the same scenario as floats do
+    loose = PlatoonRanges(n_followers=[1.0, 1], gap=[5, 5], speed_kmh=(50, 50),
+                          brake_force=(np.int64(-1000), -1000), mass=(1000, 1000),
+                          delay=(0, 0), packet_error_rate=(0, 0), control_gain=(1, 1))
+    assert loose == _pinned(**_GOOD_SPEC)
+    assert type(loose.n_followers[0]) is int and type(loose.brake_force[0]) is float
+    x, reception = _scenario_rows(3, loose, 8)
+    assert np.array_equal(x, _scenario_rows(3, _pinned(**_GOOD_SPEC), 8)[0])
+    assert x.dtype == np.float64 and reception.dtype == np.int64
+    assert (x == _row(1, [5.0], 50.0, -1000.0, [1000.0, 1000.0])).all()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["n_followers", "gap", "speed_kmh", "brake_force",
                                    "mass", "delay", "packet_error_rate", "control_gain"])
@@ -215,6 +250,28 @@ def test_stored_specs_relabel_to_the_stored_labels():
         # a generated row relabels alone, and is the feature row of its scenario
         assert _simulate_batch(x[i:i + 1], reception[i:i + 1], Physics())[0] == data.y[i]
         assert np.array_equal(_rewritten(x[i]), x[i])
+
+
+def test_generation_constructs_no_scenario_object(monkeypatch):
+    # every scenario is written in place into the one feature matrix and the
+    # whole pool is labelled by one batch call: nothing is built per scenario
+    expected = generate_platoon_dataset(30, seed=4)
+    filled, batches = [], []
+
+    def fill(row, *fields):
+        filled.append(row.base is not None)
+        return _fill_row(row, *fields)
+
+    def simulate(x, reception, physics):
+        batches.append((x.shape, reception.shape))
+        return _simulate_batch(x, reception, physics)
+
+    monkeypatch.setattr(platoon, "_fill_row", fill)
+    monkeypatch.setattr(platoon, "_simulate_batch", simulate)
+    data = generate_platoon_dataset(30, seed=4)
+    assert filled == [True] * 30
+    assert batches == [((30, FEATURE_DIM), (30, 8))]
+    assert np.array_equal(data.x, expected.x) and np.array_equal(data.y, expected.y)
 
 
 def test_delays_past_the_horizon_never_notify():
