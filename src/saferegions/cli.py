@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
@@ -98,35 +99,30 @@ def _load_experiment(args) -> ExperimentConfig:
 
 
 def cmd_plan(args) -> int:
-    if args.eps is not None:
-        eps_list = [float(e) for e in args.eps]
-        delta = 1e-6 if args.delta is None else float(args.delta)
-        beta = 0.5 if args.beta is None else float(args.beta)
-    else:
-        if args.config is None:
-            raise SafeRegionsError("plan needs --eps or --config")
-        risk = load_config(args.config).risk
-        eps_list = list(risk.eps)
-        delta = risk.delta if args.delta is None else float(args.delta)
-        beta = risk.beta if args.beta is None else float(args.beta)
+    if args.eps is None and args.config is None:
+        raise SafeRegionsError("plan needs --eps or --config")
+    config = ExperimentConfig() if args.config is None else load_config(args.config)
+    given = {"eps": args.eps, "delta": args.delta, "beta": args.beta, "n_c": args.n_c}
+    risk = replace(config.risk, **{k: v for k, v in given.items() if v is not None})
+    config = replace(config, risk=risk)
 
     # every plan is built, and so every value checked, before anything prints
-    kappa_exact = kappa(beta)
+    plans = resolve_plans(config)
+    formula_sized = risk.n_c is None and config.data.generator != "csv"
+    kappa_exact = kappa(risk.beta)
     kappa_rounded = math.ceil(kappa_exact * 100.0) / 100.0
     rows = []
-    for eps in eps_list:
-        if args.n_c is not None:
-            sizes = [("given n_c", ScalingPlan.from_risk(eps, delta, beta, n_c=args.n_c))]
-        else:
-            exact = ScalingPlan.from_risk(eps, delta, beta)
-            rounded = max(1, round((kappa_rounded / eps) * math.log(1.0 / delta)))
-            sizes = [(f"exact kappa={kappa_exact!r}", exact),
+    for eps, plan in plans.items():
+        sizes = [("given n_c", plan)]
+        if formula_sized:
+            rounded = max(1, round((kappa_rounded / eps) * math.log(1.0 / risk.delta)))
+            sizes = [(f"exact kappa={kappa_exact!r}", plan),
                      (f"rounded kappa={kappa_rounded!r}",
-                      ScalingPlan.from_risk(eps, delta, beta, n_c=rounded))]
+                      ScalingPlan.from_risk(eps, risk.delta, risk.beta, n_c=rounded))]
         rows.append((eps, sizes))
     all_certified = True
     for eps, sizes in rows:
-        print(f"eps={eps!r} delta={delta!r} beta={beta!r}")
+        print(f"eps={eps!r} delta={risk.delta!r} beta={risk.beta!r}")
         for label, plan in sizes:
             verdict = check_plan(plan)
             state = "certified" if verdict.certified else "NOT certified"
@@ -134,7 +130,7 @@ def cmd_plan(args) -> int:
             if not verdict.certified:
                 all_certified = False
                 print(f"  minimal certifiable n_c at these levels: "
-                      f"{min_calibration_size(eps, delta, beta)}")
+                      f"{min_calibration_size(eps, risk.delta, risk.beta)}")
     return EXIT_OK if all_certified else EXIT_UNCERTIFIED
 
 

@@ -1,15 +1,19 @@
 """Experiment configuration loaded from a nested YAML file.
 
-Every field is validated up front, before any data generation or training
-starts, so a bad config fails in milliseconds.  Unknown keys are rejected to
-catch typos.  The resolved form (all defaults materialized) is written next
-to the outputs of every run.
+Each config dataclass checks its own keys when built and accepts the values
+YAML holds (lists for tuples, a single ``eps`` or ``variants``, mappings for
+kernels and data sections), so a value means the same, and fails with the
+same message, from a file or from Python.  One generic ``from_mapping``
+parses every section: missing keys take the field defaults and unknown keys
+are rejected to catch typos.  A bad config fails before any data generation
+or training starts; the resolved form (all defaults materialized) is written
+next to the outputs of every run.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -33,50 +37,76 @@ __all__ = [
 ]
 
 _GENERATORS = ("gaussian", "platoon", "csv")
-
-# The two-unit-Gaussian benchmark: well separated classes on the diagonal.
-_DEFAULT_GAUSSIAN = {
-    "mu_safe": [-1.0, -1.0],
-    "mu_unsafe": [1.0, 1.0],
-    "cov_safe": [[1.0, 0.0], [0.0, 1.0]],
-    "cov_unsafe": [[1.0, 0.0], [0.0, 1.0]],
-    "safe_prob": 0.5,
-    "outlier_prob": 0.0,
-}
+_SPLITS = ("train", "calib", "test")
 
 
-def _take(mapping: dict, context: str, **defaults):
-    """Pop known keys with defaults; leftover keys are a config error."""
-    out = {}
-    mapping = dict(mapping)
-    for key, default in defaults.items():
-        out[key] = mapping.pop(key, default)
-    if mapping:
-        raise InvalidArgument(f"unknown config keys in {context}: {sorted(mapping)}")
-    return out
-
-
-def _mapping(value, context: str) -> dict:
+def _known(value, names, context: str) -> dict:
+    """``value`` as a mapping (None is empty) whose keys are all in ``names``."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise InvalidArgument(f"{context} must be a mapping, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(names))
+    if unknown:
+        raise InvalidArgument(f"unknown config keys in {context}: {unknown}")
     return value
 
 
-def _float_list(value, context: str) -> tuple:
-    """A non-empty list of distinct finite reals, as floats."""
-    if not isinstance(value, (list, tuple)) or len(value) == 0:
+def _parse(cls, value, context: str):
+    """Dataclass ``cls`` built from a mapping; missing keys take its defaults."""
+    return cls(**_known(value, [f.name for f in fields(cls)], context))
+
+
+def _plain(value):
+    """A checked field value in the form YAML holds."""
+    if hasattr(value, "to_mapping"):
+        return value.to_mapping()
+    if hasattr(value, "to_record"):
+        return value.to_record()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _distinct(values, context: str, entry=lambda v: v) -> tuple:
+    """A non-empty list without duplicates, each value passed through ``entry``."""
+    if not isinstance(values, (list, tuple)) or len(values) == 0:
         raise InvalidArgument(f"{context} must be a non-empty list")
-    out = tuple(checked_real(v, context) for v in value)
+    out = tuple(entry(v) for v in values)
     if len(set(out)) != len(out):
         raise InvalidArgument(f"{context} contains duplicates: {list(out)}")
     return out
 
 
+def _reals(values, context: str) -> tuple:
+    """A non-empty list of distinct finite reals, as floats."""
+    return _distinct(values, context, lambda v: checked_real(v, context))
+
+
+class _Section:
+    """The mapping codec every config section shares."""
+
+    _context = "config"   # the section's name in error messages
+
+    @classmethod
+    def from_mapping(cls, raw):
+        return _parse(cls, raw, cls._context)
+
+    def to_mapping(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    def _set(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True)
-class DataConfig:
-    """Where the train/calibration/test splits come from."""
+class DataConfig(_Section):
+    """Where the train/calibration/test splits come from.  The generator's
+    own section (``gaussian``, ``platoon`` or, for csv, the ``paths`` of the
+    three splits) may be a mapping and defaults to its field defaults; the
+    sections of other generators must be absent."""
+
+    _context = "data"
 
     generator: str = "gaussian"
     n_train: int = 1000
@@ -91,48 +121,33 @@ class DataConfig:
             raise InvalidArgument(
                 f"unknown generator {self.generator!r}, expected one of {_GENERATORS}")
         for name in ("n_train", "n_test"):
-            object.__setattr__(self, name, checked_int(getattr(self, name), f"data.{name}"))
+            self._set(name, checked_int(getattr(self, name), f"data.{name}"))
             # 0 is allowed so `generate` can emit header-only files
             if self.generator != "csv" and getattr(self, name) < 0:
                 raise InvalidArgument(f"{name} must be >= 0, got {getattr(self, name)}")
-        # sampling needs a spec: the two-unit-Gaussian benchmark unless one is given
-        if self.generator == "gaussian" and self.gaussian is None:
-            object.__setattr__(self, "gaussian", GaussianSpec(**_DEFAULT_GAUSSIAN))
-        if self.generator == "csv":
-            paths = self.paths or {}
-            missing = [k for k in ("train", "calib", "test") if not paths.get(k)]
-            if missing:
-                raise InvalidArgument(f"csv generator needs paths for {missing}")
-
-    @classmethod
-    def from_mapping(cls, raw) -> "DataConfig":
-        raw = _mapping(raw, "data")
-        fields = _take(raw, "data", generator="gaussian", n_train=1000, n_test=10000,
-                       standardize=True, gaussian=None, platoon=None, paths=None)
-        generator = fields["generator"]
-        gaussian = platoon = None
-        if generator == "gaussian":
-            spec = {**_DEFAULT_GAUSSIAN, **_mapping(fields["gaussian"], "data.gaussian")}
-            spec = _take(spec, "data.gaussian", **_DEFAULT_GAUSSIAN)
-            gaussian = GaussianSpec(
-                mu_safe=spec["mu_safe"], mu_unsafe=spec["mu_unsafe"],
-                cov_safe=spec["cov_safe"], cov_unsafe=spec["cov_unsafe"],
-                safe_prob=checked_real(spec["safe_prob"], "data.gaussian.safe_prob"),
-                outlier_prob=checked_real(spec["outlier_prob"], "data.gaussian.outlier_prob"))
-        elif generator == "platoon":
-            spec = _take(_mapping(fields["platoon"], "data.platoon"), "data.platoon",
-                         **PlatoonRanges().to_record())
-            platoon = PlatoonRanges(**spec)
-        if not isinstance(fields["standardize"], bool):
+        if not isinstance(self.standardize, bool):
             raise InvalidArgument(
-                f"data.standardize must be true or false, got {fields['standardize']!r}")
-        paths = fields["paths"]
-        if generator == "csv":
-            paths = _take(_mapping(paths, "data.paths"), "data.paths",
-                          train=None, calib=None, test=None)
-        return cls(generator=generator, n_train=fields["n_train"], n_test=fields["n_test"],
-                   standardize=fields["standardize"],
-                   gaussian=gaussian, platoon=platoon, paths=paths)
+                f"data.standardize must be true or false, got {self.standardize!r}")
+        own = "paths" if self.generator == "csv" else self.generator
+        unread = [name for name in ("gaussian", "platoon", "paths")
+                  if name != own and getattr(self, name) is not None]
+        if unread:
+            raise InvalidArgument(
+                f"unknown config keys in data for the {self.generator} generator: {unread}")
+        if self.generator == "gaussian" and not isinstance(self.gaussian, GaussianSpec):
+            spec = _known(self.gaussian, [f.name for f in fields(GaussianSpec)], "data.gaussian")
+            for name in ("safe_prob", "outlier_prob"):
+                if name in spec:
+                    checked_real(spec[name], f"data.gaussian.{name}")
+            self._set("gaussian", GaussianSpec(**spec))
+        elif self.generator == "platoon" and not isinstance(self.platoon, PlatoonRanges):
+            self._set("platoon", _parse(PlatoonRanges, self.platoon, "data.platoon"))
+        elif self.generator == "csv":
+            paths = _known(self.paths, _SPLITS, "data.paths")
+            missing = [k for k in _SPLITS if not (isinstance(paths.get(k), str) and paths[k])]
+            if missing:
+                raise InvalidArgument(f"csv generator needs file paths for {missing}")
+            self._set("paths", {k: paths[k] for k in _SPLITS})
 
     def to_mapping(self) -> dict:
         out = {"generator": self.generator, "standardize": self.standardize}
@@ -149,9 +164,11 @@ class DataConfig:
 
 
 @dataclass(frozen=True)
-class ClassifierConfig:
+class ClassifierConfig(_Section):
     """Variants to run and the hyperparameter family grid, shared by all
     variants: the family is the cross product etas x taus x kernels."""
+
+    _context = "classifier"
 
     variants: tuple = ("svm",)
     etas: tuple = (1.0,)
@@ -161,15 +178,25 @@ class ClassifierConfig:
     max_iter: int | None = None
 
     def __post_init__(self):
-        if len(self.variants) == 0:
-            raise InvalidArgument("classifier.variants must not be empty")
+        variants = (self.variants,) if isinstance(self.variants, str) else self.variants
+        self._set("variants", _distinct(variants, "classifier.variants"))
         unknown = [v for v in self.variants if v not in TRAINERS]
         if unknown:
             raise InvalidArgument(
                 f"unknown variants {unknown}, expected a subset of {sorted(TRAINERS)}")
-        if len(set(self.variants)) != len(self.variants):
-            raise InvalidArgument(f"duplicate variants in {list(self.variants)}")
-        object.__setattr__(self, "tol", checked_real(self.tol, "classifier.tol"))
+        self._set("etas", _reals(self.etas, "classifier.etas"))
+        self._set("taus", _reals(self.taus, "classifier.taus"))
+        self._set("kernels", _distinct(
+            self.kernels, "classifier.kernels", lambda k: k if isinstance(k, KernelSpec)
+            else _parse(KernelSpec, k, "classifier.kernels[]")))
+        self._set("tol", checked_real(self.tol, "classifier.tol"))
+        if not self.tol > 0:
+            raise InvalidArgument(f"classifier.tol must be positive, got {self.tol!r}")
+        if self.max_iter is not None:
+            self._set("max_iter", checked_int(self.max_iter, "classifier.max_iter"))
+            if self.max_iter < 1:
+                raise InvalidArgument(
+                    f"classifier.max_iter must be positive, got {self.max_iter!r}")
         self.family()   # constructing every member validates the whole grid now
 
     def family(self) -> list:
@@ -179,38 +206,13 @@ class ClassifierConfig:
     def train_settings(self) -> TrainSettings:
         return TrainSettings(tol=self.tol, max_iter=self.max_iter)
 
-    @classmethod
-    def from_mapping(cls, raw) -> "ClassifierConfig":
-        raw = _mapping(raw, "classifier")
-        fields = _take(raw, "classifier", variants=["svm"], etas=[1.0], taus=[0.5],
-                       kernels=[{"kind": "gaussian"}], tol=1e-6, max_iter=None)
-        variants = fields["variants"]
-        if isinstance(variants, str):
-            variants = [variants]
-        kernels = tuple(KernelSpec.from_record(_mapping(entry, "classifier.kernels[]"))
-                        for entry in fields["kernels"])
-        max_iter = fields["max_iter"]
-        return cls(variants=tuple(variants),
-                   etas=_float_list(fields["etas"], "classifier.etas"),
-                   taus=_float_list(fields["taus"], "classifier.taus"),
-                   kernels=kernels, tol=fields["tol"],
-                   max_iter=None if max_iter is None
-                   else checked_int(max_iter, "classifier.max_iter"))
-
-    def to_mapping(self) -> dict:
-        return {
-            "variants": list(self.variants),
-            "etas": [float(v) for v in self.etas],
-            "taus": [float(v) for v in self.taus],
-            "kernels": [k.to_record() for k in self.kernels],
-            "tol": float(self.tol),
-            "max_iter": self.max_iter,
-        }
-
 
 @dataclass(frozen=True)
-class RiskConfig:
-    """Risk levels to sweep and the shared confidence/rank parameters."""
+class RiskConfig(_Section):
+    """Risk levels to sweep and the shared confidence/rank parameters; a
+    single eps is a one-level sweep."""
+
+    _context = "risk"
 
     eps: tuple = (0.05,)
     delta: float = 1e-6
@@ -218,70 +220,51 @@ class RiskConfig:
     n_c: int | None = None    # explicit calibration size shared by all eps
 
     def __post_init__(self):
+        eps = self.eps if isinstance(self.eps, (list, tuple)) else (self.eps,)
+        self._set("eps", _reals(eps, "risk.eps"))
+        self._set("delta", checked_real(self.delta, "risk.delta"))
+        self._set("beta", checked_real(self.beta, "risk.beta"))
         for eps in self.eps:
             # raises on out-of-range values; result unused here
             min_calibration_size(eps, self.delta, self.beta)
         if self.n_c is not None:
-            object.__setattr__(self, "n_c", checked_int(self.n_c, "risk.n_c"))
+            self._set("n_c", checked_int(self.n_c, "risk.n_c"))
             if self.n_c < 1:
                 raise InvalidArgument(f"risk.n_c must be positive, got {self.n_c}")
 
-    @classmethod
-    def from_mapping(cls, raw) -> "RiskConfig":
-        raw = _mapping(raw, "risk")
-        fields = _take(raw, "risk", eps=[0.05], delta=1e-6, beta=0.5, n_c=None)
-        eps = fields["eps"]
-        if isinstance(eps, (int, float)):
-            eps = [eps]
-        return cls(eps=_float_list(eps, "risk.eps"),
-                   delta=checked_real(fields["delta"], "risk.delta"),
-                   beta=checked_real(fields["beta"], "risk.beta"),
-                   n_c=fields["n_c"])
-
-    def to_mapping(self) -> dict:
-        return {"eps": [float(v) for v in self.eps], "delta": float(self.delta),
-                "beta": float(self.beta), "n_c": self.n_c}
-
 
 @dataclass(frozen=True)
-class GridConfig:
+class GridConfig(_Section):
     """2-D boundary export: uniform resolution x resolution grid over bbox
     (x1_min, x1_max, x2_min, x2_max); bbox defaults to the data extent plus
     a margin."""
+
+    _context = "grid"
 
     resolution: int = 50
     bbox: tuple | None = None
     margin: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "resolution", checked_int(self.resolution, "grid.resolution"))
+        self._set("resolution", checked_int(self.resolution, "grid.resolution"))
         if self.resolution < 2:
             raise InvalidArgument(f"grid.resolution must be >= 2, got {self.resolution}")
         if self.bbox is not None:
             if not isinstance(self.bbox, (list, tuple)) or len(self.bbox) != 4:
                 raise InvalidArgument(f"grid.bbox needs 4 numbers, got {self.bbox!r}")
-            bbox = tuple(checked_real(v, "grid.bbox") for v in self.bbox)
-            object.__setattr__(self, "bbox", bbox)
-            x1_min, x1_max, x2_min, x2_max = bbox
+            self._set("bbox", tuple(checked_real(v, "grid.bbox") for v in self.bbox))
+            x1_min, x1_max, x2_min, x2_max = self.bbox
             if not (x1_min < x1_max and x2_min < x2_max):
                 raise InvalidArgument(f"grid.bbox must satisfy min < max per axis")
-        object.__setattr__(self, "margin", checked_real(self.margin, "grid.margin"))
+        self._set("margin", checked_real(self.margin, "grid.margin"))
         if not self.margin >= 0:
             raise InvalidArgument(f"grid.margin must be non-negative, got {self.margin}")
 
-    @classmethod
-    def from_mapping(cls, raw) -> "GridConfig":
-        raw = _mapping(raw, "grid")
-        return cls(**_take(raw, "grid", resolution=50, bbox=None, margin=0.5))
-
-    def to_mapping(self) -> dict:
-        return {"resolution": self.resolution,
-                "bbox": None if self.bbox is None else [float(v) for v in self.bbox],
-                "margin": float(self.margin)}
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Section):
+    """The whole experiment; each section may be given as a mapping."""
+
     data: DataConfig = field(default_factory=DataConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     risk: RiskConfig = field(default_factory=RiskConfig)
@@ -289,27 +272,13 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "safe-regions-out"
 
-    @classmethod
-    def from_mapping(cls, raw: dict) -> "ExperimentConfig":
-        raw = _mapping(raw, "config")
-        fields = _take(raw, "config", data=None, classifier=None, risk=None,
-                       grid=None, seed=0, output_dir="safe-regions-out")
-        return cls(data=DataConfig.from_mapping(fields["data"]),
-                   classifier=ClassifierConfig.from_mapping(fields["classifier"]),
-                   risk=RiskConfig.from_mapping(fields["risk"]),
-                   grid=GridConfig.from_mapping(fields["grid"]),
-                   seed=checked_int(fields["seed"], "seed"),
-                   output_dir=str(fields["output_dir"]))
-
-    def to_mapping(self) -> dict:
-        return {
-            "data": self.data.to_mapping(),
-            "classifier": self.classifier.to_mapping(),
-            "risk": self.risk.to_mapping(),
-            "grid": self.grid.to_mapping(),
-            "seed": int(self.seed),
-            "output_dir": str(self.output_dir),
-        }
+    def __post_init__(self):
+        for f in fields(self):
+            section = f.default_factory
+            if section is not MISSING and not isinstance(getattr(self, f.name), section):
+                self._set(f.name, section.from_mapping(getattr(self, f.name)))
+        self._set("seed", checked_int(self.seed, "seed"))
+        self._set("output_dir", str(self.output_dir))
 
     def with_overrides(self, seed: int | None = None,
                        output_dir: str | None = None) -> "ExperimentConfig":

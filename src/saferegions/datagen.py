@@ -155,13 +155,14 @@ class GaussianSpec:
     Each sample first draws its label (+1 with probability ``safe_prob``),
     then with probability ``outlier_prob`` the point itself comes from the
     *other* class's Gaussian while the label is kept, modelling mislabeled or
-    contaminated data.
+    contaminated data.  The defaults are the two-unit-Gaussian benchmark:
+    well separated classes on the diagonal.
     """
 
-    mu_safe: tuple
-    mu_unsafe: tuple
-    cov_safe: tuple
-    cov_unsafe: tuple
+    mu_safe: tuple = (-1.0, -1.0)
+    mu_unsafe: tuple = (1.0, 1.0)
+    cov_safe: tuple = ((1.0, 0.0), (0.0, 1.0))
+    cov_unsafe: tuple = ((1.0, 0.0), (0.0, 1.0))
     safe_prob: float = 0.5
     outlier_prob: float = 0.0
 

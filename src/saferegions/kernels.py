@@ -30,9 +30,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidArgument(f"unknown kernel kind {self.kind!r}, expected one of {_KINDS}")
-        if self.gamma is not None and not checked_real(self.gamma, "gamma") > 0:
-            raise InvalidArgument(f"gamma must be positive, got {self.gamma!r}")
-        checked_real(self.coef0, "coef0")
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", checked_real(self.gamma, "kernel gamma"))
+            if not self.gamma > 0:
+                raise InvalidArgument(f"gamma must be positive, got {self.gamma!r}")
+        object.__setattr__(self, "coef0", checked_real(self.coef0, "kernel coef0"))
         object.__setattr__(self, "degree", checked_int(self.degree, "kernel degree"))
         if self.kind == "polynomial" and self.degree < 1:
             raise InvalidArgument(f"degree must be a positive integer, got {self.degree!r}")
@@ -54,21 +56,16 @@ class KernelSpec:
 
     def to_record(self) -> dict:
         return {"kind": self.kind, "gamma": self.gamma,
-                "degree": self.degree, "coef0": float(self.coef0)}
+                "degree": self.degree, "coef0": self.coef0}
 
     @classmethod
     def from_record(cls, record: dict) -> "KernelSpec":
-        """Inverse of ``to_record`` and the parser of config kernel entries;
-        missing keys take defaults; unknown keys, fractional degrees and
-        non-finite or non-numeric reals raise."""
+        """Inverse of ``to_record``; missing keys take defaults; unknown keys,
+        fractional degrees and non-finite or non-numeric reals raise."""
         unknown = sorted(set(record) - {"kind", "gamma", "degree", "coef0"})
         if unknown:
             raise InvalidArgument(f"unknown kernel keys: {unknown}")
-        gamma = record.get("gamma")
-        return cls(kind=record.get("kind", "gaussian"),
-                   gamma=None if gamma is None else checked_real(gamma, "kernel gamma"),
-                   degree=record.get("degree", 3),
-                   coef0=checked_real(record.get("coef0", 0.0), "kernel coef0"))
+        return cls(**record)
 
 
 def default_gamma(x: np.ndarray) -> float:

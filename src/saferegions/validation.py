@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import math
 import numbers
-import sys
 
 import numpy as np
 
@@ -26,7 +26,10 @@ def checked_int(value, name: str) -> int:
 
 def is_finite_real(value) -> bool:
     """A real number within the float range (``10**400`` is not)."""
-    return is_real(value) and abs(value) <= sys.float_info.max
+    try:
+        return is_real(value) and math.isfinite(value)
+    except OverflowError:   # an integer or fraction beyond the float range
+        return False
 
 
 def checked_real(value, name: str) -> float:

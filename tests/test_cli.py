@@ -50,6 +50,39 @@ def test_plan_uncertifiable_override_exits_2(capsys):
     assert "minimal certifiable n_c" in out and "1032" in out
 
 
+def test_plan_from_config_checks_the_size_a_run_uses(tmp_path, capsys):
+    # the config's n_c and a csv calibration file were once ignored: plan
+    # printed the formula sizes, not the sizes a run uses
+    path = _write_config(tmp_path, risk={"eps": [0.05], "delta": 1.0e-6, "n_c": 100})
+    assert main(["plan", "--config", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "given n_c: n_c=100" in out and "NOT certified" in out and "kappa" not in out
+    # --eps overrides the config's levels and keeps its delta and n_c
+    assert main(["plan", "--config", str(path), "--eps", "0.5", "--n-c", "400"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("eps=0.5 delta=1e-06 beta=0.5\n  given n_c: n_c=400")
+
+    splits = tmp_path / "splits"
+    assert main(["generate", "--config", str(_write_config(tmp_path)), "--out", str(splits)]) == 0
+    lines = (splits / "calib_eps_0.1.csv").read_text().splitlines(keepends=True)
+    (splits / "calib_eps_0.1.csv").write_text("".join(lines[:201]))   # 200 of 344 rows
+    paths = {name: str(splits / f"{name}.csv") for name in ("train", "test")}
+    path = _write_config(tmp_path, data={"generator": "csv", "paths": {
+        **paths, "calib": str(splits / "calib_eps_0.1.csv")}})
+    capsys.readouterr()
+    assert main(["plan", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("n_c=") == 1 and "given n_c: n_c=200 r=10" in out
+    assert main(["run", "--config", str(path)]) == 0
+
+
+def test_plan_rejects_a_config_that_cannot_train(tmp_path, capsys):
+    # a negative tol once passed plan and stopped run only after generating
+    path = _write_config(tmp_path, classifier={"tol": -1.0})
+    assert main(["plan", "--config", str(path)]) == 1
+    assert "classifier.tol must be positive" in capsys.readouterr().err
+
+
 def test_argument_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--eps", "not-a-number"])

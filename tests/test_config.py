@@ -52,6 +52,9 @@ def test_unknown_keys_rejected_at_every_level():
         lambda raw: raw["risk"].update(bogus=1),
         lambda raw: raw.update(grid={"bogus": 1}),
         lambda raw: raw["data"].update(gaussian={"bogus": 1}),
+        # a section its generator does not read was once dropped or kept unchecked
+        lambda raw: raw["data"].update(generator="platoon", gaussian={"safe_prob": 0.5}),
+        lambda raw: raw["data"].update(paths={"bogus": 1}),
     ]:
         raw = _minimal_raw()
         mutate(raw)
@@ -148,6 +151,50 @@ def test_uncertifiable_risk_still_parses():
     assert config.risk.n_c == 10
 
 
+def _outcome(build):
+    try:
+        return build().to_mapping()
+    except InvalidArgument as exc:
+        return f"InvalidArgument: {exc}"
+
+
+@pytest.mark.parametrize("section, raw, message", [
+    # the constructor once accepted the first five and failed on the next two
+    # with a TypeError and an AttributeError
+    (DataConfig, {"standardize": "false"}, "data.standardize must be true or false"),
+    (RiskConfig, {"eps": [0.05, 0.05]}, "risk.eps contains duplicates"),
+    (ClassifierConfig, {"etas": [1.0, 1.0]}, "classifier.etas contains duplicates"),
+    (ClassifierConfig, {"tol": -1.0}, "classifier.tol must be positive"),
+    (ClassifierConfig, {"max_iter": 0}, "classifier.max_iter must be positive"),
+    (RiskConfig, {"eps": 0.05}, None),
+    (DataConfig, {"generator": "csv", "paths": 5}, "data.paths must be a mapping"),
+    (DataConfig, {"gaussian": {"safe_prob": "0.5"}},
+     "data.gaussian.safe_prob must be a finite real number"),
+    (DataConfig, {"generator": "platoon", "platoon": {"gap": [5.0, 4.0]}},
+     "range gap must have lo <= hi"),
+    (DataConfig, {"generator": "platoon", "gaussian": {}},
+     "unknown config keys in data for the platoon generator: ['gaussian']"),
+    (DataConfig, {"generator": "csv", "paths": {"train": "a.csv", "calib": 5}},
+     "csv generator needs file paths for ['calib', 'test']"),
+    (ClassifierConfig, {"variants": "lr"}, None),
+    (ClassifierConfig, {"variants": []}, "classifier.variants must be a non-empty list"),
+    (ClassifierConfig, {"kernels": [{"kind": "linear"}, {"kind": "linear"}]},
+     "classifier.kernels contains duplicates"),
+    (ClassifierConfig, {"kernels": ["linear"]}, "classifier.kernels[] must be a mapping"),
+    (GridConfig, {"bbox": [1.0, 0.0, 0.0, 1.0]}, "grid.bbox must satisfy min < max"),
+    (ExperimentConfig, {"seed": "1"}, "seed must be an integer"),
+    (ExperimentConfig, {"risk": {"eps": 0.05, "n_c": 0}}, "risk.n_c must be positive"),
+], ids=["text_standardize", "duplicate_eps", "duplicate_etas", "negative_tol", "zero_max_iter",
+        "scalar_eps", "scalar_paths", "text_safe_prob", "reversed_gap", "unread_section",
+        "bad_paths", "text_variant", "no_variants", "duplicate_kernels", "text_kernel",
+        "reversed_bbox", "text_seed", "zero_n_c"])
+def test_parser_and_constructor_agree(section, raw, message):
+    # a value means the same, and fails the same way, from YAML or from Python
+    parsed = _outcome(lambda: section.from_mapping(raw))
+    assert parsed == _outcome(lambda: section(**raw))
+    assert isinstance(parsed, dict) if message is None else message in parsed
+
+
 def test_kernel_specs_parse_with_parameters():
     config = ClassifierConfig.from_mapping({
         "variants": ["svdd"], "etas": [1.0], "taus": [0.5],
@@ -193,7 +240,10 @@ def test_integer_keys_accept_integral_floats(key):
     (lambda: GridConfig(resolution=2.5), "grid.resolution"),
     (lambda: RiskConfig(n_c=2.5), "risk.n_c"),
     (lambda: DataConfig(n_train=2.5), "data.n_train"),
-], ids=["boolean_degree", "fractional_resolution", "fractional_n_c", "fractional_n_train"])
+    (lambda: ClassifierConfig(max_iter=2.5), "classifier.max_iter"),
+    (lambda: ExperimentConfig(seed=2.5), "seed"),
+], ids=["boolean_degree", "fractional_resolution", "fractional_n_c", "fractional_n_train",
+        "fractional_max_iter", "fractional_seed"])
 def test_constructors_reject_non_integers(build, key):
     # each once loaded through int(), as degree 1, resolution 2, n_c 2 and n_train 2
     with pytest.raises(InvalidArgument, match=re.escape(f"{key} must be an integer")):
@@ -206,10 +256,18 @@ def test_constructors_reject_non_integers(build, key):
     (lambda: ClassifierConfig(tol="x"), "classifier.tol"),
     (lambda: GaussianSpec((0.0, 0.0), (1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)),
                           ((1.0, 0.0), (0.0, 1.0)), safe_prob="0.5"), "safe_prob"),
-], ids=["text_margin", "text_bbox", "text_tol", "text_safe_prob"])
+    (lambda: DataConfig(gaussian={"outlier_prob": "0"}), "data.gaussian.outlier_prob"),
+    (lambda: RiskConfig(eps="0.05"), "risk.eps"),
+    (lambda: RiskConfig(delta="0.01"), "risk.delta"),
+    (lambda: ClassifierConfig(etas=("1.0",)), "classifier.etas"),
+    (lambda: KernelSpec(gamma="0.5"), "kernel gamma"),
+    (lambda: GridConfig(margin=10**400), "grid.margin"),
+], ids=["text_margin", "text_bbox", "text_tol", "text_safe_prob", "text_outlier_prob",
+        "text_eps", "text_delta", "text_eta", "text_gamma", "huge_margin"])
 def test_constructors_reject_values_that_are_not_real_numbers(build, key):
     # the margin and the safe_prob once ended in a TypeError, the bbox in a
-    # bare ValueError, and the tol was stored as given
+    # bare ValueError, and the tol was stored as given; the eps, delta and
+    # eta once failed without naming their key
     with pytest.raises(InvalidArgument, match=re.escape(f"{key} must be a finite real number")):
         build()
 
@@ -217,7 +275,7 @@ def test_constructors_reject_values_that_are_not_real_numbers(build, key):
 def test_default_gaussian_data_config_carries_the_default_spec(tmp_path):
     # a gaussian DataConfig built without a spec once held None, and a run
     # of it ended in an AttributeError
-    assert DataConfig().gaussian == ExperimentConfig.from_mapping({}).data.gaussian
+    assert DataConfig().gaussian == ExperimentConfig.from_mapping({}).data.gaussian == GaussianSpec()
     config = ExperimentConfig(data=DataConfig(n_train=60, n_test=50),
                               risk=RiskConfig(eps=(0.2,), delta=0.05),
                               output_dir=str(tmp_path / "out"))
@@ -276,8 +334,10 @@ def test_kernel_entries_reject_non_finite_and_non_numeric_reals(name, bad):
     lambda bad: Hyperparameters(eta=bad),
     lambda bad: TrainSettings(tol=bad),
 ], ids=["gamma", "coef0", "eta", "tol"])
-@pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), np.float32("inf")],
+                         ids=["inf", "nan", "float32_inf"])
 def test_training_values_reject_non_finite_values(make, bad):
+    # a float32 value once raised numpy's overflow warning instead
     with pytest.raises(InvalidArgument, match="must be a finite real number"):
         make(bad)
 
@@ -299,6 +359,8 @@ def test_standardize_must_be_a_boolean(value):
     # bool("false") is True, so the string once switched standardizing on
     with pytest.raises(InvalidArgument, match="data.standardize must be true or false"):
         ExperimentConfig.from_mapping(_with_key("data.standardize", value))
+    with pytest.raises(InvalidArgument, match="data.standardize must be true or false"):
+        DataConfig(standardize=value)
 
 
 def test_exponent_floats_without_a_dot_load_as_floats(tmp_path):

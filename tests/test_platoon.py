@@ -159,7 +159,7 @@ def test_spec_validation():
 def test_spec_stores_its_fields_as_numbers():
     # integers, lists and numpy scalars pin the same scenario as floats do
     loose = PlatoonRanges(n_followers=[1.0, 1], gap=[5, 5], speed_kmh=(50, 50),
-                          brake_force=(np.int64(-1000), -1000), mass=(1000, 1000),
+                          brake_force=(np.int64(-1000), -1000), mass=(np.float32(1000), 1000),
                           delay=(0, 0), packet_error_rate=(0, 0), control_gain=(1, 1))
     assert loose == _pinned(**_GOOD_SPEC)
     assert type(loose.n_followers[0]) is int and type(loose.brake_force[0]) is float
@@ -169,7 +169,7 @@ def test_spec_stores_its_fields_as_numbers():
     assert (x == _row(1, [5.0], 50.0, -1000.0, [1000.0, 1000.0])).all()
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float32(np.inf)])
 @pytest.mark.parametrize("field", ["n_followers", "gap", "speed_kmh", "brake_force",
                                    "mass", "delay", "packet_error_rate", "control_gain"])
 def test_ranges_reject_non_finite_bounds(field, bad):
