@@ -104,13 +104,15 @@ class DataConfig(_Section):
     """Where the train/calibration/test splits come from.  The generator's
     own section (``gaussian``, ``platoon`` or, for csv, the ``paths`` of the
     three splits) may be a mapping and defaults to its field defaults; the
-    sections of other generators must be absent."""
+    sections of other generators must be absent.  The split sizes belong to
+    the gaussian and platoon generators (1000 and 10000 when not given); the
+    csv files fix their own, so csv takes neither."""
 
     _context = "data"
 
     generator: str = "gaussian"
-    n_train: int = 1000
-    n_test: int = 10000
+    n_train: int | None = None
+    n_test: int | None = None
     standardize: bool = True
     gaussian: GaussianSpec | None = None
     platoon: PlatoonRanges | None = None
@@ -120,20 +122,23 @@ class DataConfig(_Section):
         if self.generator not in _GENERATORS:
             raise InvalidArgument(
                 f"unknown generator {self.generator!r}, expected one of {_GENERATORS}")
-        for name in ("n_train", "n_test"):
-            self._set(name, checked_int(getattr(self, name), f"data.{name}"))
-            # 0 is allowed so `generate` can emit header-only files
-            if self.generator != "csv" and getattr(self, name) < 0:
-                raise InvalidArgument(f"{name} must be >= 0, got {getattr(self, name)}")
         if not isinstance(self.standardize, bool):
             raise InvalidArgument(
                 f"data.standardize must be true or false, got {self.standardize!r}")
-        own = "paths" if self.generator == "csv" else self.generator
-        unread = [name for name in ("gaussian", "platoon", "paths")
-                  if name != own and getattr(self, name) is not None]
+        own = ("paths",) if self.generator == "csv" else (self.generator, "n_train", "n_test")
+        unread = [name for name in ("n_train", "n_test", "gaussian", "platoon", "paths")
+                  if name not in own and getattr(self, name) is not None]
         if unread:
             raise InvalidArgument(
                 f"unknown config keys in data for the {self.generator} generator: {unread}")
+        if self.generator != "csv":
+            for name, default in (("n_train", 1000), ("n_test", 10000)):
+                size = getattr(self, name)
+                size = default if size is None else checked_int(size, f"data.{name}")
+                # 0 is allowed so `generate` can emit header-only files
+                if size < 0:
+                    raise InvalidArgument(f"{name} must be >= 0, got {size}")
+                self._set(name, size)
         if self.generator == "gaussian" and not isinstance(self.gaussian, GaussianSpec):
             spec = _known(self.gaussian, [f.name for f in fields(GaussianSpec)], "data.gaussian")
             for name in ("safe_prob", "outlier_prob"):

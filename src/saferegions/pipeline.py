@@ -111,11 +111,14 @@ def check_plans(plans: dict, force_uncertified: bool) -> bool:
     return not failing
 
 
-def build_datasets(config: ExperimentConfig, plans: dict):
+def build_datasets(config: ExperimentConfig, plans: dict, *, calibration: bool = True):
     """Return (train, {eps: calib}, test) according to the configured source.
 
     Generated calibration sets are drawn independently per eps at exactly the
-    plan size; a csv calibration file must match every plan's n_c.
+    plan size; a csv calibration file must match every plan's n_c.  With
+    ``calibration=False`` the gaussian and platoon generators draw no
+    calibration set and the mapping is empty; train and test are the same
+    points and labels either way.
     """
     data = config.data
     if data.generator == "gaussian":
@@ -127,12 +130,19 @@ def build_datasets(config: ExperimentConfig, plans: dict):
         calibs = {eps: sample_gaussian(spec, plans[eps].n_c,
                                        seed=derive_seed(config.seed, _TAG_CALIB, i),
                                        role="calib")
-                  for i, eps in enumerate(plans)}
+                  for i, eps in enumerate(plans) if calibration}
         return train, calibs, test
     if data.generator == "platoon":
         sizes = [data.n_train] + [plans[eps].n_c for eps in plans] + [data.n_test]
-        pool = generate_platoon_dataset(sum(sizes), ranges=data.platoon,
-                                        seed=derive_seed(config.seed, _TAG_POOL))
+        seed = derive_seed(config.seed, _TAG_POOL)
+        if not calibration:
+            # every scenario has its own substream, so the train and test
+            # index ranges generate alone to the rows of the whole pool
+            return (generate_platoon_dataset(data.n_train, ranges=data.platoon, seed=seed),
+                    {},
+                    generate_platoon_dataset(data.n_test, ranges=data.platoon, seed=seed,
+                                             start=sum(sizes) - data.n_test))
+        pool = generate_platoon_dataset(sum(sizes), ranges=data.platoon, seed=seed)
         # scenarios are i.i.d. across indices, so consecutive slices are
         # themselves independent samples
         cuts = np.cumsum([0] + sizes)
@@ -334,7 +344,8 @@ def evaluate_saved(run_dir) -> list:
 
     Reads resolved_config.yaml and models/*.json from ``run_dir``, rebuilds
     the test split (and the training split, to refit the standardizer) from
-    the stored config, and writes evaluation.csv with EVALUATION_COLUMNS.
+    the stored config, generating no calibration set, and writes
+    evaluation.csv with EVALUATION_COLUMNS.
     The frequencies must agree with the matching report.csv rows.
     """
     run_dir = Path(run_dir)
@@ -347,7 +358,7 @@ def evaluate_saved(run_dir) -> list:
     if not model_paths:
         raise InvalidArgument(f"{run_dir}/models holds no saved models")
 
-    train, _, test = build_datasets(config, resolve_plans(config))
+    train, _, test = build_datasets(config, resolve_plans(config), calibration=False)
     if config.data.standardize:
         (train, test), scaler = standardize(train, test)
 

@@ -195,15 +195,15 @@ def _check_finite(v: np.ndarray, rows: np.ndarray, where: str) -> None:
             f"non-finite state in scenario {int(rows[bad][0])} {where}")
 
 
-def _scenario_rows(n_samples: int, ranges: PlatoonRanges, seed: int):
+def _scenario_rows(n_samples: int, ranges: PlatoonRanges, seed: int, start: int = 0):
     """Feature rows and reception rows of ``generate_platoon_dataset``'s
-    scenarios, each drawn from its own substream seeded by (seed, index),
-    under the default physical constants."""
+    scenarios ``start`` to ``start + n_samples - 1``, each drawn from its own
+    substream seeded by (seed, index), under the default physical constants."""
     physics = Physics()
     x = np.zeros((n_samples, FEATURE_DIM))
     reception = np.zeros((n_samples, MAX_FOLLOWERS), dtype=np.int64)
     for index in range(n_samples):
-        rng = np.random.default_rng([seed, index])
+        rng = np.random.default_rng([seed, start + index])
         n = int(rng.integers(ranges.n_followers[0], ranges.n_followers[1] + 1))
         # the arguments are drawn in the order they are written
         _fill_row(x[index], n, rng.uniform(*ranges.gap, size=n), rng.uniform(*ranges.speed_kmh),
@@ -215,18 +215,25 @@ def _scenario_rows(n_samples: int, ranges: PlatoonRanges, seed: int):
 
 
 def generate_platoon_dataset(n_samples: int, ranges: PlatoonRanges | None = None,
-                             seed: int = 0) -> Dataset:
+                             seed: int = 0, start: int = 0) -> Dataset:
     """Sample scenarios from the ranges, simulate, and collect a dataset.
 
     Each scenario gets its own substream seeded by (seed, index), so any
-    generated row re-simulates alone to its label.  n_samples = 0 yields an
-    empty dataset of the fixed feature width.
+    generated row re-simulates alone to its label, and the scenarios
+    ``start`` to ``start + n_samples - 1`` alone are the rows a dataset of
+    ``start + n_samples`` holds from row ``start`` on.  n_samples = 0 yields
+    an empty dataset of the fixed feature width.  The provenance records
+    ``start`` when it is not 0.
     """
     n_samples = checked_int(n_samples, "n_samples")
-    if n_samples < 0:
-        raise InvalidArgument(f"n_samples must be non-negative, got {n_samples}")
+    start = checked_int(start, "start")
+    if n_samples < 0 or start < 0:
+        raise InvalidArgument(
+            f"n_samples and start must be non-negative, got {n_samples} and {start}")
     ranges = ranges or PlatoonRanges()
-    x, reception = _scenario_rows(n_samples, ranges, seed)
+    x, reception = _scenario_rows(n_samples, ranges, seed, start)
     provenance = {"generator": "platoon", "seed": int(seed), "n": n_samples,
                   "ranges": ranges.to_record()}
+    if start:
+        provenance["start"] = start
     return Dataset(x, _simulate_batch(x, reception, Physics()), provenance)

@@ -91,6 +91,19 @@ def test_bad_values_rejected():
         DataConfig.from_mapping({"generator": "gaussian", "n_train": -1})
 
 
+def test_csv_sizes_rejected_and_csv_configs_resolve_unchanged(tmp_path):
+    path = tmp_path / "csv.yaml"
+    path.write_text("data: {generator: csv, n_test: 5, paths: "
+                    "{train: a.csv, calib: b.csv, test: c.csv}}\n")
+    with pytest.raises(InvalidArgument, match=re.escape(
+            "unknown config keys in data for the csv generator: ['n_test']")):
+        load_config(path)
+    config = DataConfig.from_mapping({"generator": "csv", "paths": _CSV_PATHS})
+    assert config.to_mapping() == {"generator": "csv", "standardize": True,
+                                   "paths": _CSV_PATHS}
+    assert DataConfig.from_mapping(config.to_mapping()) == config
+
+
 def test_zero_rows_allowed_for_generators():
     config = DataConfig.from_mapping({"generator": "gaussian", "n_train": 0,
                                       "n_test": 0})
@@ -158,6 +171,9 @@ def _outcome(build):
         return f"InvalidArgument: {exc}"
 
 
+_CSV_PATHS = {"train": "a.csv", "calib": "b.csv", "test": "c.csv"}
+
+
 @pytest.mark.parametrize("section, raw, message", [
     # the constructor once accepted the first five and failed on the next two
     # with a TypeError and an AttributeError
@@ -176,6 +192,9 @@ def _outcome(build):
      "unknown config keys in data for the platoon generator: ['gaussian']"),
     (DataConfig, {"generator": "csv", "paths": {"train": "a.csv", "calib": 5}},
      "csv generator needs file paths for ['calib', 'test']"),
+    # once loaded, with the size silently dropped
+    (DataConfig, {"generator": "csv", "n_train": 5, "n_test": 7, "paths": _CSV_PATHS},
+     "unknown config keys in data for the csv generator: ['n_train', 'n_test']"),
     (ClassifierConfig, {"variants": "lr"}, None),
     (ClassifierConfig, {"variants": []}, "classifier.variants must be a non-empty list"),
     (ClassifierConfig, {"kernels": [{"kind": "linear"}, {"kind": "linear"}]},
@@ -186,7 +205,7 @@ def _outcome(build):
     (ExperimentConfig, {"risk": {"eps": 0.05, "n_c": 0}}, "risk.n_c must be positive"),
 ], ids=["text_standardize", "duplicate_eps", "duplicate_etas", "negative_tol", "zero_max_iter",
         "scalar_eps", "scalar_paths", "text_safe_prob", "reversed_gap", "unread_section",
-        "bad_paths", "text_variant", "no_variants", "duplicate_kernels", "text_kernel",
+        "bad_paths", "csv_sizes", "text_variant", "no_variants", "duplicate_kernels", "text_kernel",
         "reversed_bbox", "text_seed", "zero_n_c"])
 def test_parser_and_constructor_agree(section, raw, message):
     # a value means the same, and fails the same way, from YAML or from Python

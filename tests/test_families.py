@@ -3,14 +3,21 @@ shared-Gram training, selection and reporting."""
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import saferegions.classifiers as classifiers
+import saferegions.families as families
 from saferegions import (
     CalibrationCertificate,
     FamilyMember,
@@ -340,3 +347,151 @@ def test_lr_family_without_safe_calibration_points_scores_zero(lr_family):
     assert [m.score for m in result.members] == [0.0, 0.0, 0.0]
     assert result.selected_index == 0
     _assert_standalone_bits(result, unsafe_only, _WIDE)
+
+
+def _cpus() -> set:
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
+def test_family_below_the_size_rule_trains_in_process(monkeypatch):
+    # with the BLAS gate open, only the size rule keeps this family serial,
+    # so patches of the trainer see every member
+    monkeypatch.setattr(families, "_blas_single_threaded", lambda: True)
+    train, _ = _splits(seed=29)
+    assert train.n_samples < families._POOL_MIN_TRAIN
+    calls = []
+    real_trainer = TRAINERS["svm"]
+
+    def counting(train, hp, **kwargs):
+        calls.append(hp.eta)
+        return real_trainer(train, hp, **kwargs)
+
+    monkeypatch.setitem(families.TRAINERS, "svm", counting)
+    members = train_family(train, _family(etas=(0.5, 1.0, 2.0)), "svm")
+    assert calls == [0.5, 1.0, 2.0]
+    assert [m.index for m in members] == [0, 1, 2]
+    assert families._pool_workers(train.n_samples, 3) == 1
+    forks = hasattr(os, "fork") and len(_cpus()) > 1 and threading.active_count() == 1
+    expected = min(len(_cpus()), 3) if forks else 1
+    assert families._pool_workers(families._POOL_MIN_TRAIN, 3) == expected
+    assert families._pool_workers(families._POOL_MIN_TRAIN, 1) == 1
+
+
+_needs_pool = pytest.mark.skipif(len(_cpus()) < 2 or not hasattr(os, "fork"),
+                                 reason="the fork pool needs fork and two CPUs")
+
+
+def _pinned_python(args, cwd, *, one_cpu: bool) -> str:
+    """stdout of ``python args`` with every BLAS pinned to one thread, on one
+    CPU or on all of this process's CPUs."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    src = str(Path(families.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    cpu = min(_cpus())
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=300,
+                          preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if one_cpu else None)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _require_pool_route(tmp_path):
+    """Skip where numpy's BLAS is not an OpenBLAS, which cannot be asked for
+    its thread count; else fail unless a pinned process takes the pool on all
+    CPUs and not on one."""
+    probe = ("import numpy; from saferegions import families; "
+             "print(numpy.show_config(mode='dicts')['Build Dependencies']['blas']['name'], "
+             "families._pool_workers(families._POOL_MIN_TRAIN, 9))")
+    blas, workers = _pinned_python(["-c", probe], tmp_path, one_cpu=False).split()
+    if "openblas" not in blas:
+        pytest.skip(f"{blas} does not report its thread count, so training stays serial")
+    assert int(workers) == min(len(_cpus()), 9)
+    one = _pinned_python(["-c", probe], tmp_path, one_cpu=True).split()[1]
+    assert int(one) == 1
+
+
+_PLATOON_MEMBERS = """
+import json, multiprocessing, os, sys
+from saferegions import Hyperparameters, KernelSpec, generate_platoon_dataset, model_to_record
+from saferegions.datagen import standardize
+from saferegions import families
+
+(train,), _ = standardize(generate_platoon_dataset(families._POOL_MIN_TRAIN, seed=7))
+family = [Hyperparameters(eta=eta, tau=tau, kernel=KernelSpec(kind="gaussian"))
+          for eta in (0.01, 0.1, 1.0) for tau in (0.1, 0.5, 0.9)]
+pids = sys.argv[1]
+real = families.TRAINERS["svdd"]
+
+def recording(*args, **kwargs):
+    with open(pids, "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    return real(*args, **kwargs)
+
+families.TRAINERS["svdd"] = recording
+members = families.train_family(train, family, "svdd")
+
+def raising(train, hp, **kwargs):
+    if hp.eta == 0.1:
+        raise ValueError("not a training error")
+    return real(train, hp, **kwargs)
+
+families.TRAINERS["svdd"] = raising
+try:
+    families.train_family(train, family, "svdd")
+    raised = None
+except ValueError as exc:
+    raised = str(exc)
+print(json.dumps({
+    "members": [[m.index, m.failed, m.error, m.hyperparameters.eta, m.hyperparameters.tau,
+                 None if m.model is None else model_to_record(m.model)] for m in members],
+    "raised": raised, "left": len(multiprocessing.active_children()), "pid": os.getpid()}))
+"""
+
+
+@_needs_pool
+def test_failed_members_come_back_from_the_pool_in_member_order(tmp_path):
+    # on platoon data the eta=0.01, tau=0.9 SVDD member fails by design
+    _require_pool_route(tmp_path)
+    script = tmp_path / "members.py"
+    script.write_text(_PLATOON_MEMBERS)
+    runs = {}
+    for one_cpu in (True, False):
+        pids = tmp_path / f"pids-{one_cpu}.txt"
+        runs[one_cpu] = json.loads(_pinned_python([str(script), str(pids)], tmp_path,
+                                                  one_cpu=one_cpu))
+        runs[one_cpu]["trained_in"] = set(pids.read_text().split())
+    serial, forked = runs[True], runs[False]
+    assert serial["trained_in"] == {str(serial["pid"])}
+    assert forked["trained_in"] and str(forked["pid"]) not in forked["trained_in"]
+    assert forked["members"] == serial["members"]
+    members = forked["members"]
+    assert [m[0] for m in members] == list(range(9))
+    failed = [(eta, tau) for _, is_failed, error, eta, tau, _ in members if is_failed]
+    assert (0.01, 0.9) in failed
+    assert all(error for _, is_failed, error, *_ in members if is_failed)
+    assert all(record is not None for _, is_failed, _, _, _, record in members if not is_failed)
+    # an error other than TrainingError propagates, and no worker is left
+    assert forked["raised"] == serial["raised"] == "not a training error"
+    assert forked["left"] == serial["left"] == 0
+
+
+@_needs_pool
+def test_forked_run_writes_the_serial_run_bytes(tmp_path):
+    _require_pool_route(tmp_path)
+    config = tmp_path / "config.yaml"
+    config.write_text(json.dumps({
+        "seed": 5,
+        "data": {"generator": "gaussian", "n_train": families._POOL_MIN_TRAIN, "n_test": 2000},
+        "classifier": {"variants": ["svdd", "lr"], "etas": [0.1, 1.0], "taus": [0.5, 0.9]},
+        "risk": {"eps": [0.1, 0.2], "delta": 0.01}}))
+    outputs = {}
+    for one_cpu in (True, False):
+        out = tmp_path / f"run-{one_cpu}"
+        _pinned_python(["-m", "saferegions", "run", "--config", str(config), "--out", str(out)],
+                       tmp_path, one_cpu=one_cpu)
+        outputs[one_cpu] = {path.relative_to(out).as_posix(): path.read_bytes()
+                            for path in sorted(out.rglob("*")) if path.is_file()
+                            and path.name != "resolved_config.yaml"}
+    assert len(outputs[True]) > 4
+    assert outputs[False] == outputs[True]

@@ -101,6 +101,43 @@ def test_platoon_splits_are_disjoint_slices(tmp_path):
     assert np.unique(stacked, axis=0).shape[0] == pool_total
 
 
+def test_evaluate_saved_simulates_only_the_platoon_train_and_test_splits(tmp_path, monkeypatch):
+    import saferegions.pipeline as pipeline
+    import saferegions.platoon as platoon
+
+    raw = _raw(tmp_path, data={"generator": "platoon", "n_train": 30, "n_test": 40},
+               risk={"eps": [0.5, 0.25], "delta": 0.5})
+    config = ExperimentConfig.from_mapping(raw)
+    plans = resolve_plans(config)
+    train, _, test = build_datasets(config, plans)
+    only_train, calibs, only_test = build_datasets(config, plans, calibration=False)
+    assert calibs == {}
+    for whole, alone in ((train, only_train), (test, only_test)):
+        assert whole.x.tobytes() == alone.x.tobytes() and whole.x.shape == alone.x.shape
+        assert whole.y.tobytes() == alone.y.tobytes() and whole.y.dtype == alone.y.dtype
+
+    result = run_experiment(config)
+    # evaluation.csv as it is when the whole pool is simulated again
+    full = build_datasets
+    monkeypatch.setattr(pipeline, "build_datasets",
+                        lambda config, plans, calibration: full(config, plans))
+    evaluate_saved(result.output_dir)
+    expected = (result.output_dir / "evaluation.csv").read_bytes()
+    monkeypatch.undo()
+
+    simulated = []
+    real_simulate = platoon._simulate_batch
+
+    def counting(x, reception, physics):
+        simulated.append(len(x))
+        return real_simulate(x, reception, physics)
+
+    monkeypatch.setattr(platoon, "_simulate_batch", counting)
+    evaluate_saved(result.output_dir)
+    assert sum(simulated) == 30 + 40
+    assert (result.output_dir / "evaluation.csv").read_bytes() == expected
+
+
 def _csv_raw(tmp_path, **risk):
     rng = np.random.default_rng(0)
     files = {}

@@ -323,6 +323,16 @@ def test_empty_generation():
     # 2.5 once generated two scenarios
     with pytest.raises(InvalidArgument, match="n_samples must be an integer"):
         generate_platoon_dataset(2.5, seed=0)
+    with pytest.raises(InvalidArgument, match="non-negative"):
+        generate_platoon_dataset(3, seed=0, start=-1)
+
+
+def test_generation_from_a_start_index_equals_the_pool_rows():
+    pool = generate_platoon_dataset(50, seed=9)
+    tail = generate_platoon_dataset(20, seed=9, start=30)
+    assert tail.x.tobytes() == pool.x[30:].tobytes()
+    assert tail.y.tobytes() == pool.y[30:].tobytes()
+    assert tail.provenance["start"] == 30 and "start" not in pool.provenance
 
 
 def test_generated_labels_match_plain_python_replay():
