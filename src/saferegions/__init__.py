@@ -64,11 +64,9 @@ from .platoon import FEATURE_DIM, PlatoonRanges, generate_platoon_dataset
 from .scaling import (
     WHOLE_SPACE,
     CalibrationCertificate,
-    PlanCheck,
     ScalingPlan,
     binomial_cdf,
     calibrate,
-    check_plan,
     discarding_parameter,
     generalized_max,
     kappa,

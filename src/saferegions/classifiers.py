@@ -2,7 +2,8 @@
 
 A scalable classifier has a level-free margin ``s(x)``.  A point belongs to
 the predicted-safe region at level ``rho`` (predicted +1) exactly when
-``s(x) + rho < 0``, with ties going to unsafe.  In floating point that sum
+``s(x) + rho < 0``, with ties going to unsafe; ``in_region`` is that rule,
+and every membership decision goes through it.  In floating point that sum
 keeps the sign of the exact sum and is zero only when the exact sum is, so
 membership is exactly ``rho < boundary_radius(x) = -s(x)``: raising ``rho``
 only ever shrinks the region, and regions are nested.
@@ -55,6 +56,7 @@ __all__ = [
     "TrainingDiagnostics",
     "ScalableModel",
     "box_bounds",
+    "in_region",
     "expansion_margins",
     "save_model",
     "load_model",
@@ -175,6 +177,12 @@ def _fit_box_dual(x, y, K, s, C, alpha0, q, scale, settings: TrainSettings) -> t
         "support_y": y[support].copy(), "diagnostics": diagnostics}
 
 
+def in_region(margins, rho):
+    """Membership ``s(x) + rho < 0``: ties and NaN margins are outside, every
+    finite margin is inside at ``WHOLE_SPACE``; ``rho = 0.0`` is ``s < 0``."""
+    return margins + rho < 0.0
+
+
 @dataclass
 class ScalableModel:
     """Base for the trained variants: the fields every variant shares.
@@ -211,7 +219,7 @@ class ScalableModel:
 
     def predict(self, x: np.ndarray, rho: float) -> np.ndarray:
         """+1 inside the region (s(x) + rho < 0), -1 outside; ties count as unsafe."""
-        return np.where(self.margin(x) + rho < 0.0, 1, -1)
+        return np.where(in_region(self.margin(x), rho), 1, -1)
 
 
 def _as_points(x: np.ndarray, dim: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from .pipeline import (
     write_csv,
     write_resolved_config,
 )
-from .scaling import ScalingPlan, check_plan, kappa, min_calibration_size
+from .scaling import ScalingPlan, kappa, min_calibration_size
 
 __all__ = ["main", "build_parser"]
 
@@ -124,10 +124,9 @@ def cmd_plan(args) -> int:
     for eps, sizes in rows:
         print(f"eps={eps!r} delta={risk.delta!r} beta={risk.beta!r}")
         for label, plan in sizes:
-            verdict = check_plan(plan)
-            state = "certified" if verdict.certified else "NOT certified"
-            print(f"  {label}: n_c={plan.n_c} r={plan.r} tail={verdict.tail!r} ({state})")
-            if not verdict.certified:
+            state = "certified" if plan.certified else "NOT certified"
+            print(f"  {label}: n_c={plan.n_c} r={plan.r} tail={plan.tail!r} ({state})")
+            if not plan.certified:
                 all_certified = False
                 print(f"  minimal certifiable n_c at these levels: "
                       f"{min_calibration_size(eps, risk.delta, risk.beta)}")

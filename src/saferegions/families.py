@@ -1,13 +1,13 @@
 """Joint calibration of finite hyperparameter families.
 
 All members share one calibration set and one plan, so a union bound gives
-the whole family confidence ``1 - m * B(r-1; n_c, eps)`` where ``m`` is the
-family size.  Per-member scaling levels and scores are exactly what
-standalone ``calibrate`` and ``safe_coverage`` produce; only the reported
-confidence changes.  Members with the same resolved kernel and identical
-centers (every logistic member expands over the whole training set) share
-one kernel block per row block of each calibration subset, then each takes
-its own product, the one its ``margin`` makes alone.  The selection
+the whole family of ``m`` members the confidence ``plan.confidence(m)``,
+``1 - m * B(r-1; n_c, eps)``.  Per-member scaling levels and scores are
+exactly what standalone ``calibrate`` and ``safe_coverage`` produce; only
+the reported confidence changes.  Members with the same resolved kernel and
+identical centers (every logistic member expands over the whole training
+set) share one kernel block per row block of each calibration subset, then
+each takes its own product, the one its ``margin`` makes alone.  The selection
 rule is fixed: keep the member whose calibrated region covers the most safe
 calibration points, with ties going to the lowest index.
 
@@ -32,17 +32,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifiers import Hyperparameters, TrainSettings, _shared_center_margins
+from .classifiers import Hyperparameters, TrainSettings, _shared_center_margins, in_region
 from .errors import InvalidArgument, TrainingError
 from .kernels import gram
 from .logistic import train_sc_lr
-from .scaling import (
-    CalibrationCertificate,
-    ScalingPlan,
-    _certificate,
-    _checked_plan,
-    binomial_cdf,
-)
+from .scaling import CalibrationCertificate, ScalingPlan, _certificate, _checked_plan
 from .svdd import train_sc_svdd
 from .svm import train_sc_svm
 
@@ -231,22 +225,20 @@ def calibrate_trained_family(members: list[FamilyMember], calib, plan: ScalingPl
                              variant: str, *, force_uncertified: bool = False) -> FamilyResult:
     """Calibrate trained members against one shared plan and select the best.
 
-    Each member certificate equals its standalone calibration except that the
-    confidence is replaced by the union-bound family value
-    ``max(0, 1 - m * B(r-1; n_c, eps))``.  The result holds new member
-    records; ``members`` is left as it was, so one trained family serves
-    several plans.
+    Each member certificate equals its standalone calibration except that its
+    confidence is the union-bound family value ``plan.confidence(m)``, with
+    ``m`` counting every member, failed ones included.  The result holds new
+    member records; ``members`` is left as it was, so one trained family
+    serves several plans.
     """
     m = len(members)
     if m == 0:
         raise InvalidArgument("family must contain at least one member")
-    tail = binomial_cdf(plan.r - 1, plan.n_c, plan.eps)
-    family_confidence = min(1.0, max(0.0, 1.0 - m * tail))
-    result = FamilyResult(variant=variant, plan=plan, family_confidence=family_confidence)
+    result = FamilyResult(variant=variant, plan=plan, family_confidence=plan.confidence(m))
     result.members = list(members)
     groups = _center_groups(members)
     if groups:
-        check = _checked_plan(calib, plan, force_uncertified)
+        _checked_plan(calib, plan, force_uncertified)
         unsafe_x = calib.x[calib.y == -1]
         safe_x = calib.x[calib.y == 1]
         for group in groups:
@@ -254,10 +246,9 @@ def calibrate_trained_family(members: list[FamilyMember], calib, plan: ScalingPl
             radii = -_group_margins(models, unsafe_x)
             safe = _group_margins(models, safe_x)
             for column, k in enumerate(group):
-                certificate = replace(_certificate(plan, check, radii[:, column]),
-                                      confidence=family_confidence)
+                certificate = _certificate(plan, radii[:, column], m)
                 # safe_coverage's count, from the shared margins
-                score = float((safe[:, column] + certificate.rho_eps < 0.0).sum())
+                score = float(in_region(safe[:, column], certificate.rho_eps).sum())
                 result.members[k] = replace(members[k], certificate=certificate, score=score)
     result.selected_index = select_best(result)
     return result

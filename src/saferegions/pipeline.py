@@ -1,10 +1,12 @@
 """End-to-end experiment pipeline: data, training, calibration, selection,
 test evaluation, and deterministic report files.
 
-Every output byte is a pure function of (config, seed): float cells are
-written with repr so reruns are byte-identical, rows follow a fixed order
-(variant as configured, then eps as configured, then member index), and no
-timestamps or environment data are recorded.
+Every output byte is a pure function of (config, seed) and of the BLAS
+thread count, which rounds the Gram, solver and margin products and which no
+run file records: float cells are written with repr so reruns are
+byte-identical, rows follow a fixed order (variant as configured, then eps
+as configured, then member index), and no timestamps or environment data
+are recorded.
 
 Report columns, in order:
     variant, member, eta, tau, kernel, eps, delta, beta, r, n_c, n_U,
@@ -24,13 +26,13 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .classifiers import expansion_margins, load_model, save_model
+from .classifiers import expansion_margins, in_region, load_model, save_model
 from .config import ExperimentConfig, load_config
 from .datagen import Dataset, sample_gaussian, standardize, write_csv
 from .errors import InvalidArgument, UncertifiedPlanError
 from .families import FamilyResult, calibrate_trained_family, train_family
 from .platoon import generate_platoon_dataset
-from .scaling import ScalingPlan, check_plan, min_calibration_size
+from .scaling import ScalingPlan, min_calibration_size
 
 __all__ = [
     "REPORT_COLUMNS",
@@ -100,8 +102,7 @@ def resolve_plans(config: ExperimentConfig) -> dict:
 def check_plans(plans: dict, force_uncertified: bool) -> bool:
     """True when every plan certifies; otherwise raise UncertifiedPlanError
     naming the minimal sizes, or return False under ``force_uncertified``."""
-    failing = {eps: plan for eps, plan in plans.items()
-               if not check_plan(plan).certified}
+    failing = {eps: plan for eps, plan in plans.items() if not plan.certified}
     if failing and not force_uncertified:
         parts = [f"eps={eps}: n_c={plan.n_c} is not certifiable at delta={plan.delta}, "
                  f"minimal n_c is {min_calibration_size(eps, plan.delta, plan.beta)}"
@@ -179,13 +180,13 @@ def _write_table(path: Path, header: list, table: np.ndarray) -> None:
 
 
 def _membership_table(labels: np.ndarray, margins: np.ndarray, live: list) -> np.ndarray:
-    """int64 columns index, label, then 1 where ``margin + rho_eps < 0`` for
-    each live member (one margin column each, in member order)."""
+    """int64 columns index, label, then 1 where the point is ``in_region`` at
+    ``rho_eps`` for each live member (one margin column each, in member order)."""
     rho = np.array([m.certificate.rho_eps for m in live], dtype=float)
     table = np.empty((labels.size, 2 + len(live)), dtype=np.int64)
     table[:, 0] = np.arange(labels.size)
     table[:, 1] = labels
-    table[:, 2:] = (margins + rho) < 0.0
+    table[:, 2:] = in_region(margins, rho)
     return table
 
 
@@ -195,7 +196,7 @@ def _frequencies(inside: np.ndarray, margin: np.ndarray, labels: np.ndarray) -> 
     joint_count = int((inside & (labels == -1)).sum())
     inside_count = int(inside.sum())
     conditional = "" if inside_count == 0 else joint_count / inside_count
-    accuracy = float(np.mean(np.where(margin < 0.0, 1, -1) == labels))
+    accuracy = float(np.mean(np.where(in_region(margin, 0.0), 1, -1) == labels))
     return joint_count / labels.size, conditional, accuracy
 
 
@@ -378,7 +379,7 @@ def evaluate_saved(run_dir) -> list:
     rows = []
     for k, (model, cert) in enumerate(loaded):
         s = margins[:, k]
-        joint, conditional, accuracy = _frequencies((s + cert.rho_eps) < 0.0, s, test.y)
+        joint, conditional, accuracy = _frequencies(in_region(s, cert.rho_eps), s, test.y)
         hp = model.hyperparameters
         rows.append([model.variant, float(hp.eta), float(hp.tau), model.kernel.label(),
                      float(cert.plan.eps), cert.reported_rho, cert.kind, cert.certified,

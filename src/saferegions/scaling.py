@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +36,6 @@ __all__ = [
     "min_calibration_size",
     "discarding_parameter",
     "ScalingPlan",
-    "PlanCheck",
-    "check_plan",
     "CalibrationCertificate",
     "calibrate",
 ]
@@ -162,7 +160,8 @@ def discarding_parameter(beta: float, eps: float, n: int) -> int:
 
 @dataclass(frozen=True)
 class ScalingPlan:
-    """Calibration plan: risk level, confidence target, rank, and sample size."""
+    """Calibration plan: risk level, confidence target, rank, and sample size,
+    with the certificate arithmetic: tail, verdict, union-bound confidence."""
 
     eps: float
     delta: float
@@ -191,19 +190,20 @@ class ScalingPlan:
         r = discarding_parameter(beta, eps, n_c)
         return cls(eps=float(eps), delta=float(delta), r=r, n_c=n_c, beta=float(beta))
 
+    @cached_property
+    def tail(self) -> float:
+        """The achieved binomial tail ``B(r-1; n_c, eps)``, computed once."""
+        return binomial_cdf(self.r - 1, self.n_c, self.eps)
 
-class PlanCheck(NamedTuple):
-    certified: bool
-    tail: float
+    @property
+    def certified(self) -> bool:
+        """Exact certifiability check: is ``B(r-1; n_c, eps) <= delta``?"""
+        return self.tail <= self.delta
 
-
-def check_plan(plan: ScalingPlan) -> PlanCheck:
-    """Exact certifiability check: is ``B(r-1; n_c, eps) <= delta``?
-
-    Returns the verdict together with the achieved binomial tail.
-    """
-    tail = binomial_cdf(plan.r - 1, plan.n_c, plan.eps)
-    return PlanCheck(certified=tail <= plan.delta, tail=tail)
+    def confidence(self, m: int = 1) -> float:
+        """Union-bound confidence ``1 - m * tail`` of ``m`` models calibrated
+        on this plan, clipped to [0, 1]; ``m = 1`` is a standalone model."""
+        return min(1.0, max(0.0, 1.0 - m * self.tail))
 
 
 @dataclass(frozen=True)
@@ -213,9 +213,9 @@ class CalibrationCertificate:
     ``rho_eps`` is the calibrated scaling level; the sentinel ``-inf``
     (``kind == "whole_space"``) means fewer than ``r`` unsafe calibration
     points were available and the certified region is the whole input space.
-    ``confidence`` is ``1 - B(r-1; n_c, eps)`` for a standalone model; family
-    calibration replaces it with the union-bound value.  ``certified`` is
-    False only when an uncertifiable plan was forced through.
+    ``confidence`` is ``plan.confidence(m)`` for a member of a family of m,
+    m = 1 for a standalone model.  ``certified`` is False only when an
+    uncertifiable plan was forced through.
     """
 
     rho_eps: float
@@ -295,32 +295,29 @@ def calibrate(model, calib, plan: ScalingPlan, *,
     ``force_uncertified`` is set, in which case the certificate is returned
     with ``certified=False``.
     """
-    check = _checked_plan(calib, plan, force_uncertified)
+    _checked_plan(calib, plan, force_uncertified)
     unsafe_x = calib.x[calib.y == -1]
-    return _certificate(plan, check, model.boundary_radius(unsafe_x))
+    return _certificate(plan, model.boundary_radius(unsafe_x))
 
 
-def _checked_plan(calib, plan: ScalingPlan, force_uncertified: bool) -> PlanCheck:
+def _checked_plan(calib, plan: ScalingPlan, force_uncertified: bool) -> None:
     """The checks calibration makes before any margin: the calibration size,
     then the binomial tail, which must certify unless forced."""
     if calib.n_samples != plan.n_c:
         raise InvalidArgument(
             f"calibration set has {calib.n_samples} samples, plan requires {plan.n_c}")
-    check = check_plan(plan)
-    if not check.certified and not force_uncertified:
+    if not plan.certified and not force_uncertified:
         raise UncertifiedPlanError(
             f"plan (eps={plan.eps}, delta={plan.delta}, r={plan.r}, n_c={plan.n_c}) "
-            f"achieves tail {check.tail:.3e} > delta; enlarge n_c or pass force_uncertified")
-    return check
+            f"achieves tail {plan.tail:.3e} > delta; enlarge n_c or pass force_uncertified")
 
 
-def _certificate(plan: ScalingPlan, check: PlanCheck, radii) -> CalibrationCertificate:
-    """Certificate of one model from the boundary radii of the unsafe
-    calibration points: the level is the ``plan.r``-th largest radius, or the
-    whole space when there are fewer than ``r`` of them."""
+def _certificate(plan: ScalingPlan, radii, m: int = 1) -> CalibrationCertificate:
+    """Certificate of one model of a family of ``m``: the level is the
+    ``plan.r``-th largest boundary radius of the unsafe calibration points,
+    or the whole space when there are fewer than ``r`` of them."""
     radii = np.asarray(radii, dtype=float)
     n_unsafe = radii.size
     rho_eps = generalized_max(radii, plan.r) if n_unsafe >= plan.r else WHOLE_SPACE
-    confidence = min(1.0, max(0.0, 1.0 - check.tail))
     return CalibrationCertificate(rho_eps=rho_eps, plan=plan, n_U=n_unsafe,
-                                  confidence=confidence, certified=check.certified)
+                                  confidence=plan.confidence(m), certified=plan.certified)

@@ -15,13 +15,13 @@ optimum first.
 
 ``solve_box_qp`` picks a route from a greedy pivoted incomplete Cholesky of
 K (Fine & Scheinberg 2001, "Efficient SVM training using low-rank kernel
-representations"), run for at most n/4 pivots:
+representations"), checked after n/4 pivots:
 
 - full-rank route: at least ``1e-2 * trace(K)`` is left after n/4 pivots (a
   standardized high-dimensional Gram).  Pairwise ascent from ``alpha0``
   alone converges in a few updates per coordinate; if it has not within
-  ``10 n`` updates, the solve falls back to the interior-point route.
-- interior-point route: every other Gram.  The pivoting is taken on until
+  ``10 n`` updates, the solve pivots again for the interior-point route.
+- interior-point route: every other Gram.  The same pivoting goes on until
   the residual trace falls to ``1e-12 * trace(K)``, giving
   K~ = G G^T + diag(res) with k <= n columns.  The interior point solves
   its Newton systems by the Sherman-Morrison-Woodbury identity through a
@@ -164,24 +164,25 @@ def _step_fraction(current, delta):
     return min(1.0, _IP_BOUNDARY * float((-current[shrink] / delta[shrink]).min()))
 
 
-def _pivoted_cholesky(K, max_rank):
+def _pivoted_cholesky(K, check_at):
     """Greedy pivoted incomplete Cholesky factor of a PSD matrix.
 
     Pivots on the largest remaining diagonal entry until the residual trace
     is at most ``_RANK_RTOL * trace(K)``.  Returns ``(G, res, pivots)`` with
     ``K ~ G @ G.T`` and ``res = diag(K - G @ G.T)`` clipped at zero (zero on
-    the pivots).  When that takes more than ``max_rank`` columns, K is
-    refused: ``G`` is None and ``res`` is the residual left after
-    ``max_rank`` pivots.
+    the pivots).  When at least ``_FULL_RANK_RESIDUAL * trace(K)`` is left
+    after ``check_at`` pivots, K is refused as full rank: ``G`` is None and
+    ``res`` is the residual left then.
     """
     res = np.diagonal(K).astype(float)
     stop = _RANK_RTOL * float(res.sum())
-    Gt = np.empty((max_rank, res.size))
+    Gt = np.empty((res.size, res.size))   # only pivoted rows are touched
     pivots = []
-    for k in range(max_rank + 1):
-        if float(res.sum()) <= stop:
+    for k in range(res.size + 1):
+        left = float(res.sum())
+        if left <= stop:
             return Gt[:k].T, res, pivots
-        if k == max_rank:
+        if k == check_at and left >= _FULL_RANK_RESIDUAL * float(np.trace(K)):
             return None, res, pivots
         p = int(np.argmax(res))
         pivots.append(p)
@@ -329,14 +330,11 @@ def solve_box_qp(K, s, C, alpha0, q, scale, tol, max_iter):
     n = C.size
     G, res, _ = _pivoted_cholesky(K, n // 4)
     if G is None:
-        if float(res.sum()) >= _FULL_RANK_RESIDUAL * float(np.trace(K)):
-            budget = min(max_iter, _PAIRWISE_FIRST_UPDATES * n)
-            result = pairwise_ascent(K, s, C, alpha0, q, scale, tol, budget)
-            if result[4]:
-                return result
-        # Restarting repeats the n/4 pivots rather than resuming them; on
-        # 400-point 2-D Gaussian Grams that is 0.9 ms against about 9 ms
-        # for the interior point that follows (one BLAS thread).
+        budget = min(max_iter, _PAIRWISE_FIRST_UPDATES * n)
+        result = pairwise_ascent(K, s, C, alpha0, q, scale, tol, budget)
+        if result[4]:
+            return result
+        # a refused pivoting keeps no factor: pivot again, to tolerance
         G, res, _ = _pivoted_cholesky(K, n)
     mass = float(s @ alpha0)
     warm = _interior_point(K, s, C, q, scale, mass, G, res)

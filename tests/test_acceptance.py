@@ -25,7 +25,6 @@ from saferegions import (
     binomial_cdf,
     calibrate,
     calibrate_trained_family,
-    check_plan,
     discarding_parameter,
     kappa,
     min_calibration_size,
@@ -75,7 +74,7 @@ def test_criterion_02_plan_grid_certifies():
                 assert r == math.ceil(eps * n_c / 2.0) or \
                     abs(r - eps * n_c / 2.0) < 1e-9
                 plan = ScalingPlan(eps=eps, delta=delta, r=r, n_c=n_c)
-                assert check_plan(plan).certified, (eps, delta, n_c)
+                assert plan.certified, (eps, delta, n_c)
 
 
 def test_criterion_03_binomial_cdf_exact():
@@ -194,7 +193,7 @@ def test_criterion_07_gaussian_risk_validation():
         for eps_index, eps in enumerate((0.01, 0.05, 0.1)):
             plan = ScalingPlan(eps=eps, delta=delta, n_c=n_c,
                                r=discarding_parameter(0.5, eps, n_c))
-            certified = check_plan(plan).certified
+            certified = plan.certified
             freqs = []
             for draw in range(draws):
                 calib = sample_gaussian(_GAUSS, n_c,

@@ -21,7 +21,6 @@ from saferegions import (
     ScalingPlan,
     calibrate,
     calibrate_trained_family,
-    check_plan,
     discarding_parameter,
     sample_gaussian,
 )
@@ -110,7 +109,7 @@ def _violation_share(members, eps, calibrate_draw) -> tuple:
         calib = sample_gaussian(_MIXTURE, plan.n_c, seed=draw)
         levels = calibrate_draw(calib, plan)
         violations += any(_risk(w, b, rho) > eps for (w, b), rho in zip(members, levels))
-    return violations / _DRAWS, check_plan(plan).tail
+    return violations / _DRAWS, plan.tail
 
 
 def _bound(p: float) -> float:

@@ -30,7 +30,8 @@ from saferegions import (
     train_sc_svdd,
     train_sc_svm,
 )
-from saferegions.classifiers import TrainingDiagnostics
+from saferegions.classifiers import TrainingDiagnostics, in_region
+from saferegions.scaling import WHOLE_SPACE
 
 _SPEC = GaussianSpec(mu_safe=(-1.0, -1.0), mu_unsafe=(1.0, 1.0),
                      cov_safe=((1.0, 0.0), (0.0, 1.0)),
@@ -167,6 +168,32 @@ def test_a_safe_point_just_below_its_boundary_radius_counts_inside():
     family = calibrate_trained_family(
         [FamilyMember(index=0, hyperparameters=_LINEAR, model=model)], calib, plan, "lr")
     assert family.members[0].score == 1.0
+
+
+def test_in_region_ties_whole_space_and_nan():
+    # margin(x) = x exactly: linear kernel, one center at 1, beta 1, offset 0
+    model = ScLrModel(train_x=np.array([[1.0]]), beta=np.array([1.0]), offset=0.0,
+                      hyperparameters=_LINEAR, diagnostics=_DIAGNOSTICS)
+    margins = np.array([-0.5, 0.0, -0.0, 0.5, 1e300, -1e300, np.nan])
+    x = margins[:, None]
+    assert np.array_equal(model.margin(x), margins, equal_nan=True)
+    cases = {
+        # s + rho == 0 is a tie, and ties are outside
+        0.0: [True, False, False, False, False, True, False],
+        0.5: [False, False, False, False, False, True, False],
+        -0.5: [True, True, True, False, False, True, False],
+        # the whole-space level admits every finite margin, never a NaN one
+        WHOLE_SPACE: [True] * 6 + [False],
+        float("inf"): [False] * 7,
+    }
+    for rho, want in cases.items():
+        assert in_region(margins, rho).tolist() == want, rho
+        assert (model.predict(x, rho) == 1).tolist() == want, rho
+        for k, s in enumerate(margins):
+            assert bool(in_region(s, rho)) == want[k]
+            assert (model.predict(x[k], rho) == 1) == want[k]
+    # the level-0 rule is the sign of the margin, -0.0 included
+    assert np.array_equal(in_region(margins, 0.0), margins < 0.0)
 
 
 _COORDINATE = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)

@@ -11,12 +11,10 @@ from saferegions import (
     WHOLE_SPACE,
     CalibrationCertificate,
     InvalidArgument,
-    PlanCheck,
     ScalingPlan,
     UncertifiedPlanError,
     binomial_cdf,
     calibrate,
-    check_plan,
     discarding_parameter,
     generalized_max,
     kappa,
@@ -42,7 +40,7 @@ def test_small_beta_plans_still_certify():
     # Less conventional beta values must still produce certified plans.
     for beta in (0.1, 0.3, 0.7):
         plan = ScalingPlan.from_risk(0.05, 1e-6, beta=beta)
-        assert check_plan(plan).certified
+        assert plan.certified
 
 
 def test_kappa_rejects_endpoints():
@@ -200,17 +198,25 @@ def test_check_plan_certified_matrix():
     for eps in (0.01, 0.05, 0.1, 0.5):
         for delta in (1e-2, 1e-6):
             plan = ScalingPlan.from_risk(eps, delta)
-            verdict = check_plan(plan)
-            assert isinstance(verdict, PlanCheck)
-            assert verdict.certified
-            assert verdict.tail <= delta
+            assert plan.certified
+            assert plan.tail <= delta
 
 
 def test_check_plan_uncertified_when_too_small():
     plan = ScalingPlan(eps=0.05, delta=1e-6, r=3, n_c=40)
-    verdict = check_plan(plan)
-    assert not verdict.certified
-    assert verdict.tail > 1e-6
+    assert not plan.certified
+    assert plan.tail > 1e-6
+
+
+def test_plan_confidence_is_the_clipped_union_bound():
+    plan = ScalingPlan.from_risk(0.05, 1e-6, n_c=1394)
+    assert plan.tail == binomial_cdf(plan.r - 1, 1394, 0.05)
+    assert plan.confidence() == plan.confidence(1) == 1.0 - plan.tail
+    assert plan.confidence(27) == 1.0 - 27 * plan.tail
+    # m * tail > 1: the bound says nothing, and the confidence reads 0
+    small = ScalingPlan(eps=0.05, delta=1e-6, r=3, n_c=40)
+    assert small.confidence(1) > 0.0
+    assert 2 * small.tail > 1.0 and small.confidence(2) == 0.0
 
 
 class _RadiusStub:
@@ -228,7 +234,7 @@ def _calib_set(radii, labels):
 
 def test_calibrate_picks_rth_largest_unsafe_radius():
     plan = ScalingPlan(eps=0.5, delta=0.5, r=3, n_c=11)
-    assert check_plan(plan).certified
+    assert plan.certified
     radii = [10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
     labels = [-1] * 6 + [1] * 5
     cert = calibrate(_RadiusStub(), _calib_set(radii, labels), plan)
@@ -237,7 +243,7 @@ def test_calibrate_picks_rth_largest_unsafe_radius():
     assert cert.n_U == 6
     assert cert.kind == "scaled"
     assert cert.certified
-    assert abs(cert.confidence - (1.0 - check_plan(plan).tail)) < 1e-15
+    assert abs(cert.confidence - (1.0 - plan.tail)) < 1e-15
 
 
 def test_calibrate_whole_space_fallback():

@@ -136,8 +136,8 @@ def test_pivoted_cholesky_against_numpy():
         assert res.sum() <= 1e-12 * trace
         assert (res >= 0.0).all()
         assert np.linalg.eigvalsh(R).min() >= -1e-12 * trace
-    # a full-rank Gram is refused once the rank passes the cap, with the
-    # residual those pivots leave
+    # a full-rank Gram is refused at the check, with the residual those
+    # pivots leave (a share of 0.23 of the trace at 7 pivots)
     K = gram(KernelSpec(kind="gaussian", gamma=0.7), x)
     G, res, pivots = _pivoted_cholesky(K, 30 // 4)
     assert G is None and len(pivots) == 30 // 4
@@ -167,7 +167,8 @@ def _low_rank_problems(rng):
     y = np.where(x[:, 0] + x[:, 1] + 0.7 * rng.normal(size=n) < 0.0, 1, -1)
     for spec in (KernelSpec(kind="linear"), KernelSpec(kind="gaussian", gamma=0.001)):
         K = gram(spec, x)
-        assert _pivoted_cholesky(K, n // 4)[0] is not None   # low-rank route
+        G = _pivoted_cholesky(K, n // 4)[0]
+        assert G is not None and G.shape[1] <= n // 4   # low rank at n/4 pivots
         C = box_bounds(Hyperparameters(eta=0.05, tau=0.5, kernel=spec), y)
         yield from _svm_and_svdd_forms(K, y, C)
 
@@ -219,33 +220,40 @@ def test_full_rank_route_falls_back_when_its_budget_runs_out(monkeypatch):
     problems = list(_full_rank_problems(np.random.default_rng(47)))
     for problem in problems:
         _assert_matches_oracle(problem, solve_box_qp(*problem, 1e-8, 100_000))
-    # every solve fell back; the pivoting refused at n/4 is not resumed but
-    # run again to tolerance, so each solve pivots twice
+    # every solve fell back; the pivoting refused as full rank at n/4 kept
+    # no factor and runs again to tolerance, so each solve pivots twice
     assert calls == {"_interior_point": len(problems), "_pivoted_cholesky": 2 * len(problems)}
 
 
 def test_ill_conditioned_gram_takes_a_factor_past_n_over_4(monkeypatch):
     # a 2-D Gaussian Gram neither low rank at n/4 pivots nor full rank: the
-    # interior point runs on a pivoting taken on to tolerance
+    # pivoting checked at n/4 goes on to tolerance, once a solve, and the
+    # interior point runs on that factor
     n = 60
     rng = np.random.default_rng(53)
     x = rng.normal(size=(n, 2))
     y = np.where(x[:, 0] + x[:, 1] + 0.7 * rng.normal(size=n) < 0.0, 1, -1)
     spec = KernelSpec(kind="gaussian", gamma=0.02)
     K = gram(spec, x)
-    G, res, _ = _pivoted_cholesky(K, n // 4)
-    assert G is None and res.sum() < solvers._FULL_RANK_RESIDUAL * np.trace(K)
-    columns = []
+    G, res, pivots = _pivoted_cholesky(K, n // 4)
+    assert G is not None and G.shape[1] == len(pivots) > n // 4
+    assert res.sum() <= solvers._RANK_RTOL * np.trace(K)
+    checks, columns = [], []
+
+    def pivot_spy(K, check_at, _inner=solvers._pivoted_cholesky):
+        checks.append(check_at)
+        return _inner(K, check_at)
 
     def spy(*args, _inner=solvers._interior_point):
         columns.append(args[6].shape[1])
         return _inner(*args)
 
+    monkeypatch.setattr(solvers, "_pivoted_cholesky", pivot_spy)
     monkeypatch.setattr(solvers, "_interior_point", spy)
     C = box_bounds(Hyperparameters(eta=0.05, tau=0.5, kernel=spec), y)
     for problem in _svm_and_svdd_forms(K, y, C):
         _assert_matches_oracle(problem, solve_box_qp(*problem, 1e-8, 100_000))
-    assert len(columns) == 2 and min(columns) > n // 4
+    assert checks == [n // 4] * 2 and columns == [G.shape[1]] * 2
 
 
 def test_low_rank_route_matches_oracle():
