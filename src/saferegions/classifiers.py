@@ -16,11 +16,13 @@ rounds tiny negative sums to zero would move points out of the region.
 
 Each variant's margin is a kernel expansion plus an offset, with an optional
 self-similarity term: ``s(x) = w_d k(x, x) + sum_j c_j k(x, x_j) + b0``.
-``expansion_margins`` evaluates that form for many models at once over their
-merged centers.  ``_shared_center_margins`` evaluates models whose centers are
-identical from one kernel block, with each model's own product, and every
-variant's ``margin`` is that evaluator applied to a single model, so models
-sharing centers get the bits of their own ``margin``.
+One evaluator, ``_margins``, computes that form for any list of models: it
+groups them by resolved kernel, builds one kernel block per row block of
+points against each group's distinct centers, and takes either one product
+for the whole group (merged: ``expansion_margins``) or, per model, the
+single-column product the model makes alone (per-model: every variant's
+``margin`` and family calibration, which also groups by equal centers), so
+per-model columns hold the bits of each model's own ``margin``.
 
 The steps every trainer shares live here too: ``_training_problem`` (checked
 data, resolved kernel, Gram) and, for the margin and ball variants,
@@ -64,7 +66,7 @@ __all__ = [
     "model_from_record",
 ]
 
-# Kernel entries per row block of expansion_margins: 2**21 doubles keep each
+# Kernel entries per row block of _margins: 2**21 doubles keep each
 # transient cross-kernel block at 16 MB whatever the number of centers.
 _BLOCK_ENTRIES = 2 ** 21
 
@@ -189,7 +191,7 @@ class ScalableModel:
 
     Subclasses declare their fitted fields, the centers of the expansion
     first, and provide ``_expansion``; their ``margin`` evaluates it through
-    ``expansion_margins``.
+    ``_margins``.
     """
 
     hyperparameters: Hyperparameters
@@ -232,7 +234,7 @@ def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
 
 def _single_margin(model: ScalableModel, x):
     """``margin`` of one model: a float for one point, an (n,) array otherwise."""
-    s = _shared_center_margins([model], x)[:, 0]
+    s = _margins([model], x, per_model=True)[:, 0]
     return float(s[0]) if np.ndim(x) == 1 else s
 
 
@@ -249,85 +251,76 @@ def _distinct_centers(centers: np.ndarray) -> tuple:
     return centers[first[order]], rank[inverse.reshape(-1)]
 
 
-def _block_rows(union: np.ndarray) -> int:
-    """Points per row block against ``union``: at most _BLOCK_ENTRIES kernel entries."""
-    return max(1, _BLOCK_ENTRIES // max(1, union.shape[0]))
+def _margins(models, x: np.ndarray, per_model: bool) -> np.ndarray:
+    """Margins s(x) of several models as an (n, len(models)) array; the one
+    evaluator behind ``expansion_margins`` and every variant's ``margin``.
 
-
-def _shared_center_margins(models, x: np.ndarray) -> np.ndarray:
-    """Margins of models sharing one resolved kernel and one center array,
-    as an (n, len(models)) array.
-
-    The caller guarantees that every model's kernel and centers equal the
-    first model's, element for element.  Each row block of points costs one
-    kernel block against the distinct centers and then, per model, the same
-    single-column product that model makes alone, so every column holds the
-    bits of that model's own ``margin``.
+    Models are grouped by resolved kernel and, in per-model mode, also by
+    centers equal element for element; a run of models with equal centers
+    de-duplicates the first one's only and shares its row map.  A group's
+    coefficients go into one column per model over its distinct centers.
+    Each row block of points (at most _BLOCK_ENTRIES kernel entries) costs
+    one kernel block, then one product for the group (merged mode), or per
+    model the single-column product it makes alone (per-model mode), the
+    bits of its own ``margin``.  In a per-model call of several models, one
+    sharing its group with no other goes through its own ``margin``.
     """
     expansions = [model._expansion() for model in models]
-    spec = models[0].kernel
     pts = _as_points(x, expansions[0][0].shape[1])
-    union, inverse = _distinct_centers(expansions[0][0])
-    coefs = []
-    for _, c, _, _ in expansions:
-        coef = np.zeros((union.shape[0], 1))
-        np.add.at(coef, (inverse, 0), c)
-        coefs.append(coef)
-    n = pts.shape[0]
-    rows = _block_rows(union)
-    out = np.empty((n, len(models)))
-    for start in range(0, n, rows):
-        block = pts[start:start + rows]
-        k = kernel_matrix(spec, block, union)
-        diag = kernel_diag(spec, block)[:, None]
-        for column, (coef, (_, _, w_d, b0)) in enumerate(zip(coefs, expansions)):
-            s = k @ coef
-            if w_d:
-                s += diag * w_d
-            s += b0
-            out[start:start + rows, column] = s[:, 0]
-        # free this block before the next one is built, so one block is live
-        del k
+    kernels: dict = {}   # kernel -> [(centers, columns of the models holding them)]
+    for column, (model, (centers, *_)) in enumerate(zip(models, expansions)):
+        runs = kernels.setdefault(model.kernel, [])
+        equal = next((cols for lead, cols in runs if np.array_equal(lead, centers)), None)
+        if equal is None:
+            runs.append((centers, [column]))
+        else:
+            equal.append(column)
+    out = np.empty((pts.shape[0], len(models)))
+    for spec, runs in kernels.items():
+        for group in ([run] for run in runs) if per_model else [runs]:
+            if per_model and len(group[0][1]) == 1 and len(models) > 1:
+                out[:, group[0][1][0]] = models[group[0][1][0]].margin(pts)
+                continue
+            leads = [centers for centers, _ in group]
+            union, inverse = _distinct_centers(np.vstack(leads))
+            pieces = np.split(inverse, np.cumsum([lead.shape[0] for lead in leads])[:-1])
+            row_of = {c: piece for piece, (_, cols) in zip(pieces, group) for c in cols}
+            columns = sorted(row_of)
+            coef = np.zeros((union.shape[0], len(columns)))
+            for j, c in enumerate(columns):
+                np.add.at(coef[:, j], row_of[c], expansions[c][1])
+            w_d = np.array([expansions[c][2] for c in columns], dtype=float)
+            b0 = np.array([expansions[c][3] for c in columns], dtype=float)
+            picks = [[j] for j in range(len(columns))] if per_model else [slice(None)]
+            products = [(np.array(columns)[p], coef[:, p], w_d[p], b0[p]) for p in picks]
+            rows = max(1, _BLOCK_ENTRIES // max(1, union.shape[0]))
+            for start in range(0, pts.shape[0], rows):
+                block = pts[start:start + rows]
+                k = kernel_matrix(spec, block, union)
+                diag = kernel_diag(spec, block)[:, None] if w_d.any() else None
+                for cols, c, w, b in products:
+                    s = k @ c
+                    if w.any():
+                        s += diag * w
+                    s += b
+                    out[start:start + rows, cols] = s
+                # free this block before the next one is built, so one block is live
+                del k
     return out
 
 
 def expansion_margins(models, x: np.ndarray) -> np.ndarray:
     """Margins s(x) of several models at once, as an (n, len(models)) array.
 
-    Models are grouped by their resolved kernel.  Within a group the centers
-    of all expansions are merged into their distinct rows and the
-    coefficients summed into one column per model, so each row block of
-    points costs one kernel block against the merged centers and one matrix
-    product, however many models share it.  Results agree with evaluating
-    each model alone up to the order of floating-point summation.
+    Models sharing a resolved kernel share each row block's kernel block
+    against their merged centers and one matrix product, however many there
+    are.  Results agree with evaluating each model alone up to the order of
+    floating-point summation.
     """
     models = list(models)
     if not models:
         raise InvalidArgument("expansion_margins needs at least one model")
-    expansions = [model._expansion() for model in models]
-    pts = _as_points(x, expansions[0][0].shape[1])
-    groups: dict = {}
-    for column, model in enumerate(models):
-        groups.setdefault(model.kernel, []).append(column)
-    n = pts.shape[0]
-    out = np.empty((n, len(models)))
-    for spec, columns in groups.items():
-        parts = [expansions[c] for c in columns]
-        union, inverse = _distinct_centers(np.vstack([p[0] for p in parts]))
-        owner = np.repeat(np.arange(len(columns)), [p[0].shape[0] for p in parts])
-        coef = np.zeros((union.shape[0], len(columns)))
-        np.add.at(coef, (inverse, owner), np.concatenate([p[1] for p in parts]))
-        w_d = np.array([p[2] for p in parts], dtype=float)
-        b0 = np.array([p[3] for p in parts], dtype=float)
-        rows = _block_rows(union)
-        for start in range(0, n, rows):
-            block = pts[start:start + rows]
-            s = kernel_matrix(spec, block, union) @ coef
-            if w_d.any():
-                s += kernel_diag(spec, block)[:, None] * w_d
-            s += b0
-            out[start:start + rows, columns] = s
-    return out
+    return _margins(models, x, per_model=False)
 
 
 _MODEL_FORMAT_VERSION = 1

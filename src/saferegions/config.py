@@ -25,7 +25,7 @@ from .families import TRAINERS
 from .kernels import KernelSpec
 from .platoon import PlatoonRanges
 from .scaling import min_calibration_size
-from .validation import checked_int, checked_real
+from .validation import checked_int, checked_real, invalid_yaml
 
 __all__ = [
     "DataConfig",
@@ -316,8 +316,5 @@ def load_config(path) -> ExperimentConfig:
     try:
         raw = yaml.load(path.read_bytes(), Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f"{path}, line {mark.line + 1}, column {mark.column + 1}" if mark else str(path)
-        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
-        raise InvalidArgument(f"{where}: not valid YAML: {problem}") from None
+        raise invalid_yaml(path, exc) from None
     return ExperimentConfig.from_mapping(raw)

@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from .errors import InvalidArgument
-from .validation import checked_real
+from .validation import checked_real, invalid_yaml
 
 __all__ = [
     "Dataset",
@@ -74,7 +74,8 @@ class Dataset:
     @classmethod
     def from_csv(cls, path) -> "Dataset":
         """Read a file written by ``to_csv``; ``InvalidArgument`` names the file
-        and line of a ragged row, a non-number or a label other than 1 or -1."""
+        and line of a ragged row, a non-number or a label other than 1 or -1,
+        and the provenance sidecar when it is not valid YAML."""
         path = Path(path)
         with path.open(newline="") as handle:
             reader = csv.reader(handle)
@@ -96,7 +97,10 @@ class Dataset:
         provenance = {"source": str(path)}
         sidecar = path.with_suffix(path.suffix + ".meta.yaml")
         if sidecar.exists():
-            loaded = yaml.safe_load(sidecar.read_text())
+            try:
+                loaded = yaml.safe_load(sidecar.read_bytes())
+            except yaml.YAMLError as exc:
+                raise invalid_yaml(sidecar, exc) from None
             if isinstance(loaded, dict):
                 provenance.update(loaded)
         table = np.array(rows, dtype=float).reshape(-1, dim + 1)

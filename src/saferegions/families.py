@@ -4,12 +4,13 @@ All members share one calibration set and one plan, so a union bound gives
 the whole family of ``m`` members the confidence ``plan.confidence(m)``,
 ``1 - m * B(r-1; n_c, eps)``.  Per-member scaling levels and scores are
 exactly what standalone ``calibrate`` and ``safe_coverage`` produce; only
-the reported confidence changes.  Members with the same resolved kernel and
-identical centers (every logistic member expands over the whole training
-set) share one kernel block per row block of each calibration subset, then
-each takes its own product, the one its ``margin`` makes alone.  The selection
-rule is fixed: keep the member whose calibrated region covers the most safe
-calibration points, with ties going to the lowest index.
+the reported confidence changes.  The trained members' margins on each
+calibration subset come from one per-model call of the evaluator in
+``classifiers``, which groups members by kernel and equal centers (every
+logistic member expands over the whole training set) and gives each member
+the bits of its own ``margin``.  The selection rule is fixed: keep the
+member whose calibrated region covers the most safe calibration points,
+with ties going to the lowest index.
 
 Members train independently, so ``train_family`` trains them in a fork pool
 when that pays and is safe: the training set holds at least
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifiers import Hyperparameters, TrainSettings, _shared_center_margins, in_region
+from .classifiers import Hyperparameters, TrainSettings, _margins, in_region
 from .errors import InvalidArgument, TrainingError
 from .kernels import gram
 from .logistic import train_sc_lr
@@ -75,12 +76,16 @@ class FamilyResult:
     variant: str
     plan: ScalingPlan
     members: list[FamilyMember] = field(default_factory=list)
-    family_confidence: float = 0.0
     selected_index: int = -1
 
     @property
     def selected(self) -> FamilyMember:
         return self.members[self.selected_index]
+
+    @property
+    def family_confidence(self) -> float:
+        """Union-bound confidence of the whole family, failed members counted."""
+        return self.plan.confidence(len(self.members))
 
 
 def train_family(train, family: list[Hyperparameters], variant: str,
@@ -234,51 +239,21 @@ def calibrate_trained_family(members: list[FamilyMember], calib, plan: ScalingPl
     m = len(members)
     if m == 0:
         raise InvalidArgument("family must contain at least one member")
-    result = FamilyResult(variant=variant, plan=plan, family_confidence=plan.confidence(m))
-    result.members = list(members)
-    groups = _center_groups(members)
-    if groups:
+    result = FamilyResult(variant=variant, plan=plan, members=list(members))
+    trained = [k for k, member in enumerate(members)
+               if not member.failed and member.model is not None]
+    if trained:
         _checked_plan(calib, plan, force_uncertified)
-        unsafe_x = calib.x[calib.y == -1]
-        safe_x = calib.x[calib.y == 1]
-        for group in groups:
-            models = [members[k].model for k in group]
-            radii = -_group_margins(models, unsafe_x)
-            safe = _group_margins(models, safe_x)
-            for column, k in enumerate(group):
-                certificate = _certificate(plan, radii[:, column], m)
-                # safe_coverage's count, from the shared margins
-                score = float(in_region(safe[:, column], certificate.rho_eps).sum())
-                result.members[k] = replace(members[k], certificate=certificate, score=score)
+        models = [members[k].model for k in trained]
+        radii = -_margins(models, calib.x[calib.y == -1], per_model=True)
+        safe = _margins(models, calib.x[calib.y == 1], per_model=True)
+        for column, k in enumerate(trained):
+            certificate = _certificate(plan, radii[:, column], m)
+            # safe_coverage's count, from the shared margins
+            score = float(in_region(safe[:, column], certificate.rho_eps).sum())
+            result.members[k] = replace(members[k], certificate=certificate, score=score)
     result.selected_index = select_best(result)
     return result
-
-
-def _group_margins(models, x) -> np.ndarray:
-    """(n, len(models)) margins of one center group.  A lone model goes
-    through its own ``margin``, which is the same evaluator, so anything
-    wrapping a model's ``margin`` still sees every member that is not shared."""
-    if len(models) == 1:
-        return models[0].margin(x)[:, None]
-    return _shared_center_margins(models, x)
-
-
-def _center_groups(members) -> list:
-    """Positions of the trained members, grouped by resolved kernel and by
-    centers equal element for element; each group in member order.  Every
-    trained model holds its own copy of its centers, so equality is by value."""
-    groups: list = []   # (kernel, centers, positions)
-    for k, member in enumerate(members):
-        if member.failed or member.model is None:
-            continue
-        kernel, centers = member.model.kernel, member.model._expansion()[0]
-        for lead_kernel, lead_centers, group in groups:
-            if kernel == lead_kernel and np.array_equal(centers, lead_centers):
-                group.append(k)
-                break
-        else:
-            groups.append((kernel, centers, [k]))
-    return [group for _, _, group in groups]
 
 
 def select_best(result: FamilyResult) -> int:

@@ -255,9 +255,12 @@ class CalibrationCertificate:
         plan fields make a valid ``ScalingPlan`` (``r`` and ``n_c`` integers,
         ``eps``, ``delta`` and ``beta`` real numbers in (0, 1)),
         ``rho_eps`` is ``"whole_space"`` or a finite number, ``confidence`` a
-        finite number in [0, 1], ``n_U`` an integer in [0, n_c] and
-        ``certified`` a boolean: a NaN level would load as a certified,
-        silently empty region."""
+        finite number in [0, 1], ``n_U`` an integer in [0, n_c],
+        ``certified`` a boolean that is true only on a certified plan, and
+        ``region_kind`` the kind of ``rho_eps``: a NaN level would load as a
+        certified, silently empty region.  ``confidence`` is not checked
+        against the plan; its tail goes through ``np.exp``, whose last bits
+        may differ from one machine to another."""
         plan = ScalingPlan(eps=record["eps"], delta=record["delta"], r=record["r"],
                            n_c=record["n_c"], beta=record.get("beta", 0.5))
         rho, confidence, n_U, certified = (record[key] for key in
@@ -276,8 +279,15 @@ class CalibrationCertificate:
         if not isinstance(certified, bool):
             raise InvalidArgument(f"certificate certified must be true or false, "
                                   f"got {certified!r}")
-        return cls(rho_eps=float(rho), plan=plan, n_U=n_U,
-                   confidence=float(confidence), certified=certified)
+        if certified and not plan.certified:
+            raise InvalidArgument(f"certificate says certified, but its plan has "
+                                  f"B(r-1; n_c, eps) = {plan.tail!r} > delta = {plan.delta!r}")
+        certificate = cls(rho_eps=float(rho), plan=plan, n_U=n_U,
+                          confidence=float(confidence), certified=certified)
+        if record["region_kind"] != certificate.kind:
+            raise InvalidArgument(f"certificate region_kind {record['region_kind']!r} "
+                                  f"disagrees with rho_eps {record['rho_eps']!r}")
+        return certificate
 
 
 def calibrate(model, calib, plan: ScalingPlan, *,

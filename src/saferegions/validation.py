@@ -55,3 +55,12 @@ def training_arrays(train, require_both_classes: bool = True):
     if require_both_classes and ((y > 0).all() or (y < 0).all()):
         raise TrainingError("training set contains a single class")
     return x, y.astype(int)
+
+
+def invalid_yaml(path, exc) -> InvalidArgument:
+    """The ``InvalidArgument`` for a file that is not valid YAML: it names
+    the file, and the line and column when the parser marks them."""
+    mark = getattr(exc, "problem_mark", None)
+    where = f"{path}, line {mark.line + 1}, column {mark.column + 1}" if mark else str(path)
+    problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+    return InvalidArgument(f"{where}: not valid YAML: {problem}")

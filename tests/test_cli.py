@@ -168,6 +168,23 @@ def test_run_on_a_csv_with_a_fractional_label_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.csv").exists()
 
 
+def test_plan_on_a_csv_with_a_malformed_sidecar_exits_1(tmp_path, capsys):
+    # once a traceback: planning reads the calibration file, sidecar included
+    paths = {}
+    for name in ("train", "calib", "test"):
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("f0,f1,label\n0.1,0.2,1\n0.3,0.4,-1\n")
+    sidecar = tmp_path / "calib.csv.meta.yaml"
+    sidecar.write_text("seed: {3\n")
+    config = _write_config(
+        tmp_path, data={"generator": "csv", "paths": {k: str(v) for k, v in paths.items()}},
+        risk={"eps": [0.5], "delta": 0.5})
+    assert main(["plan", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(sidecar) in err and "not valid YAML" in err
+
+
 def test_run_uncertifiable_exit_codes(tmp_path, capsys):
     config = _write_config(
         tmp_path, risk={"eps": [0.1], "delta": 1.0e-6, "n_c": 50})

@@ -160,6 +160,17 @@ def test_csv_names_the_file_and_line_of_a_bad_cell(tmp_path, line, fragment):
         Dataset.from_csv(path)
 
 
+def test_csv_with_a_malformed_sidecar_names_the_sidecar(tmp_path):
+    # once a yaml.YAMLError traceback
+    path = tmp_path / "points.csv"
+    Dataset(x=[[0.1], [0.2]], y=[1, -1]).to_csv(path)
+    sidecar = tmp_path / "points.csv.meta.yaml"
+    sidecar.write_text("generator: [gaussian\n")
+    with pytest.raises(InvalidArgument, match=re.escape(f"{sidecar}, line 2")) as info:
+        Dataset.from_csv(path)
+    assert "not valid YAML" in str(info.value)
+
+
 def test_csv_labels_written_as_floats_load_as_integers(tmp_path):
     path = tmp_path / "floats.csv"
     path.write_text("f0,label\n1.0,1.0\n2.0,-1.0\n3.0,1e0\n")

@@ -3,6 +3,8 @@ per model, pinned against each variant's closed-form margin."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,49 @@ def test_points_spanning_several_row_blocks(data, monkeypatch):
     np.testing.assert_allclose(blocked, whole, **_TOL)
     for k, model in enumerate(models):
         np.testing.assert_allclose(blocked[:, k], _closed_form(model, x), **_TOL)
+
+
+def test_per_model_groups_by_kernel_and_equal_centers(data, monkeypatch):
+    gaussian = KernelSpec(kind="gaussian", gamma=0.7)
+    linear = KernelSpec(kind="linear")
+    lr = [train_sc_lr(data, Hyperparameters(eta=eta, tau=0.4, kernel=gaussian))
+          for eta in (0.25, 1.0, 4.0)]
+    svdd = train_sc_svdd(data, Hyperparameters(eta=1.0, tau=0.4, kernel=gaussian))
+    svm = train_sc_svm(data, Hyperparameters(eta=1.0, tau=0.4, kernel=linear))
+    # the training set again, under the other kernel: equal centers, no share
+    lr_linear = train_sc_lr(data, Hyperparameters(eta=1.0, tau=0.4, kernel=linear))
+    models = [lr[0], svdd, lr[1], svm, lr_linear, lr[2]]
+    lone = [svdd, svm, lr_linear]
+    assert svdd._expansion()[2] == 1.0 and svdd.support_x.shape[0] < data.n_samples
+    x = np.random.default_rng(11).normal(scale=1.5, size=(200, 2))
+    entries = 7 * data.n_samples   # the logistic group's blocks hold 7 points
+    monkeypatch.setattr(classifiers, "_BLOCK_ENTRIES", entries)
+    own = [model.margin(x) for model in models]
+    widths = []
+    real = classifiers.kernel_matrix
+
+    def recording(spec, a, b):
+        widths.append(b.shape[0])
+        return real(spec, a, b)
+
+    monkeypatch.setattr(classifiers, "kernel_matrix", recording)
+    through_margin = []
+    for cls in {type(model) for model in models}:
+        def spying(self, points, real_margin=cls.margin):
+            through_margin.append(self)
+            return real_margin(self, points)
+        monkeypatch.setattr(cls, "margin", spying)
+    margins = classifiers._margins(models, x, per_model=True)
+    for column, model in enumerate(models):
+        assert np.array_equal(margins[:, column], own[column])
+    assert [id(m) for m in through_margin] == [id(m) for m in lone]
+    # one block per row block for the three shared logistic members, then
+    # each lone model's own blocks through its own margin
+    distinct = [np.unique(model._expansion()[0], axis=0).shape[0] for model in lone]
+    expected = [data.n_samples] * math.ceil(200 / 7)
+    for width in distinct:
+        expected += [width] * math.ceil(200 / (entries // width))
+    assert sorted(widths) == sorted(expected)
 
 
 def test_single_point(data, points):

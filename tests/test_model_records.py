@@ -162,7 +162,10 @@ def _edited(variant, **fields):
 
 
 def _with_certificate(**fields):
-    return {**copy.deepcopy(V1_RECORDS["svm"]), "certificate": {**_CERTIFICATE, **fields}}
+    """The svm record with a certificate; a field given as None is left out."""
+    certificate = {key: value for key, value in {**_CERTIFICATE, **fields}.items()
+                   if value is not None}
+    return {**copy.deepcopy(V1_RECORDS["svm"]), "certificate": certificate}
 
 
 MALFORMED = {
@@ -191,6 +194,14 @@ MALFORMED = {
     "negative_n_U": (_with_certificate(n_U=-3), "n_U"),
     "n_U_above_n_c": (_with_certificate(n_U=121), "n_U"),
     "text_certified": (_with_certificate(certified="false"), "certified"),
+    # once loaded as certified: a claim the plan's tail (3.2e-4) does not back
+    "certified_past_delta": (_with_certificate(delta=1e-30), "says certified, but its plan"),
+    # once loaded, the level deciding membership whatever the kind said
+    "scaled_kind_of_whole_space": (_with_certificate(rho_eps="whole_space"),
+                                   "region_kind 'scaled' disagrees"),
+    "whole_space_kind_of_a_level": (_with_certificate(region_kind="whole_space"),
+                                    "region_kind 'whole_space' disagrees"),
+    "missing_region_kind": (_with_certificate(region_kind=None), "region_kind"),
     # plan fields once loaded as r=3 and as the string "0.1"
     "fractional_r": (_with_certificate(r=3.7), "r must be an integer"),
     "text_eps": (_with_certificate(eps="0.1"), "eps must be a real number"),
@@ -222,6 +233,13 @@ def test_malformed_model_file_is_rejected_naming_the_file(tmp_path, case):
     with pytest.raises(InvalidArgument, match=reason) as info:
         load_model(path)
     assert str(path) in str(info.value)
+
+
+def test_uncertified_certificate_of_an_uncertified_plan_loads(tmp_path):
+    # what a forced run writes: the plan fails its check and says so
+    path = _write(tmp_path / "forced.json", _with_certificate(delta=1e-30, certified=False))
+    _, certificate = load_model(path)
+    assert not certificate.certified and not certificate.plan.certified
 
 
 def test_truncated_model_file_is_rejected_naming_the_file(tmp_path):
@@ -274,3 +292,15 @@ def test_cli_evaluate_reports_a_nan_certificate_level(tmp_path, capsys):
 
     err = _evaluate_error(tmp_path, capsys)
     assert str(path) in err and "rho_eps" in err
+
+
+def test_cli_evaluate_rejects_a_certificate_its_plan_does_not_back(tmp_path, capsys):
+    # once printed certified=yes and exited 0
+    path = _run_directory(tmp_path)
+    record = json.loads(path.read_text())
+    assert record["certificate"]["certified"] is True
+    record["certificate"]["delta"] = 1e-30
+    path.write_text(json.dumps(record))
+
+    err = _evaluate_error(tmp_path, capsys)
+    assert str(path) in err and "says certified, but its plan" in err
