@@ -1,4 +1,10 @@
-"""Kernel specifications and Gram machinery for the classifiers."""
+"""Kernel specifications and Gram machinery for the classifiers.
+
+``kernel_matrix`` builds a cross-kernel block either in fresh buffers or in
+place, in a ``kernel_workspace`` that a caller allocates once and reuses for
+every row block.  Each kernel formula is written once, so both paths give
+the same bits.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +15,8 @@ import numpy as np
 from .errors import InvalidArgument
 from .validation import checked_int, checked_real
 
-__all__ = ["KernelSpec", "default_gamma", "kernel_matrix", "gram", "kernel_diag"]
+__all__ = ["KernelSpec", "default_gamma", "kernel_matrix", "kernel_workspace", "gram",
+           "kernel_diag"]
 
 _KINDS = ("linear", "gaussian", "polynomial")
 
@@ -86,19 +93,37 @@ def _require_gamma(spec: KernelSpec) -> float:
     return spec.gamma
 
 
-def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross-kernel matrix of shape (len(a), len(b))."""
+def kernel_workspace(spec: KernelSpec, rows: int, cols: int) -> list:
+    """Buffers for ``kernel_matrix`` blocks of up to ``rows`` points against
+    ``cols`` centers: one ``(rows, cols)`` array, two for a gaussian kernel."""
+    return [np.empty((rows, cols)) for _ in range(2 if spec.kind == "gaussian" else 1)]
+
+
+def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray, work=None) -> np.ndarray:
+    """Cross-kernel matrix of shape (len(a), len(b)).
+
+    With ``work`` from ``kernel_workspace(spec, rows, len(b))``, ``rows >=
+    len(a)``, the block is built in place in those buffers and the result is
+    a view of them, overwritten by the next call on the same workspace;
+    without it, fresh buffers are allocated.  Both paths run the same
+    floating-point operations in the same order.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
         raise InvalidArgument(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    if spec.kind == "linear":
-        return a @ b.T
+    if work is None:
+        work = kernel_workspace(spec, a.shape[0], b.shape[0])
+    k = work[0][:a.shape[0]]
     if spec.kind == "gaussian":
-        k = _squared_distances(a, b)
+        _squared_distances(a, b, k, work[1][:a.shape[0]])
         k *= -_require_gamma(spec)
         return np.exp(k, out=k)
-    return (a @ b.T + spec.coef0) ** spec.degree
+    np.matmul(a, b.T, out=k)
+    if spec.kind == "polynomial":
+        k += spec.coef0
+        np.power(k, spec.degree, out=k)
+    return k
 
 
 def gram(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
@@ -129,14 +154,14 @@ def kernel_diag(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     return (sq_norms + spec.coef0) ** spec.degree
 
 
-def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (|a|^2 + |b|^2) - 2 a.b, clamped: cancellation can leave small negatives;
-    # built in place, so a block holds two n x m buffers at most
+def _squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                       scratch: np.ndarray) -> None:
+    # (|a|^2 + |b|^2) - 2 a.b into out, clamped: cancellation can leave small
+    # negatives; scratch (same shape) holds the product
     a_sq = np.einsum("ij,ij->i", a, a)[:, None]
     b_sq = np.einsum("ij,ij->i", b, b)[None, :]
-    ab = a @ b.T
-    ab *= 2.0
-    sq = np.add(a_sq, b_sq)
-    np.subtract(sq, ab, out=sq)
-    np.maximum(sq, 0.0, out=sq)
-    return sq
+    np.matmul(a, b.T, out=scratch)
+    scratch *= 2.0
+    np.add(a_sq, b_sq, out=out)
+    np.subtract(out, scratch, out=out)
+    np.maximum(out, 0.0, out=out)

@@ -174,9 +174,20 @@ def write_resolved_config(config: ExperimentConfig) -> Path:
 
 
 def _write_table(path: Path, header: list, table: np.ndarray) -> None:
-    """Integer table as csv; the same bytes ``write_csv`` writes for its rows."""
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in table.tolist()]
-    path.write_text("\n".join(lines) + "\n", newline="")
+    """A ``_membership_table`` as csv, the same bytes ``write_csv`` writes for
+    its rows: the index and label of each row are formatted one by one, the
+    0/1 member columns as one byte matrix of ``,0``/``,1`` cells."""
+    n, width = table.shape
+    cells = np.empty((n, 2 * (width - 2) + 1), dtype=np.uint8)
+    cells[:, 0:-1:2] = ord(",")
+    cells[:, 1:-1:2] = table[:, 2:] + ord("0")
+    cells[:, -1] = ord("\n")
+    tails = cells.tobytes()
+    step = cells.shape[1]
+    with path.open("wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        handle.write(b"".join(f"{i},{label}".encode() + tails[row * step:(row + 1) * step]
+                              for row, (i, label) in enumerate(table[:, :2].tolist())))
 
 
 def _membership_table(labels: np.ndarray, margins: np.ndarray, live: list) -> np.ndarray:

@@ -256,11 +256,12 @@ class CalibrationCertificate:
         ``eps``, ``delta`` and ``beta`` real numbers in (0, 1)),
         ``rho_eps`` is ``"whole_space"`` or a finite number, ``confidence`` a
         finite number in [0, 1], ``n_U`` an integer in [0, n_c],
-        ``certified`` a boolean that is true only on a certified plan, and
-        ``region_kind`` the kind of ``rho_eps``: a NaN level would load as a
-        certified, silently empty region.  ``confidence`` is not checked
-        against the plan; its tail goes through ``np.exp``, whose last bits
-        may differ from one machine to another."""
+        ``certified`` a boolean that is true only on a certified plan,
+        ``region_kind`` the kind of ``rho_eps``, and that kind the one
+        calibration gives for ``n_U`` (the whole space exactly when ``n_U <
+        r``): a NaN level would load as a certified, silently empty region.
+        ``confidence`` is not checked against the plan; its tail goes through
+        ``np.exp``, whose last bits may differ from one machine to another."""
         plan = ScalingPlan(eps=record["eps"], delta=record["delta"], r=record["r"],
                            n_c=record["n_c"], beta=record.get("beta", 0.5))
         rho, confidence, n_U, certified = (record[key] for key in
@@ -287,6 +288,11 @@ class CalibrationCertificate:
         if record["region_kind"] != certificate.kind:
             raise InvalidArgument(f"certificate region_kind {record['region_kind']!r} "
                                   f"disagrees with rho_eps {record['rho_eps']!r}")
+        if (certificate.kind == "whole_space") != (n_U < plan.r):
+            level = "the whole space" if n_U < plan.r else "a finite level"
+            raise InvalidArgument(f"certificate has n_U = {n_U} unsafe calibration points "
+                                  f"at r = {plan.r}, which give {level}, not rho_eps "
+                                  f"{record['rho_eps']!r}")
         return certificate
 
 

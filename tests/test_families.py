@@ -302,28 +302,21 @@ def test_lr_family_levels_and_scores_equal_standalone_bits(lr_family):
     _assert_standalone_bits(result, calib, _WIDE)
 
 
-def test_lr_family_builds_one_kernel_block_per_row_block(lr_family, monkeypatch):
+def test_lr_family_builds_one_kernel_block_per_row_block(lr_family, monkeypatch,
+                                                         kernel_blocks):
     members, calib = lr_family
     # 150 distinct centers: 16 points per row block, so each subset spans several
     monkeypatch.setattr(classifiers, "_BLOCK_ENTRIES", 150 * 16)
-    calls = []
-    real_kernel_matrix = classifiers.kernel_matrix
-
-    def counting_kernel_matrix(spec, a, b):
-        calls.append(np.asarray(a).shape[0])
-        return real_kernel_matrix(spec, a, b)
-
-    monkeypatch.setattr(classifiers, "kernel_matrix", counting_kernel_matrix)
     result = calibrate_trained_family(members, calib, _WIDE, "lr")
     n_unsafe = int((calib.y == -1).sum())
     blocks = math.ceil(n_unsafe / 16) + math.ceil((calib.n_samples - n_unsafe) / 16)
     assert blocks > 2
     # one block per row block of each subset, shared by the three members
-    assert len(calls) == blocks
-    calls.clear()
+    assert len(kernel_blocks) == blocks
+    kernel_blocks.clear()
     _assert_standalone_bits(result, calib, _WIDE)
     # standalone calibrate and safe_coverage build every block once per member
-    assert len(calls) == len(members) * blocks
+    assert len(kernel_blocks) == len(members) * blocks
 
 
 def test_lr_family_whole_space_equals_standalone(lr_family):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from saferegions import InvalidArgument, KernelSpec
-from saferegions.kernels import default_gamma, gram, kernel_diag, kernel_matrix
+from saferegions.kernels import (
+    default_gamma,
+    gram,
+    kernel_diag,
+    kernel_matrix,
+    kernel_workspace,
+)
 
 
 def test_spec_validation():
@@ -87,3 +93,34 @@ def test_duplicate_points_give_equal_rows():
     K = gram(KernelSpec(kind="gaussian", gamma=1.0), x)
     assert np.array_equal(K[0], K[1])
     assert K[0, 1] == 1.0
+
+
+def _allocating_formula(spec, a, b):
+    """Each kernel as the allocating expressions write it, operation by operation."""
+    if spec.kind == "linear":
+        return a @ b.T
+    if spec.kind == "polynomial":
+        return (a @ b.T + spec.coef0) ** spec.degree
+    sq = (np.einsum("ij,ij->i", a, a)[:, None] + np.einsum("ij,ij->i", b, b)[None, :]
+          - 2.0 * (a @ b.T))
+    return np.exp(-spec.gamma * np.maximum(sq, 0.0))
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(kind="linear"),
+                                  KernelSpec(kind="gaussian", gamma=0.3),
+                                  KernelSpec(kind="polynomial", degree=2, coef0=0.5),
+                                  KernelSpec(kind="polynomial", degree=3, coef0=1.0)],
+                         ids=lambda spec: spec.label())
+def test_workspace_blocks_equal_allocated_blocks(spec):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(23, 5))
+    centers = rng.normal(size=(17, 5))
+    work = kernel_workspace(spec, 8, centers.shape[0])
+    assert [w.shape for w in work] == [(8, 17)] * (2 if spec.kind == "gaussian" else 1)
+    # two full blocks, a short last block, one row and no rows, in one workspace
+    for block in (x[:8], x[8:16], x[16:], x[:1], x[:0]):
+        got = kernel_matrix(spec, block, centers, work)
+        assert got.shape == (block.shape[0], 17)
+        assert got.size == 0 or np.shares_memory(got, work[0])
+        assert np.array_equal(got, kernel_matrix(spec, block, centers))
+        assert np.array_equal(got, _allocating_formula(spec, block, centers))

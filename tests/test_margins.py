@@ -4,6 +4,7 @@ per model, pinned against each variant's closed-form margin."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from saferegions import (
     train_sc_svdd,
     train_sc_svm,
 )
+from saferegions.classifiers import TrainingDiagnostics
 from saferegions.datagen import Dataset
 from saferegions.kernels import kernel_diag, kernel_matrix
+from saferegions.logistic import ScLrModel
 
 _SPEC = GaussianSpec(mu_safe=(-1.0, -1.0), mu_unsafe=(1.0, 1.0),
                      cov_safe=((1.0, 0.0), (0.0, 1.0)),
@@ -71,64 +74,42 @@ def test_columns_match_each_margin(data, points, variant):
         np.testing.assert_allclose(block[:, k], _closed_form(model, points), **_TOL)
 
 
-def test_two_kernel_groups_in_one_call(data, points, monkeypatch):
+def test_two_kernel_groups_in_one_call(data, points, kernel_blocks):
     gaussian = _fit(data, KernelSpec(kind="gaussian", gamma=0.7))
     linear = _fit(data, KernelSpec(kind="linear"))
     models = [m for pair in zip(gaussian, linear) for m in pair]   # interleaved
-    calls = []
-    real = classifiers.kernel_matrix
-
-    def counting(spec, a, b):
-        calls.append(spec.kind)
-        return real(spec, a, b)
-
-    monkeypatch.setattr(classifiers, "kernel_matrix", counting)
     block = expansion_margins(models, points)
     # one kernel block per kernel, whatever the number of models
-    assert sorted(calls) == ["gaussian", "linear"]
+    assert sorted(b.kind for b in kernel_blocks) == ["gaussian", "linear"]
     for k, model in enumerate(models):
         np.testing.assert_allclose(block[:, k], _closed_form(model, points), **_TOL)
 
 
-def test_duplicated_training_rows_merge_into_one_center(data, points, monkeypatch):
+def test_duplicated_training_rows_merge_into_one_center(data, points, kernel_blocks):
     doubled = Dataset(x=np.vstack([data.x, data.x[:30]]),
                       y=np.concatenate([data.y, data.y[:30]]))
     models = _fit(doubled, KernelSpec(kind="gaussian", gamma=0.7))
-    widths = []
-    real = classifiers.kernel_matrix
-
-    def recording(spec, a, b):
-        widths.append(b.shape[0])
-        return real(spec, a, b)
-
-    monkeypatch.setattr(classifiers, "kernel_matrix", recording)
     block = expansion_margins(models, points)
-    assert widths == [np.unique(data.x, axis=0).shape[0]]
+    assert [b.cols for b in kernel_blocks] == [np.unique(data.x, axis=0).shape[0]]
     for k, model in enumerate(models):
         np.testing.assert_allclose(block[:, k], _closed_form(model, points), **_TOL)
 
 
-def test_points_spanning_several_row_blocks(data, monkeypatch):
+def test_points_spanning_several_row_blocks(data, monkeypatch, kernel_blocks):
     models = _fit(data, KernelSpec(kind="gaussian", gamma=0.7))
     x = np.random.default_rng(9).normal(size=(1001, 2))
     whole = expansion_margins(models, x)
     monkeypatch.setattr(classifiers, "_BLOCK_ENTRIES", 7 * data.n_samples)
-    rows = []
-    real = classifiers.kernel_matrix
-
-    def recording(spec, a, b):
-        rows.append(a.shape[0])
-        return real(spec, a, b)
-
-    monkeypatch.setattr(classifiers, "kernel_matrix", recording)
+    kernel_blocks.clear()
     blocked = expansion_margins(models, x)
+    rows = [b.rows for b in kernel_blocks]
     assert len(rows) > 100 and sum(rows) == x.shape[0]
     np.testing.assert_allclose(blocked, whole, **_TOL)
     for k, model in enumerate(models):
         np.testing.assert_allclose(blocked[:, k], _closed_form(model, x), **_TOL)
 
 
-def test_per_model_groups_by_kernel_and_equal_centers(data, monkeypatch):
+def test_per_model_groups_by_kernel_and_equal_centers(data, monkeypatch, kernel_blocks):
     gaussian = KernelSpec(kind="gaussian", gamma=0.7)
     linear = KernelSpec(kind="linear")
     lr = [train_sc_lr(data, Hyperparameters(eta=eta, tau=0.4, kernel=gaussian))
@@ -144,14 +125,7 @@ def test_per_model_groups_by_kernel_and_equal_centers(data, monkeypatch):
     entries = 7 * data.n_samples   # the logistic group's blocks hold 7 points
     monkeypatch.setattr(classifiers, "_BLOCK_ENTRIES", entries)
     own = [model.margin(x) for model in models]
-    widths = []
-    real = classifiers.kernel_matrix
-
-    def recording(spec, a, b):
-        widths.append(b.shape[0])
-        return real(spec, a, b)
-
-    monkeypatch.setattr(classifiers, "kernel_matrix", recording)
+    kernel_blocks.clear()
     through_margin = []
     for cls in {type(model) for model in models}:
         def spying(self, points, real_margin=cls.margin):
@@ -168,7 +142,26 @@ def test_per_model_groups_by_kernel_and_equal_centers(data, monkeypatch):
     expected = [data.n_samples] * math.ceil(200 / 7)
     for width in distinct:
         expected += [width] * math.ceil(200 / (entries // width))
-    assert sorted(widths) == sorted(expected)
+    assert sorted(b.cols for b in kernel_blocks) == sorted(expected)
+
+
+def test_per_model_margins_hold_under_three_kernel_blocks():
+    rng = np.random.default_rng(29)
+    centers = rng.normal(size=(400, 2))
+    hp = Hyperparameters(kernel=KernelSpec(kind="gaussian", gamma=0.5))
+    diagnostics = TrainingDiagnostics(iterations=1, residual=0.0, converged=True, objective=0.0)
+    models = [ScLrModel(hyperparameters=hp, diagnostics=diagnostics, train_x=centers.copy(),
+                        beta=rng.normal(size=400), offset=0.1 * k) for k in range(3)]
+    x = rng.normal(size=(20_000, 2))
+    tracemalloc.start()
+    try:
+        out = classifiers._margins(models, x, per_model=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (20_000, 3)
+    # a block buffer is at most 512 KiB, so it stays in a 2 MiB per-core L2
+    assert peak - out.nbytes < 3 * classifiers._BLOCK_ENTRIES * 8 <= 3 * 2 ** 19
 
 
 def test_single_point(data, points):

@@ -202,6 +202,14 @@ MALFORMED = {
     "whole_space_kind_of_a_level": (_with_certificate(region_kind="whole_space"),
                                     "region_kind 'whole_space' disagrees"),
     "missing_region_kind": (_with_certificate(region_kind=None), "region_kind"),
+    # calibration gives the whole space exactly when n_U < r (= 3): both once loaded
+    "scaled_level_below_rank": (_with_certificate(n_U=2),
+                                "n_U = 2 unsafe calibration points at r = 3, which give "
+                                "the whole space"),
+    "whole_space_at_rank": (_with_certificate(n_U=3, rho_eps="whole_space",
+                                              region_kind="whole_space"),
+                            "n_U = 3 unsafe calibration points at r = 3, which give "
+                            "a finite level"),
     # plan fields once loaded as r=3 and as the string "0.1"
     "fractional_r": (_with_certificate(r=3.7), "r must be an integer"),
     "text_eps": (_with_certificate(eps="0.1"), "eps must be a real number"),
@@ -304,3 +312,15 @@ def test_cli_evaluate_rejects_a_certificate_its_plan_does_not_back(tmp_path, cap
 
     err = _evaluate_error(tmp_path, capsys)
     assert str(path) in err and "says certified, but its plan" in err
+
+
+def test_cli_evaluate_rejects_a_level_with_fewer_unsafe_points_than_the_rank(tmp_path, capsys):
+    # once printed a certified scaled level and exited 0
+    path = _run_directory(tmp_path)
+    record = json.loads(path.read_text())
+    assert record["certificate"]["region_kind"] == "scaled"
+    record["certificate"]["n_U"] = record["certificate"]["r"] - 1
+    path.write_text(json.dumps(record))
+
+    err = _evaluate_error(tmp_path, capsys)
+    assert str(path) in err and "which give the whole space" in err

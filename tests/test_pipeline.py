@@ -368,6 +368,22 @@ def test_membership_table_bytes_equal_csv_writer(tmp_path):
             == (tmp_path / "empty_reference.csv").read_bytes())
 
 
+@pytest.mark.parametrize("members", [9, 0])
+def test_membership_table_at_scale_bytes_equal_csv_writer(tmp_path, members):
+    rng = np.random.default_rng(23)
+    n = 10_000
+    table = np.empty((n, 2 + members), dtype=np.int64)
+    table[:, 0] = np.arange(n)
+    table[:, 1] = rng.choice([-1, 1], size=n)
+    table[:, 2:] = rng.random((n, members)) < 0.5
+    assert set(table[:, 1].tolist()) == {-1, 1}
+    assert members == 0 or set(table[:, 2:].ravel().tolist()) == {0, 1}
+    header = ["index", "label"] + [f"member_{k}" for k in range(members)]
+    _write_table(tmp_path / "fast.csv", header, table)
+    write_csv(tmp_path / "reference.csv", header, table.tolist())
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_evaluate_saved_requires_run_directory(tmp_path):
     with pytest.raises(InvalidArgument, match="resolved_config"):
         evaluate_saved(tmp_path)
