@@ -160,8 +160,10 @@ def _training_problem(train, hp: Hyperparameters, settings: TrainSettings | None
 _BOUND_REL = 1e-8   # relative margin for "strictly inside the box" of a dual
 
 
-def _fit_box_dual(x, y, K, s, C, alpha0, q, scale, settings: TrainSettings) -> tuple:
+def _fit_box_dual(x, y, K, s, C, alpha0, q, scale, settings: TrainSettings,
+                  pivoting=None) -> tuple:
     """Solve a ``solve_box_qp`` dual; ``TrainingError`` unless it converges.
+    ``pivoting`` is the shared first pivoting of K, if the caller has one.
 
     Returns ``(alpha, g, gap, inside, at_upper, fields)``: the solution, its
     gradient and violation gap, the coordinates strictly inside their box and
@@ -171,7 +173,7 @@ def _fit_box_dual(x, y, K, s, C, alpha0, q, scale, settings: TrainSettings) -> t
     """
     max_iter = settings.max_iter if settings.max_iter is not None else DEFAULT_MAX_UPDATES
     alpha, g, iters, residual, converged, gap = solve_box_qp(
-        K, s, C, alpha0, q, scale, settings.tol, max_iter)
+        K, s, C, alpha0, q, scale, settings.tol, max_iter, pivoting)
     if not converged:
         raise TrainingError(
             f"dual solver stopped at residual {residual:.3e} > tol={settings.tol} "

@@ -9,7 +9,9 @@ Verbs:
 
 Exit codes: 0 when every requested plan is certified, 1 for argument or
 validation errors, 2 when any plan is uncertified (with or without the
---force-uncertified override).
+--force-uncertified override).  A plan that ``run`` or ``boundary-grid``
+uses, or that ``plan --config`` checks, must certify the config's family of
+m members a variant under the union bound, m x tail <= delta.
 """
 
 from __future__ import annotations
@@ -120,16 +122,23 @@ def cmd_plan(args) -> int:
                      (f"rounded kappa={kappa_rounded!r}",
                       ScalingPlan.from_risk(eps, risk.delta, risk.beta, n_c=rounded))]
         rows.append((eps, sizes))
+    # a run certifies each variant's family of m members under the union bound
+    members = len(config.classifier.family())
+    for_family = "" if members == 1 else " for the family"
     all_certified = True
     for eps, sizes in rows:
         print(f"eps={eps!r} delta={risk.delta!r} beta={risk.beta!r}")
         for label, plan in sizes:
             state = "certified" if plan.certified else "NOT certified"
             print(f"  {label}: n_c={plan.n_c} r={plan.r} tail={plan.tail!r} ({state})")
-            if not plan.certified:
+            if members > 1:
+                state = "certified" if plan.family_certified(members) else "NOT certified"
+                print(f"    family of {members} members: {members} x tail = "
+                      f"{members * plan.tail!r} ({state})")
+            if not plan.family_certified(members):
                 all_certified = False
-                print(f"  minimal certifiable n_c at these levels: "
-                      f"{min_calibration_size(eps, risk.delta, risk.beta)}")
+                print(f"  minimal certifiable n_c at these levels{for_family}: "
+                      f"{min_calibration_size(eps, risk.delta / members, risk.beta)}")
     return EXIT_OK if all_certified else EXIT_UNCERTIFIED
 
 

@@ -17,11 +17,11 @@ when that pays and is safe: the training set holds at least
 ``_POOL_MIN_TRAIN`` points, the process may run on two or more CPUs, runs
 no other Python thread, and every BLAS it has loaded is an OpenBLAS that
 reports one thread.  The workers inherit the training set, the shared
-Grams and the settings through fork and send back only each member's model
-or error text, in member order.  A worker runs the same operations on the
-same inputs as the serial loop, on the same single BLAS thread, so every
-member is bit for bit what serial training gives.  Anywhere else training
-stays in-process.
+Grams, their factors and the settings through fork and send back only each
+member's model or error text, in member order.  A worker runs the same
+operations on the same inputs as the serial loop, on the same single BLAS
+thread, so every member is bit for bit what serial training gives.
+Anywhere else training stays in-process.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import InvalidArgument, TrainingError
 from .kernels import gram
 from .logistic import train_sc_lr
 from .scaling import CalibrationCertificate, ScalingPlan, _certificate, _checked_plan
+from .solvers import first_pivoting
 from .svdd import train_sc_svdd
 from .svm import train_sc_svm
 
@@ -52,6 +53,8 @@ __all__ = [
 ]
 
 TRAINERS = {"svm": train_sc_svm, "svdd": train_sc_svdd, "lr": train_sc_lr}
+# the variants whose trainers solve a box dual on the Gram's first pivoting
+_PIVOTED = ("svm", "svdd")
 
 
 def safe_coverage(model, certificate, calib) -> float:
@@ -97,24 +100,30 @@ def train_family(train, family: list[Hyperparameters], variant: str,
     carries the error message; it stays eligible for reporting but not for
     selection.
 
-    The Grams are built here; the members train in a fork pool of one worker
-    per available CPU when ``_pool_workers`` allows (see the module
-    docstring), else one after another in this process.  Either way the
-    members come back in order and equal bit for bit, and any error other
-    than ``TrainingError`` propagates."""
+    The Grams are built here, and for the box-dual variants (svm, svdd)
+    each is pivoted here once (``solvers.first_pivoting``), so every member
+    on it starts from one factor or one full-rank refusal.  The members
+    train in a fork pool of one worker per available CPU when
+    ``_pool_workers`` allows (see the module docstring), else one after
+    another in this process.  Either way the members come back in order and
+    equal bit for bit, and any error other than ``TrainingError``
+    propagates."""
     if variant not in TRAINERS:
         raise InvalidArgument(f"unknown variant {variant!r}, expected one of {sorted(TRAINERS)}")
     if len(family) == 0:
         raise InvalidArgument("family must contain at least one member")
     x = np.asarray(train.x, dtype=float)
-    grams: dict = {}
+    shared: dict = {}   # resolved kernel -> the trainer's shared keyword arguments
     kernels = []
     for hp in family:
         resolved = hp.kernel.resolved(x)
-        if resolved not in grams:
-            grams[resolved] = gram(resolved, x)
+        if resolved not in shared:
+            K = gram(resolved, x)
+            shared[resolved] = {"gram_matrix": K}
+            if variant in _PIVOTED:
+                shared[resolved]["pivoting"] = first_pivoting(K)
         kernels.append(resolved)
-    job = (train, family, TRAINERS[variant], [grams[k] for k in kernels], settings)
+    job = (train, family, TRAINERS[variant], [shared[k] for k in kernels], settings)
     workers = _pool_workers(len(x), len(family))
     if workers > 1:
         fits = _fit_in_pool(job, workers)
@@ -128,9 +137,9 @@ def train_family(train, family: list[Hyperparameters], variant: str,
 def _fit(job, index: int) -> tuple:
     """(model, None) for member ``index`` of ``job``, or (None, the error
     text) when its training fails."""
-    train, family, trainer, grams, settings = job
+    train, family, trainer, shared, settings = job
     try:
-        return trainer(train, family[index], settings=settings, gram_matrix=grams[index]), None
+        return trainer(train, family[index], settings=settings, **shared[index]), None
     except TrainingError as exc:
         return None, str(exc)
 
@@ -210,9 +219,10 @@ def _fit_adopted(index: int) -> tuple:
 
 def _fit_in_pool(job, workers: int) -> list:
     """``_fit`` of every member of ``job``, in member order, by ``workers``
-    forked processes.  Forked, they inherit ``job`` (the Grams included)
-    without a copy; only member indices and results cross the pipes.  The
-    pool is shut down, and its processes have exited, on every path out."""
+    forked processes.  Forked, they inherit ``job`` (the Grams and their
+    factors included) without a copy; only member indices and results cross
+    the pipes.  The pool is shut down, and its processes have exited, on
+    every path out."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -232,9 +242,12 @@ def calibrate_trained_family(members: list[FamilyMember], calib, plan: ScalingPl
 
     Each member certificate equals its standalone calibration except that its
     confidence is the union-bound family value ``plan.confidence(m)``, with
-    ``m`` counting every member, failed ones included.  The result holds new
-    member records; ``members`` is left as it was, so one trained family
-    serves several plans.
+    ``m`` counting every member, failed ones included, and that it is
+    certified only when that bound is, ``m * tail <= delta``
+    (``plan.family_certified(m)``).  A plan whose union bound fails raises
+    ``UncertifiedPlanError`` unless ``force_uncertified`` is set.  The result
+    holds new member records; ``members`` is left as it was, so one trained
+    family serves several plans.
     """
     m = len(members)
     if m == 0:
@@ -243,7 +256,7 @@ def calibrate_trained_family(members: list[FamilyMember], calib, plan: ScalingPl
     trained = [k for k, member in enumerate(members)
                if not member.failed and member.model is not None]
     if trained:
-        _checked_plan(calib, plan, force_uncertified)
+        _checked_plan(calib, plan, force_uncertified, m)
         models = [members[k].model for k in trained]
         radii = -_margins(models, calib.x[calib.y == -1], per_model=True)
         safe = _margins(models, calib.x[calib.y == 1], per_model=True)

@@ -99,13 +99,16 @@ def resolve_plans(config: ExperimentConfig) -> dict:
             for eps in risk.eps}
 
 
-def check_plans(plans: dict, force_uncertified: bool) -> bool:
-    """True when every plan certifies; otherwise raise UncertifiedPlanError
-    naming the minimal sizes, or return False under ``force_uncertified``."""
-    failing = {eps: plan for eps, plan in plans.items() if not plan.certified}
+def check_plans(plans: dict, force_uncertified: bool, members: int = 1) -> bool:
+    """True when every plan certifies a family of ``members`` models under
+    the union bound (``plan.family_certified``); otherwise raise
+    UncertifiedPlanError naming the minimal sizes, or return False under
+    ``force_uncertified``."""
+    failing = {eps: plan for eps, plan in plans.items() if not plan.family_certified(members)}
     if failing and not force_uncertified:
-        parts = [f"eps={eps}: n_c={plan.n_c} is not certifiable at delta={plan.delta}, "
-                 f"minimal n_c is {min_calibration_size(eps, plan.delta, plan.beta)}"
+        for_family = "" if members == 1 else f" for a family of {members} members"
+        parts = [f"eps={eps}: n_c={plan.n_c} is not certifiable at delta={plan.delta}{for_family}, "
+                 f"minimal n_c is {min_calibration_size(eps, plan.delta / members, plan.beta)}"
                  for eps, plan in failing.items()]
         raise UncertifiedPlanError(
             "; ".join(parts) + " (pass --force-uncertified to run anyway)")
@@ -248,10 +251,13 @@ def run_experiment(config: ExperimentConfig, *, force_uncertified: bool = False,
 
     Families are trained once per variant and reused across the eps sweep;
     each eps calibrates the trained members against its own plan and
-    calibration set.
+    calibration set.  Every plan must certify the family (etas x taus x
+    kernels members a variant) under the union bound, checked before any
+    data is drawn.
     """
     plans = resolve_plans(config)
-    all_certified = check_plans(plans, force_uncertified)
+    family = config.classifier.family()
+    all_certified = check_plans(plans, force_uncertified, len(family))
     train, calibs, test = build_datasets(config, plans)
     train_original = train
     scaler = None
@@ -261,7 +267,6 @@ def run_experiment(config: ExperimentConfig, *, force_uncertified: bool = False,
         calibs = dict(zip(plans, rest))
 
     settings = config.classifier.train_settings()
-    family = config.classifier.family()
     labels = test.y
     family_results: dict = {}
     memberships: dict = {}

@@ -200,6 +200,11 @@ class ScalingPlan:
         """Exact certifiability check: is ``B(r-1; n_c, eps) <= delta``?"""
         return self.tail <= self.delta
 
+    def family_certified(self, m: int) -> bool:
+        """Does the union bound certify ``m`` models calibrated on this plan,
+        ``m * B(r-1; n_c, eps) <= delta``?  ``m = 1`` is ``certified``."""
+        return m * self.tail <= self.delta
+
     def confidence(self, m: int = 1) -> float:
         """Union-bound confidence ``1 - m * tail`` of ``m`` models calibrated
         on this plan, clipped to [0, 1]; ``m = 1`` is a standalone model."""
@@ -214,8 +219,9 @@ class CalibrationCertificate:
     (``kind == "whole_space"``) means fewer than ``r`` unsafe calibration
     points were available and the certified region is the whole input space.
     ``confidence`` is ``plan.confidence(m)`` for a member of a family of m,
-    m = 1 for a standalone model.  ``certified`` is False only when an
-    uncertifiable plan was forced through.
+    m = 1 for a standalone model, and ``certified`` is
+    ``plan.family_certified(m)``: False only when an uncertifiable plan, or a
+    family too large for its union bound, was forced through.
     """
 
     rho_eps: float
@@ -316,16 +322,19 @@ def calibrate(model, calib, plan: ScalingPlan, *,
     return _certificate(plan, model.boundary_radius(unsafe_x))
 
 
-def _checked_plan(calib, plan: ScalingPlan, force_uncertified: bool) -> None:
+def _checked_plan(calib, plan: ScalingPlan, force_uncertified: bool, m: int = 1) -> None:
     """The checks calibration makes before any margin: the calibration size,
-    then the binomial tail, which must certify unless forced."""
+    then the binomial tail, which must certify a family of ``m`` under the
+    union bound unless forced."""
     if calib.n_samples != plan.n_c:
         raise InvalidArgument(
             f"calibration set has {calib.n_samples} samples, plan requires {plan.n_c}")
-    if not plan.certified and not force_uncertified:
+    if not plan.family_certified(m) and not force_uncertified:
+        bound = (f"tail {plan.tail:.3e}" if m == 1 else
+                 f"union bound {m} x tail = {m * plan.tail:.3e} for a family of {m} members")
         raise UncertifiedPlanError(
             f"plan (eps={plan.eps}, delta={plan.delta}, r={plan.r}, n_c={plan.n_c}) "
-            f"achieves tail {plan.tail:.3e} > delta; enlarge n_c or pass force_uncertified")
+            f"achieves {bound} > delta; enlarge n_c or pass force_uncertified")
 
 
 def _certificate(plan: ScalingPlan, radii, m: int = 1) -> CalibrationCertificate:
@@ -336,4 +345,5 @@ def _certificate(plan: ScalingPlan, radii, m: int = 1) -> CalibrationCertificate
     n_unsafe = radii.size
     rho_eps = generalized_max(radii, plan.r) if n_unsafe >= plan.r else WHOLE_SPACE
     return CalibrationCertificate(rho_eps=rho_eps, plan=plan, n_U=n_unsafe,
-                                  confidence=plan.confidence(m), certified=plan.certified)
+                                  confidence=plan.confidence(m),
+                                  certified=plan.family_certified(m))

@@ -28,6 +28,10 @@ representations"), checked after n/4 pivots:
   k x k capacitance matrix, at O(n k^2) per iteration.  Its iterate is
   snapped onto nearby bounds and its equality mass restored exactly before
   pairwise finishing.
+
+A solve pivots K itself unless its caller passes that first pivoting
+(``first_pivoting``): a family whose members share one Gram pivots it once
+and hands the factor, or the full-rank refusal, to every member's solve.
 """
 
 from __future__ import annotations
@@ -181,7 +185,8 @@ def _pivoted_cholesky(K, check_at):
     for k in range(res.size + 1):
         left = float(res.sum())
         if left <= stop:
-            return Gt[:k].T, res, pivots
+            # the k rows alone, so the factor does not keep the n x n buffer
+            return Gt[:k].copy().T, res, pivots
         if k == check_at and left >= _FULL_RANK_RESIDUAL * float(np.trace(K)):
             return None, res, pivots
         p = int(np.argmax(res))
@@ -192,6 +197,18 @@ def _pivoted_cholesky(K, check_at):
         res -= col * col
         res[p] = 0.0
         np.maximum(res, 0.0, out=res)
+
+
+def first_pivoting(K):
+    """``(G, res)`` of the pivoted Cholesky that ``solve_box_qp`` starts
+    from, checked for full rank at n/4 pivots (``G`` None when refused).  It
+    depends on K alone, so one serves every solve on K; both arrays are made
+    read-only, since every solve shares them."""
+    G, res, _ = _pivoted_cholesky(K, K.shape[0] // 4)
+    for array in (G, res):
+        if array is not None:
+            array.flags.writeable = False
+    return G, res
 
 
 def _interior_point(K, s, C, q, scale, mass, G, res):
@@ -316,7 +333,7 @@ def _restore_mass(alpha, s, C, mass):
     return alpha
 
 
-def solve_box_qp(K, s, C, alpha0, q, scale, tol, max_iter):
+def solve_box_qp(K, s, C, alpha0, q, scale, tol, max_iter, pivoting=None):
     """Solve the dual to tolerance on the route the numerical rank of K picks.
 
     A full-rank Gram is solved by pairwise ascent from ``alpha0`` alone,
@@ -325,10 +342,12 @@ def solve_box_qp(K, s, C, alpha0, q, scale, tol, max_iter):
     finishing.  Same return contract as ``pairwise_ascent``; the reported
     iteration count is the number of pair updates of the route that
     returned.  ``alpha0`` is feasible and fixes the equality mass
-    ``s @ alpha0`` the solution must carry.
+    ``s @ alpha0`` the solution must carry.  ``pivoting`` is
+    ``first_pivoting(K)`` when the caller shares K between solves; without
+    it the solve pivots K itself.
     """
     n = C.size
-    G, res, _ = _pivoted_cholesky(K, n // 4)
+    G, res = first_pivoting(K) if pivoting is None else pivoting
     if G is None:
         budget = min(max_iter, _PAIRWISE_FIRST_UPDATES * n)
         result = pairwise_ascent(K, s, C, alpha0, q, scale, tol, budget)

@@ -60,12 +60,13 @@ class ScSvddModel(ScalableModel):
 
 
 def train_sc_svdd(train, hp: Hyperparameters, settings: TrainSettings | None = None,
-                  gram_matrix: np.ndarray | None = None) -> ScSvddModel:
+                  gram_matrix: np.ndarray | None = None, pivoting=None) -> ScSvddModel:
     """Fit the ball variant on a labelled dataset.
 
-    All-safe data is legitimate (a one-class ball); raises ``TrainingError``
-    when the safe-class capacity cannot carry the required weighted mass, and
-    on solver non-convergence.
+    ``gram_matrix`` and ``pivoting`` share a Gram and its factor across fits,
+    as in ``train_sc_svm``.  All-safe data is legitimate (a one-class ball);
+    raises ``TrainingError`` when the safe-class capacity cannot carry the
+    required weighted mass, and on solver non-convergence.
     """
     x, y, K, hp, settings = _training_problem(train, hp, settings, gram_matrix,
                                               require_both_classes=False)
@@ -90,7 +91,7 @@ def train_sc_svdd(train, hp: Hyperparameters, settings: TrainSettings | None = N
 
     yf = y.astype(float)
     alpha, g, _, inside, at_upper, fields = _fit_box_dual(
-        x, y, K, yf, C, alpha0, yf * np.diagonal(K), 4.0, settings)
+        x, y, K, yf, C, alpha0, yf * np.diagonal(K), 4.0, settings, pivoting)
 
     # y_i*g_i = K_ii - 4(Ku)_i = |phi_i - w|^2 - |w|^2, so squared distances
     # of training points to the center come straight from the gradient

@@ -50,17 +50,20 @@ class ScSvmModel(ScalableModel):
 
 
 def train_sc_svm(train, hp: Hyperparameters, settings: TrainSettings | None = None,
-                 gram_matrix: np.ndarray | None = None) -> ScSvmModel:
+                 gram_matrix: np.ndarray | None = None, pivoting=None) -> ScSvmModel:
     """Fit the margin variant on a labelled dataset.
 
     ``gram_matrix`` lets callers share one Gram matrix across several fits on
     the same points; it must match ``hp.kernel`` resolved on the data.
-    Raises ``TrainingError`` on single-class data or solver non-convergence.
+    ``pivoting``, ``solvers.first_pivoting(gram_matrix)``, shares its factor
+    too.  Raises ``TrainingError`` on single-class data or solver
+    non-convergence.
     """
     x, y, K, hp, settings = _training_problem(train, hp, settings, gram_matrix)
     yhat = -y.astype(float)
     _, g, gap, inside, _, fields = _fit_box_dual(
-        x, y, K, yhat, box_bounds(hp, y), np.zeros(y.size), np.ones(y.size), 1.0, settings)
+        x, y, K, yhat, box_bounds(hp, y), np.zeros(y.size), np.ones(y.size), 1.0, settings,
+        pivoting)
     if inside.any():
         # stationarity at a strictly-inside support vector pins the offset:
         # w.phi(x_i) - b = yhat_i there

@@ -21,6 +21,7 @@ from saferegions import (
     InvalidArgument,
     KernelSpec,
     ScalingPlan,
+    UncertifiedPlanError,
     calibrate,
     calibrate_trained_family,
     discarding_parameter,
@@ -146,4 +147,28 @@ def test_family_confidence_holds_under_the_union_bound():
         return [m.certificate.rho_eps for m in result.members]
 
     share, tail = _violation_share(members, 0.1, levels)
+    assert share <= _bound(len(members) * tail), (share, tail)
+
+
+def test_a_family_past_its_union_bound_reads_uncertified():
+    # at the plan (121, 7) tail is 0.036, so six members give 6 x tail =
+    # 0.216 > delta = 0.2 >= tail: the family calibrates only when forced,
+    # every certificate reads uncertified, and the stated union-bound
+    # confidence still holds over the draws
+    members = [((1.0, 1.0), 0.0), ((1.0, 0.5), 0.3), ((0.5, 1.0), -0.2),
+               ((1.0, 0.0), 0.1), ((0.0, 1.0), 0.0), ((1.0, 2.0), -0.1)]
+    family = [FamilyMember(index=i, hyperparameters=Hyperparameters(), model=_linear_member(*m))
+              for i, m in enumerate(members)]
+    verdicts = set()
+
+    def levels(calib, plan):
+        with pytest.raises(UncertifiedPlanError, match="family of 6 members"):
+            calibrate_trained_family(family, calib, plan, "lr")
+        result = calibrate_trained_family(family, calib, plan, "lr", force_uncertified=True)
+        verdicts.update(m.certificate.certified for m in result.members)
+        return [m.certificate.rho_eps for m in result.members]
+
+    share, tail = _violation_share(members, 0.1, levels)
+    assert len(members) * tail > 0.2 >= tail
+    assert verdicts == {False}
     assert share <= _bound(len(members) * tail), (share, tail)

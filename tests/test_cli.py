@@ -196,6 +196,30 @@ def test_run_uncertifiable_exit_codes(tmp_path, capsys):
     assert (tmp_path / "out" / "report.csv").exists()
 
 
+def test_run_refuses_a_family_its_union_bound_does_not_certify(tmp_path, capsys):
+    # at n_c = 1394 one model certifies (tail 9.94e-7 <= delta = 1e-6), a
+    # family of two does not (2 x tail > delta), so the run stops before
+    # training unless forced, and a forced run reports every member
+    # uncertified
+    classifier = {"variants": ["svm"], "etas": [0.5, 1.0], "taus": [0.5],
+                  "kernels": [{"kind": "linear"}]}
+    config = _write_config(tmp_path, classifier=classifier,
+                           risk={"eps": [0.05], "delta": 1.0e-6, "n_c": 1394})
+    assert main(["plan", "--config", str(config)]) == 2
+    out = capsys.readouterr().out
+    assert "tail=9.94439506331341e-07 (certified)" in out
+    assert "family of 2 members: 2 x tail = " in out and "NOT certified" in out
+    assert "minimal certifiable n_c at these levels for the family: " in out
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "for a family of 2 members" in err
+    assert not (tmp_path / "out").exists()
+    assert main(["run", "--config", str(config), "--force-uncertified"]) == 2
+    with open(tmp_path / "out" / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and {row["certified"] for row in rows} == {"0"}
+
+
 def test_run_seed_override_changes_outputs(tmp_path, capsys):
     config = _write_config(tmp_path)
     main(["run", "--config", str(config)])

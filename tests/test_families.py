@@ -211,6 +211,32 @@ def test_gram_shared_per_resolved_kernel(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("variant, kernels, pivotings", [
+    ("svdd", (KernelSpec(kind="gaussian", gamma=0.05),), 1),
+    ("svm", (KernelSpec(kind="gaussian", gamma=0.05), KernelSpec(kind="linear")), 2),
+    ("lr", (KernelSpec(kind="gaussian", gamma=0.05),), 0),
+])
+def test_each_shared_gram_is_pivoted_once(monkeypatch, variant, kernels, pivotings):
+    # the box-dual members of a Gram all start from the one first pivoting
+    # the family makes (checked at n/4 pivots); the logistic members pivot
+    # nothing
+    import saferegions.solvers as solvers
+    train, _ = _splits(seed=29)
+    checks = []
+
+    def pivot_spy(K, check_at, _inner=solvers._pivoted_cholesky):
+        checks.append(check_at)
+        return _inner(K, check_at)
+
+    monkeypatch.setattr(solvers, "_pivoted_cholesky", pivot_spy)
+    monkeypatch.setattr(families, "_pool_workers", lambda n_train, n_members: 1)
+    family = [Hyperparameters(eta=eta, tau=tau, kernel=kernel) for kernel in kernels
+              for eta in (0.5, 1.0, 2.0) for tau in (0.3, 0.5, 0.7)]
+    members = train_family(train, family, variant)
+    assert not any(member.failed for member in members)
+    assert checks == [train.n_samples // 4] * pivotings
+
+
 @pytest.mark.parametrize("variant", ["svm", "svdd", "lr"])
 def test_family_fits_equal_standalone_fits(variant):
     # a member trained on the family's shared Gram is the model its trainer
@@ -245,6 +271,25 @@ def test_uncertifiable_plan_propagates_and_can_be_forced():
                                       force_uncertified=True)
     assert not result.selected.certificate.certified
 
+
+
+def test_a_family_is_certified_only_under_its_union_bound():
+    # one member alone certifies at this plan (tail 9.94e-7 <= delta), 27
+    # members do not (27 x tail = 2.7e-5 > delta)
+    plan = ScalingPlan.from_risk(0.05, 1e-6, n_c=1394)
+    assert plan.certified and not plan.family_certified(27)
+    assert plan.family_certified(1) and not plan.family_certified(2)
+    train, _ = _splits(seed=41)
+    calib = sample_gaussian(_SPEC, plan.n_c, seed=42)
+    trained = train_family(train, _family(etas=(1.0,)), "svm")[0]
+    members = [replace(trained, index=index) for index in range(27)]
+    assert calibrate(trained.model, calib, plan).certified
+    assert calibrate_trained_family(members[:1], calib, plan, "svm").selected.certificate.certified
+    with pytest.raises(UncertifiedPlanError, match="family of 27 members"):
+        calibrate_trained_family(members, calib, plan, "svm")
+    forced = calibrate_trained_family(members, calib, plan, "svm", force_uncertified=True)
+    assert not any(member.certificate.certified for member in forced.members)
+    assert forced.family_confidence == plan.confidence(27)
 
 
 def test_calibration_returns_new_members_and_leaves_trained_ones_untouched():

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from saferegions import InvalidArgument, KernelSpec
+from saferegions import kernels
 from saferegions.kernels import (
     default_gamma,
     gram,
@@ -124,3 +127,54 @@ def test_workspace_blocks_equal_allocated_blocks(spec):
         assert got.size == 0 or np.shares_memory(got, work[0])
         assert np.array_equal(got, kernel_matrix(spec, block, centers))
         assert np.array_equal(got, _allocating_formula(spec, block, centers))
+
+
+_GRAM_SPECS = [KernelSpec(kind="linear"), KernelSpec(kind="gaussian", gamma=0.7),
+               KernelSpec(kind="polynomial", degree=3, coef0=1.0)]
+
+
+def _mirrored_reference(spec, x):
+    """The Gram as the whole kernel block, gaussian diagonal set to 1, and
+    its upper triangle mirrored by the allocating sum."""
+    k = kernel_matrix(spec, x, x).copy()
+    if spec.kind == "gaussian":
+        np.fill_diagonal(k, 1.0)
+    return np.triu(k) + np.triu(k, 1).T
+
+
+# one point; either side of a mirror block (128 rows); either side of the
+# first gaussian chunk boundary (2**16 entries: 256 rows at n = 256, 255
+# rows and a 2-row chunk at n = 257); several chunks; a 40-D case
+@pytest.mark.parametrize("n, d", [(1, 2), (127, 3), (128, 3), (129, 3), (255, 2), (256, 2),
+                                  (257, 2), (700, 1), (300, 40)])
+@pytest.mark.parametrize("spec", _GRAM_SPECS, ids=lambda spec: spec.kind)
+def test_gram_bits_equal_the_mirrored_kernel_block(spec, n, d):
+    assert (kernels._MIRROR_ROWS, kernels._GRAM_CHUNK_ENTRIES) == (128, 2 ** 16)
+    rng = np.random.default_rng(n * 100 + d)
+    x = rng.normal(size=(n, d))
+    got = gram(spec, x)
+    assert got.tobytes() == _mirrored_reference(spec, x).tobytes()
+    assert got.flags.c_contiguous
+    # the mirror alone on entries that include -0.0, which the sum reads as
+    # 0.0 (BLAS products start from +0.0, so a Gram rarely holds one)
+    k = rng.normal(size=(n, n))
+    k[::3] = -0.0
+    expected = (np.triu(k) + np.triu(k, 1).T).tobytes()
+    kernels._mirror_upper(k)
+    assert k.tobytes() == expected
+
+
+@pytest.mark.parametrize("spec", _GRAM_SPECS, ids=lambda spec: spec.kind)
+def test_gram_peak_memory_is_about_one_n_by_n_array(spec):
+    # the Gram's own n x n array plus a scratch of a few rows; building the
+    # block beside a second n x n scratch and mirroring it through three
+    # more n x n temporaries peaked at 4 n^2 doubles
+    n = 1100
+    x = np.random.default_rng(17).normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        gram(spec, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 8, peak / (n * n * 8)
