@@ -45,6 +45,7 @@ from .families import (
     calibrate_trained_family,
     safe_coverage,
     select_best,
+    train_families,
     train_family,
 )
 from .kernels import KernelSpec, default_gamma, gram, kernel_matrix

@@ -12,13 +12,16 @@ the bits of its own ``margin``.  The selection rule is fixed: keep the
 member whose calibrated region covers the most safe calibration points,
 with ties going to the lowest index.
 
-Members train independently, so ``train_family`` trains them in a fork pool
-when that pays and is safe: the training set holds at least
-``_POOL_MIN_TRAIN`` points, the process may run on two or more CPUs, runs
-no other Python thread, and every BLAS it has loaded is an OpenBLAS that
-reports one thread.  The workers inherit the training set, the shared
-Grams, their factors and the settings through fork and send back only each
-member's model or error text, in member order.  A worker runs the same
+A run trains all its variants at once (``train_families``): every member of
+every variant reads one Gram per resolved kernel, built once and pivoted
+once when svm or svdd is among the variants, and the (variant, member)
+pairs train independently in one fork pool (``forkpool.fork_map``) when that
+pays and is safe: the training set holds at least ``_POOL_MIN_TRAIN``
+points, the process may run on two or more CPUs, runs no other Python
+thread, and every BLAS it has loaded is an OpenBLAS that reports one
+thread.  The workers inherit the training set, the shared Grams, their
+factors and the settings through fork and send back only each member's
+model or error text, in variant and member order.  A worker runs the same
 operations on the same inputs as the serial loop, on the same single BLAS
 thread, so every member is bit for bit what serial training gives.
 Anywhere else training stays in-process.
@@ -28,13 +31,13 @@ from __future__ import annotations
 
 import os
 import re
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .classifiers import Hyperparameters, TrainSettings, _margins, in_region
 from .errors import InvalidArgument, TrainingError
+from .forkpool import fork_cpus, fork_map
 from .kernels import gram
 from .logistic import train_sc_lr
 from .scaling import CalibrationCertificate, ScalingPlan, _certificate, _checked_plan
@@ -46,6 +49,7 @@ __all__ = [
     "TRAINERS",
     "FamilyMember",
     "FamilyResult",
+    "train_families",
     "train_family",
     "calibrate_trained_family",
     "select_best",
@@ -91,55 +95,72 @@ class FamilyResult:
         return self.plan.confidence(len(self.members))
 
 
-def train_family(train, family: list[Hyperparameters], variant: str,
-                 settings: TrainSettings | None = None) -> list[FamilyMember]:
-    """Train every member, sharing Gram matrices between members with the
-    same resolved kernel.  Each member's hyperparameters carry its kernel
-    resolved on the training points, so reports label the kernel each member
-    was trained with.  A member whose training fails is marked failed and
-    carries the error message; it stays eligible for reporting but not for
-    selection.
+def train_families(train, family: list[Hyperparameters], variants,
+                   settings: TrainSettings | None = None) -> dict:
+    """Train every member of ``family`` for each of ``variants``, sharing one
+    Gram matrix among all members, of every variant, with the same resolved
+    kernel; returns ``{variant: [FamilyMember, ...]}`` in variant order.
+    Each member's hyperparameters carry its kernel resolved on the training
+    points, so reports label the kernel each member was trained with.  A
+    member whose training fails is marked failed and carries the error
+    message; it stays eligible for reporting but not for selection.
 
-    The Grams are built here, and for the box-dual variants (svm, svdd)
-    each is pivoted here once (``solvers.first_pivoting``), so every member
-    on it starts from one factor or one full-rank refusal.  The members
-    train in a fork pool of one worker per available CPU when
-    ``_pool_workers`` allows (see the module docstring), else one after
-    another in this process.  Either way the members come back in order and
-    equal bit for bit, and any error other than ``TrainingError``
-    propagates."""
-    if variant not in TRAINERS:
-        raise InvalidArgument(f"unknown variant {variant!r}, expected one of {sorted(TRAINERS)}")
+    The Grams are built here, and when a box-dual variant (svm, svdd) is
+    among ``variants`` each is pivoted here once (``solvers.first_pivoting``),
+    so every box-dual member on it starts from one factor or one full-rank
+    refusal.  The (variant, member) pairs train in one fork pool of one
+    worker per available CPU when ``_pool_workers`` allows (see the module
+    docstring), else one after another in this process.  Either way the
+    members come back in order and equal bit for bit, and any error other
+    than ``TrainingError`` propagates."""
+    for variant in variants:
+        if variant not in TRAINERS:
+            raise InvalidArgument(
+                f"unknown variant {variant!r}, expected one of {sorted(TRAINERS)}")
     if len(family) == 0:
         raise InvalidArgument("family must contain at least one member")
     x = np.asarray(train.x, dtype=float)
-    shared: dict = {}   # resolved kernel -> the trainer's shared keyword arguments
+    pivoted = any(variant in _PIVOTED for variant in variants)
+    shared: dict = {}   # resolved kernel -> (its Gram, that Gram's first pivoting)
     kernels = []
     for hp in family:
         resolved = hp.kernel.resolved(x)
         if resolved not in shared:
             K = gram(resolved, x)
-            shared[resolved] = {"gram_matrix": K}
-            if variant in _PIVOTED:
-                shared[resolved]["pivoting"] = first_pivoting(K)
+            shared[resolved] = K, first_pivoting(K) if pivoted else None
         kernels.append(resolved)
-    job = (train, family, TRAINERS[variant], [shared[k] for k in kernels], settings)
-    workers = _pool_workers(len(x), len(family))
+    trainers = {variant: TRAINERS[variant] for variant in variants}
+    job = (train, family, trainers, [shared[k] for k in kernels], settings)
+    tasks = [(variant, index) for variant in variants for index in range(len(family))]
+    workers = _pool_workers(len(x), len(tasks))
     if workers > 1:
-        fits = _fit_in_pool(job, workers)
+        fits = fork_map(_fit, job, tasks, workers)
     else:
-        fits = [_fit(job, index) for index in range(len(family))]
-    return [FamilyMember(index=index, hyperparameters=replace(hp, kernel=kernel), model=model,
-                         failed=error is not None, error=error)
-            for index, (hp, kernel, (model, error)) in enumerate(zip(family, kernels, fits))]
+        fits = [_fit(job, task) for task in tasks]
+    m = len(family)
+    return {variant: [FamilyMember(index=index, hyperparameters=replace(hp, kernel=kernel),
+                                   model=model, failed=error is not None, error=error)
+                      for index, (hp, kernel, (model, error))
+                      in enumerate(zip(family, kernels, fits[k * m:(k + 1) * m]))]
+            for k, variant in enumerate(variants)}
 
 
-def _fit(job, index: int) -> tuple:
-    """(model, None) for member ``index`` of ``job``, or (None, the error
-    text) when its training fails."""
-    train, family, trainer, shared, settings = job
+def train_family(train, family: list[Hyperparameters], variant: str,
+                 settings: TrainSettings | None = None) -> list[FamilyMember]:
+    """The members of one variant's family, as ``train_families`` trains them."""
+    return train_families(train, family, [variant], settings)[variant]
+
+
+def _fit(job, task: tuple) -> tuple:
+    """(model, None) for the (variant, member index) ``task`` of ``job``, or
+    (None, the error text) when its training fails."""
+    train, family, trainers, shared, settings = job
+    variant, index = task
+    K, pivoting = shared[index]
+    pivot = {"pivoting": pivoting} if variant in _PIVOTED else {}
     try:
-        return trainer(train, family[index], settings=settings, **shared[index]), None
+        return trainers[variant](train, family[index], settings=settings, gram_matrix=K,
+                                 **pivot), None
     except TrainingError as exc:
         return None, str(exc)
 
@@ -158,19 +179,14 @@ _POOL_MIN_TRAIN = 500
 _BLAS_THREAD_GETTERS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
                         "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
 
-_JOB = None   # a pool worker's job, set in the worker alone
-
 
 def _pool_workers(n_train: int, n_members: int) -> int:
-    """How many processes should train a family; 1 means in-process.  A
-    process running other Python threads does not fork: a lock one of them
-    holds would stay locked in the children."""
+    """How many processes should train ``n_members`` (variant, member)
+    pairs; 1 means in-process."""
     if n_train < _POOL_MIN_TRAIN or n_members < 2:
         return 1
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    if cpus < 2 or threading.active_count() > 1 or not _blas_single_threaded():
+    cpus = fork_cpus()
+    if cpus < 2 or not _blas_single_threaded():
         return 1
     return min(cpus, n_members)
 
@@ -206,34 +222,6 @@ def _blas_single_threaded() -> bool:
         if getter() != 1:
             return False
     return True
-
-
-def _adopt(job) -> None:
-    global _JOB
-    _JOB = job
-
-
-def _fit_adopted(index: int) -> tuple:
-    return _fit(_JOB, index)
-
-
-def _fit_in_pool(job, workers: int) -> list:
-    """``_fit`` of every member of ``job``, in member order, by ``workers``
-    forked processes.  Forked, they inherit ``job`` (the Grams and their
-    factors included) without a copy; only member indices and results cross
-    the pipes.  The pool is shut down, and its processes have exited, on
-    every path out."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_adopt, initargs=(job,))
-    try:
-        return list(pool.map(_fit_adopted, range(len(job[1]))))
-    finally:
-        # drops the members not started yet when one raised, then waits for
-        # the running ones and the workers' exit
-        pool.shutdown(cancel_futures=True)
 
 
 def calibrate_trained_family(members: list[FamilyMember], calib, plan: ScalingPlan,

@@ -30,7 +30,7 @@ from .classifiers import expansion_margins, in_region, load_model, save_model
 from .config import ExperimentConfig, load_config
 from .datagen import Dataset, sample_gaussian, standardize, write_csv
 from .errors import InvalidArgument, UncertifiedPlanError
-from .families import FamilyResult, calibrate_trained_family, train_family
+from .families import FamilyResult, calibrate_trained_family, train_families
 from .platoon import generate_platoon_dataset
 from .scaling import ScalingPlan, min_calibration_size
 
@@ -249,11 +249,11 @@ def run_experiment(config: ExperimentConfig, *, force_uncertified: bool = False,
                    write: bool = True, evaluate: bool = True) -> ExperimentResult:
     """Run the full pipeline and (optionally) write the report files.
 
-    Families are trained once per variant and reused across the eps sweep;
-    each eps calibrates the trained members against its own plan and
-    calibration set.  Every plan must certify the family (etas x taus x
-    kernels members a variant) under the union bound, checked before any
-    data is drawn.
+    Every variant's family is trained once, all in one ``train_families``
+    call, and reused across the eps sweep; each eps calibrates the trained
+    members against its own plan and calibration set.  Every plan must
+    certify the family (etas x taus x kernels members a variant) under the
+    union bound, checked before any data is drawn.
     """
     plans = resolve_plans(config)
     family = config.classifier.family()
@@ -271,8 +271,8 @@ def run_experiment(config: ExperimentConfig, *, force_uncertified: bool = False,
     family_results: dict = {}
     memberships: dict = {}
     report_rows: list = []
-    for variant in config.classifier.variants:
-        members = train_family(train, family, variant, settings=settings)
+    trained = train_families(train, family, config.classifier.variants, settings)
+    for variant, members in trained.items():
         live = _live(members)
         margins = None
         if evaluate and live:

@@ -262,12 +262,17 @@ class CalibrationCertificate:
         ``eps``, ``delta`` and ``beta`` real numbers in (0, 1)),
         ``rho_eps`` is ``"whole_space"`` or a finite number, ``confidence`` a
         finite number in [0, 1], ``n_U`` an integer in [0, n_c],
-        ``certified`` a boolean that is true only on a certified plan,
+        ``certified`` a boolean that is true only on a certified plan and at
+        a ``confidence`` of at least ``1 - delta`` (a family's union bound),
         ``region_kind`` the kind of ``rho_eps``, and that kind the one
         calibration gives for ``n_U`` (the whole space exactly when ``n_U <
         r``): a NaN level would load as a certified, silently empty region.
-        ``confidence`` is not checked against the plan; its tail goes through
-        ``np.exp``, whose last bits may differ from one machine to another."""
+        ``confidence`` is not recomputed from the plan, since its tail goes
+        through ``np.exp``, whose last bits may differ from one machine to
+        another; but every certificate written with ``m * tail <= delta``
+        holds ``1 - m * tail >= 1 - delta`` in floating point too, since
+        ``1 - a`` rounds monotonically in ``a``, so the comparison needs no
+        slack."""
         plan = ScalingPlan(eps=record["eps"], delta=record["delta"], r=record["r"],
                            n_c=record["n_c"], beta=record.get("beta", 0.5))
         rho, confidence, n_U, certified = (record[key] for key in
@@ -289,6 +294,9 @@ class CalibrationCertificate:
         if certified and not plan.certified:
             raise InvalidArgument(f"certificate says certified, but its plan has "
                                   f"B(r-1; n_c, eps) = {plan.tail!r} > delta = {plan.delta!r}")
+        if certified and confidence < 1.0 - plan.delta:
+            raise InvalidArgument(f"certificate says certified, but its confidence "
+                                  f"{confidence!r} is below 1 - delta = {1.0 - plan.delta!r}")
         certificate = cls(rho_eps=float(rho), plan=plan, n_U=n_U,
                           confidence=float(confidence), certified=certified)
         if record["region_kind"] != certificate.kind:

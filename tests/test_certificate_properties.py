@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from saferegions import (
@@ -29,7 +29,7 @@ from saferegions import (
 )
 from saferegions.classifiers import TrainingDiagnostics
 from saferegions.logistic import ScLrModel
-from saferegions.scaling import WHOLE_SPACE
+from saferegions.scaling import WHOLE_SPACE, _certificate
 
 _UNIT_OPEN = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 
@@ -80,6 +80,11 @@ def test_certificate_record_round_trips_through_json(certificate):
         with pytest.raises(InvalidArgument, match="certified"):
             CalibrationCertificate.from_record(json.loads(json.dumps(record)))
         return
+    if certificate.certified and certificate.confidence < 1.0 - certificate.plan.delta:
+        # a certified record must state a confidence its delta backs
+        with pytest.raises(InvalidArgument, match="below 1 - delta"):
+            CalibrationCertificate.from_record(json.loads(json.dumps(record)))
+        return
     if (certificate.kind == "whole_space") != (certificate.n_U < certificate.plan.r):
         # a region kind calibration does not give for n_U unsafe points does not load
         with pytest.raises(InvalidArgument, match="n_U"):
@@ -88,6 +93,40 @@ def test_certificate_record_round_trips_through_json(certificate):
     back = CalibrationCertificate.from_record(json.loads(json.dumps(record)))
     assert back == certificate
     assert back.kind == certificate.kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=st.floats(min_value=0.01, max_value=0.5), beta=_UNIT_OPEN,
+       n_c=st.integers(min_value=1, max_value=3000), at=st.integers(min_value=1, max_value=27),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_family_certificate_round_trips(eps, beta, n_c, at, seed):
+    # delta is set to at x tail, so the family of ``at`` members sits exactly
+    # on its union bound: certified, at a confidence of exactly 1 - delta
+    r = discarding_parameter(beta, eps, n_c)
+    tail = ScalingPlan(eps=eps, delta=0.5, beta=beta, r=r, n_c=n_c).tail
+    assume(0.0 < at * tail < 1.0)
+    plan = ScalingPlan(eps=eps, delta=at * tail, beta=beta, r=r, n_c=n_c)
+    rng = np.random.default_rng(seed)
+    radii = rng.normal(size=int(rng.integers(n_c + 1)))
+    for m in range(1, 28):
+        certificate = _certificate(plan, radii, m)
+        assert certificate.certified == (m <= at)
+        if m == at:
+            assert certificate.confidence == 1.0 - plan.delta
+        back = CalibrationCertificate.from_record(json.loads(json.dumps(certificate.to_record())))
+        assert back == certificate
+
+
+def test_a_family_record_past_its_union_bound_does_not_load_as_certified():
+    # 27 members at n_c = 1394: tail <= delta = 1e-6 < 27 x tail, so the
+    # family's certificate reads uncertified at a confidence below 1 - delta
+    plan = ScalingPlan.from_risk(0.05, 1e-6, n_c=1394)
+    record = _certificate(plan, np.linspace(-1.0, 1.0, 200), 27).to_record()
+    assert plan.certified and not record["certified"]
+    assert record["confidence"] < 1.0 - plan.delta
+    assert CalibrationCertificate.from_record(record).confidence == record["confidence"]
+    with pytest.raises(InvalidArgument, match="says certified, but its confidence"):
+        CalibrationCertificate.from_record({**record, "certified": True})
 
 
 _MIXTURE = GaussianSpec(mu_safe=(-1.0, -1.0), mu_unsafe=(1.0, 1.0),

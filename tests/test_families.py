@@ -35,6 +35,7 @@ from saferegions import (
     safe_coverage,
     sample_gaussian,
     select_best,
+    train_families,
     train_family,
 )
 from saferegions.datagen import Dataset
@@ -250,6 +251,65 @@ def test_family_fits_equal_standalone_fits(variant):
     for member, hp in zip(members, family):
         standalone = TRAINERS[variant](train, hp)
         assert model_to_record(member.model) == model_to_record(standalone)
+
+
+def _member_fields(members) -> list:
+    return [(m.index, m.hyperparameters, m.failed, m.error,
+             None if m.model is None else model_to_record(m.model)) for m in members]
+
+
+_TWO_KERNELS = [Hyperparameters(eta=eta, tau=tau, kernel=kernel)
+                for kernel in (KernelSpec(kind="gaussian"), KernelSpec(kind="linear"))
+                for eta in (1e-4, 0.5, 2.0) for tau in (0.3, 0.7)]
+
+
+def test_all_variants_trained_at_once_equal_one_family_per_variant():
+    # eta = 1e-4 fails the svdd mass, so failed members are compared too
+    train, _ = _splits(seed=33)
+    variants = ["svm", "svdd", "lr"]
+    together = train_families(train, _TWO_KERNELS, variants)
+    assert list(together) == variants
+    for variant in variants:
+        alone = train_family(train, _TWO_KERNELS, variant)
+        assert _member_fields(together[variant]) == _member_fields(alone)
+    assert any(m.failed for m in together["svdd"])
+
+
+def test_all_variants_share_each_gram_its_pivoting_and_one_pool(monkeypatch):
+    train, _ = _splits(seed=33)
+    variants = ["svm", "svdd", "lr"]
+    expected = {variant: _member_fields(train_family(train, _TWO_KERNELS, variant))
+                for variant in variants}
+    grams, pivotings, pools = [], [], []
+
+    def gram_spy(kernel, x, _inner=families.gram):
+        grams.append(kernel)
+        return _inner(kernel, x)
+
+    def pivoting_spy(K, _inner=families.first_pivoting):
+        pivotings.append(K)
+        return _inner(K)
+
+    def pool_spy(fn, job, tasks, workers):
+        # the pool's tasks, run in this process so the spies see them
+        pools.append((list(tasks), workers))
+        return [fn(job, task) for task in tasks]
+
+    monkeypatch.setattr(families, "gram", gram_spy)
+    monkeypatch.setattr(families, "first_pivoting", pivoting_spy)
+    monkeypatch.setattr(families, "fork_map", pool_spy)
+    monkeypatch.setattr(families, "_pool_workers", lambda n_train, n_members: 2)
+    together = train_families(train, _TWO_KERNELS, variants)
+    assert {variant: _member_fields(members) for variant, members in together.items()} == expected
+    # one Gram per resolved kernel across the three variants, each pivoted once
+    assert [kernel.kind for kernel in grams] == ["gaussian", "linear"]
+    assert len(pivotings) == 2
+    assert pools == [([(variant, index) for variant in variants
+                       for index in range(len(_TWO_KERNELS))], 2)]
+    # without a box-dual variant nothing is pivoted
+    grams.clear(), pivotings.clear(), pools.clear()
+    train_families(train, _TWO_KERNELS, ["lr"])
+    assert len(grams) == 2 and pivotings == [] and len(pools) == 1
 
 
 def test_family_requires_known_variant_and_members():

@@ -20,7 +20,7 @@ from saferegions import (
     SimulationError,
     generate_platoon_dataset,
 )
-from saferegions import platoon
+from saferegions import forkpool, platoon
 from saferegions.platoon import (
     Physics,
     _fill_row,
@@ -392,3 +392,79 @@ def test_non_finite_state_finished_at_start_is_caught():
     x[1, 9:11] = np.nan
     with pytest.raises(SimulationError, match=r"scenario 1 in its initial state"):
         _simulate_batch(x, reception, Physics())
+
+
+_needs_fork = pytest.mark.skipif(platoon.fork_cpus() < 2,
+                                 reason="forked generation needs fork and two CPUs")
+
+
+def _generated(monkeypatch, n_samples, start, *, forked):
+    """``generate_platoon_dataset(n_samples, seed=9, start=start)`` with the
+    fork pool forced on or off, and the chunks the pool was given."""
+    chunks = []
+
+    def spy(fn, job, tasks, workers):
+        chunks.extend(tasks)
+        return forkpool.fork_map(fn, job, tasks, workers)
+
+    monkeypatch.setattr(platoon, "fork_map", spy)
+    monkeypatch.setattr(platoon, "_POOL_MIN_SCENARIOS", 1 if forked else 10 ** 9)
+    assert (platoon._pool_workers(n_samples) > 1) == forked
+    return generate_platoon_dataset(n_samples, seed=9, start=start), chunks
+
+
+@_needs_fork
+@pytest.mark.parametrize("n_samples, start", [(151, 0), (120, 37)])
+def test_forked_generation_equals_serial_generation(monkeypatch, n_samples, start):
+    import multiprocessing
+
+    serial, none = _generated(monkeypatch, n_samples, start, forked=False)
+    forked, chunks = _generated(monkeypatch, n_samples, start, forked=True)
+    assert none == []
+    # one contiguous chunk per worker, covering the call's indices in order
+    assert len(chunks) == platoon._pool_workers(n_samples)
+    assert [first for first, _ in chunks] == np.cumsum([0] + [c for _, c in chunks])[:-1].tolist()
+    assert sum(count for _, count in chunks) == n_samples
+    assert forked.x.tobytes() == serial.x.tobytes() and forked.x.shape == serial.x.shape
+    assert forked.y.tobytes() == serial.y.tobytes() and forked.y.dtype == serial.y.dtype
+    assert forked.provenance == serial.provenance
+    assert multiprocessing.active_children() == []
+
+
+@_needs_fork
+def test_non_finite_scenario_in_a_later_chunk_raises_the_serial_error(monkeypatch):
+    import multiprocessing
+
+    real_rows = platoon._scenario_rows
+
+    def rows_with_a_nan_speed(n_samples, ranges, seed, start=0):
+        # scenario 120 of the call, in the second of two chunks of 151
+        x, reception = real_rows(n_samples, ranges, seed, start)
+        if start <= 120 < start + n_samples:
+            x[120 - start, 9:11] = np.nan
+        return x, reception
+
+    monkeypatch.setattr(platoon, "_scenario_rows", rows_with_a_nan_speed)
+    messages = {}
+    for forked in (False, True):
+        with pytest.raises(SimulationError) as info:
+            _generated(monkeypatch, 151, 0, forked=forked)
+        messages[forked] = str(info.value)
+        assert multiprocessing.active_children() == []
+    assert messages[True] == messages[False] == "non-finite state in scenario 120 at step 0"
+
+
+def _labels_sum(n_samples):
+    return int(generate_platoon_dataset(n_samples, seed=9).y.sum())
+
+
+@_needs_fork
+def test_generation_in_a_daemonic_worker_stays_in_process(monkeypatch):
+    # a multiprocessing.Pool worker may not start processes of its own, so
+    # generation there must not fork whatever its size
+    import multiprocessing
+
+    monkeypatch.setattr(platoon, "_POOL_MIN_SCENARIOS", 1)
+    expected = _labels_sum(40)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.map(_labels_sum, [40], chunksize=1) == [expected]
