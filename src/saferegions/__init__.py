@@ -4,6 +4,14 @@ The package trains classifiers whose predicted-safe region shrinks
 monotonically with a scalar level, then calibrates that level on held-out
 data so the probability of an unsafe point landing inside the region is
 bounded by a chosen risk, with an explicit binomial confidence certificate.
+
+Importing the package sets every OpenBLAS the process has loaded to one
+thread, for the whole process and with no restore.  The thread count rounds
+the Gram, solver and margin products, so with it fixed a run's bytes follow
+only its config and seed; one thread was also the faster on every measured
+run.  Where no OpenBLAS setter can be reached (MKL, BLIS, no
+``/proc/self/maps``) nothing is set: family training stays in-process and
+the bytes follow that BLAS's thread count.
 """
 
 from .classifiers import (
@@ -47,6 +55,7 @@ from .families import (
     select_best,
     train_families,
     train_family,
+    _pin_blas_threads,
 )
 from .kernels import KernelSpec, default_gamma, gram, kernel_matrix
 from .logistic import ScLrModel, train_sc_lr
@@ -77,3 +86,6 @@ from .svdd import ScSvddModel, train_sc_svdd
 from .svm import ScSvmModel, train_sc_svm
 
 __version__ = "0.1.0"
+
+# after every submodule import, so scipy's OpenBLAS is loaded too
+_pin_blas_threads()

@@ -19,11 +19,12 @@ pairs train independently in one fork pool (``forkpool.fork_map``) when that
 pays and is safe: the training set holds at least ``_POOL_MIN_TRAIN``
 points, the process may run on two or more CPUs, runs no other Python
 thread, and every BLAS it has loaded is an OpenBLAS that reports one
-thread.  The workers inherit the training set, the shared Grams, their
-factors and the settings through fork and send back only each member's
-model or error text, in variant and member order.  A worker runs the same
-operations on the same inputs as the serial loop, on the same single BLAS
-thread, so every member is bit for bit what serial training gives.
+thread, as importing the package sets it (``_pin_blas_threads``).  The
+workers inherit the training set, the shared Grams, their factors and the
+settings through fork and send back only each member's model or error
+text, in variant and member order.  A worker runs the same operations on
+the same inputs as the serial loop, on the same single BLAS thread, so
+every member is bit for bit what serial training gives.
 Anywhere else training stays in-process.
 """
 
@@ -174,8 +175,8 @@ def _fit(job, task: tuple) -> tuple:
 # 4 of 5 pairs (svdd 443 -> 271 ms, svm 283 -> 239 ms, lr 284 -> 221 ms).
 _POOL_MIN_TRAIN = 500
 
-# The thread-count getters of OpenBLAS builds; numpy's and scipy's wheels
-# bundle builds with the ``scipy_`` prefix.
+# The thread-count getters of OpenBLAS builds, each beside its "_set_" twin;
+# numpy's and scipy's wheels bundle builds with the ``scipy_`` prefix.
 _BLAS_THREAD_GETTERS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
                         "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
 
@@ -194,34 +195,47 @@ def _pool_workers(n_train: int, n_members: int) -> int:
 def _blas_single_threaded() -> bool:
     """Whether every BLAS library this process has loaded is an OpenBLAS
     that reports one thread; pool workers running more BLAS threads each
-    would oversubscribe the CPUs.  Any other BLAS cannot be asked, and
-    neither can a process without ``/proc/self/maps``: both read as
-    unknown."""
+    would oversubscribe the CPUs.  A caller may raise the count the import
+    pinned, so this asks on every call.  Any other BLAS cannot be asked, and
+    neither can a process without ``/proc/self/maps``: both read as unknown."""
+    threads = _openblas_threads()
+    return threads is not None and all(getter() == 1 for getter, _ in threads)
+
+
+def _pin_blas_threads() -> None:
+    """Set every loaded OpenBLAS to one thread, for the whole process; sets
+    nothing where ``_openblas_threads`` reads unknown."""
+    for _, setter in _openblas_threads() or ():
+        setter(1)
+
+
+def _openblas_threads() -> list | None:
+    """The (getter, setter) thread-count functions of each BLAS library this
+    process has loaded; None (unknown) when one of them is not an OpenBLAS
+    that exports both, when none is found, or without ``/proc/self/maps``."""
     import ctypes
 
     try:
         with open("/proc/self/maps") as maps:
             rows = [line.split(maxsplit=5) for line in maps.read().splitlines()]
     except OSError:
-        return False
+        return None
     # the mapped files' paths; the f2py modules (scipy's _fblas) do not match
     libraries = {row[5] for row in rows
                  if len(row) == 6 and re.match(r"lib\w*(blas|blis|mkl)", os.path.basename(row[5]))}
-    if not libraries:
-        return False
+    threads = []
     for path in libraries:
         try:
             library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
         except OSError:
-            return False
-        getters = [getattr(library, name, None) for name in _BLAS_THREAD_GETTERS]
-        getter = next((g for g in getters if g is not None), None)
-        if getter is None:
-            return False
-        getter.restype = ctypes.c_int
-        if getter() != 1:
-            return False
-    return True
+            return None
+        name = next((name for name in _BLAS_THREAD_GETTERS if hasattr(library, name)), None)
+        setter = name and getattr(library, name.replace("_get_", "_set_"), None)
+        if setter is None:
+            return None
+        # ctypes calls both with, and reads back, a C int
+        threads.append((getattr(library, name), setter))
+    return threads or None
 
 
 def calibrate_trained_family(members: list[FamilyMember], calib, plan: ScalingPlan,

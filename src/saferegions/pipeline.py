@@ -1,12 +1,10 @@
 """End-to-end experiment pipeline: data, training, calibration, selection,
 test evaluation, and deterministic report files.
 
-Every output byte is a pure function of (config, seed) and of the BLAS
-thread count, which rounds the Gram, solver and margin products and which no
-run file records: float cells are written with repr so reruns are
-byte-identical, rows follow a fixed order (variant as configured, then eps
-as configured, then member index), and no timestamps or environment data
-are recorded.
+Every output byte is a pure function of (config, seed): float cells are
+written with repr so reruns are byte-identical, rows follow a fixed order
+(variant as configured, then eps as configured, then member index), and no
+timestamps or environment data are recorded.
 
 Report columns, in order:
     variant, member, eta, tau, kernel, eps, delta, beta, r, n_c, n_U,
@@ -295,6 +293,11 @@ def run_experiment(config: ExperimentConfig, *, force_uncertified: bool = False,
     return result
 
 
+def _model_path(run_dir: Path, variant: str, eps) -> Path:
+    """Where a run saves the selected model of its (variant, eps) family."""
+    return run_dir / "models" / f"{variant}_eps_{repr(float(eps))}.json"
+
+
 def _write_outputs(result: ExperimentResult, memberships: dict | None) -> None:
     """Write the run directory.  ``memberships`` maps (variant, eps) to its
     ``_membership_table``; None writes neither report nor membership files."""
@@ -307,13 +310,12 @@ def _write_outputs(result: ExperimentResult, memberships: dict | None) -> None:
         write_csv(report_path, REPORT_COLUMNS, result.report_rows)
         files["report"] = report_path
 
-    models_dir = out / "models"
-    models_dir.mkdir(exist_ok=True)
+    (out / "models").mkdir(exist_ok=True)
     model_files = []
     membership_files = []
     for (variant, eps), family_result in result.family_results.items():
         selected = family_result.selected
-        model_path = models_dir / f"{variant}_eps_{repr(float(eps))}.json"
+        model_path = _model_path(out, variant, eps)
         save_model(selected.model, model_path, certificate=selected.certificate)
         model_files.append(model_path)
         if memberships is None:
@@ -359,10 +361,12 @@ def data_bbox(train: Dataset, margin: float) -> tuple:
 def evaluate_saved(run_dir) -> list:
     """Recompute test frequencies for the models saved by a previous run.
 
-    Reads resolved_config.yaml and models/*.json from ``run_dir``, rebuilds
-    the test split (and the training split, to refit the standardizer) from
-    the stored config, generating no calibration set, and writes
-    evaluation.csv with EVALUATION_COLUMNS.
+    Reads resolved_config.yaml from ``run_dir`` and the model file of each
+    configured (variant, eps), in that order; a model file left by an
+    earlier run under another config is not read.  Rebuilds the test split
+    (and the training split, to refit the standardizer) from the stored
+    config, generating no calibration set, and writes evaluation.csv with
+    EVALUATION_COLUMNS.
     The frequencies must agree with the matching report.csv rows.
     """
     run_dir = Path(run_dir)
@@ -371,25 +375,20 @@ def evaluate_saved(run_dir) -> list:
         raise InvalidArgument(f"{run_dir} has no resolved_config.yaml; run the "
                               "pipeline first")
     config = load_config(config_path)
-    model_paths = sorted((run_dir / "models").glob("*.json"))
-    if not model_paths:
-        raise InvalidArgument(f"{run_dir}/models holds no saved models")
+    loaded = []
+    for variant in config.classifier.variants:
+        for eps in config.risk.eps:
+            path = _model_path(run_dir, variant, eps)
+            if not path.exists():
+                raise InvalidArgument(f"{path} is missing; run the pipeline on this config")
+            model, certificate = load_model(path)
+            if certificate is None:
+                raise InvalidArgument(f"{path} carries no certificate")
+            loaded.append((model, certificate))
 
     train, _, test = build_datasets(config, resolve_plans(config), calibration=False)
     if config.data.standardize:
         (train, test), scaler = standardize(train, test)
-
-    loaded = []
-    for path in model_paths:
-        model, certificate = load_model(path)
-        if certificate is None:
-            raise InvalidArgument(f"{path} carries no certificate")
-        loaded.append((model, certificate))
-    # fixed order: variant as configured, then eps as configured
-    variant_order = {v: i for i, v in enumerate(config.classifier.variants)}
-    eps_order = {float(e): i for i, e in enumerate(config.risk.eps)}
-    loaded.sort(key=lambda mc: (variant_order.get(mc[0].variant, len(variant_order)),
-                                eps_order.get(float(mc[1].plan.eps), len(eps_order))))
 
     margins = expansion_margins([model for model, _ in loaded], test.x)
     rows = []

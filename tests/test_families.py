@@ -593,3 +593,77 @@ def test_forked_run_writes_the_serial_run_bytes(tmp_path):
                             and path.name != "resolved_config.yaml"}
     assert len(outputs[True]) > 4
     assert outputs[False] == outputs[True]
+
+
+def _python_with_blas_threads(args, cwd, threads: str) -> str:
+    """stdout of ``python args`` started with the environment asking every
+    BLAS for ``threads`` threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    src = str(Path(families.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _require_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas or not Path("/proc/self/maps").exists():
+        pytest.skip(f"{blas} cannot be set to one thread here")
+
+
+# every mapped OpenBLAS, asked for its thread count by name, apart from the
+# package's own scan
+_IMPORT_PINS = """
+import ctypes, os
+import saferegions
+from saferegions import families
+
+rows = [line.split(maxsplit=5) for line in open("/proc/self/maps")]
+paths = {row[5].strip() for row in rows
+         if len(row) == 6 and "openblas" in os.path.basename(row[5])}
+counts = []
+for path in sorted(paths):
+    library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+        if hasattr(library, name):
+            counts.append(getattr(library, name)())
+            break
+print(*counts, families._pool_workers(families._POOL_MIN_TRAIN, 9))
+"""
+
+
+def test_importing_the_package_pins_every_openblas_and_opens_the_pool(tmp_path):
+    _require_openblas()
+    *counts, workers = map(int, _python_with_blas_threads(["-c", _IMPORT_PINS], tmp_path,
+                                                          "2").split())
+    # numpy's OpenBLAS, and scipy's where its wheel bundles its own, which
+    # the scipy.linalg import loads
+    assert counts and set(counts) == {1}
+    assert workers == min(len(_cpus()), 9)
+
+
+def test_blas_thread_setting_does_not_change_run_bytes(tmp_path):
+    # below the pool's size rule both runs train in-process, where the
+    # thread count would show in the Gram, solver and margin products
+    _require_openblas()
+    config = tmp_path / "config.yaml"
+    config.write_text(json.dumps({
+        "seed": 3,
+        "data": {"generator": "gaussian", "n_train": 200, "n_test": 2000},
+        "classifier": {"variants": ["svm", "svdd", "lr"], "etas": [0.5, 2.0],
+                       "taus": [0.3, 0.5]},
+        "risk": {"eps": [0.1, 0.2], "delta": 0.01}}))
+    assert 200 < families._POOL_MIN_TRAIN
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"run-{threads}"
+        _python_with_blas_threads(["-m", "saferegions", "run", "--config", str(config),
+                                   "--out", str(out)], tmp_path, threads)
+        outputs[threads] = {path.relative_to(out).as_posix(): path.read_bytes()
+                            for path in sorted(out.rglob("*")) if path.is_file()
+                            and path.name != "resolved_config.yaml"}
+    assert len(outputs["1"]) > 4
+    assert outputs["2"] == outputs["1"]

@@ -414,3 +414,23 @@ def test_unstandardized_run_uses_raw_coordinates(tmp_path):
     result = run_experiment(ExperimentConfig.from_mapping(raw), write=False)
     assert result.scaler is None
     assert result.train_original.n_samples == 120
+
+
+def test_evaluate_saved_reads_only_the_configured_models(tmp_path):
+    # a run of two variants and two eps, then one of one variant and one eps
+    # into the same directory: the first run's four model files stay there
+    wide = _raw(tmp_path, risk={"eps": [0.1, 0.5], "delta": 0.5},
+                classifier={"variants": ["svm", "lr"], "etas": [1.0], "taus": [0.5],
+                            "kernels": [{"kind": "linear"}]})
+    run_experiment(ExperimentConfig.from_mapping(wide))
+    narrow = _raw(tmp_path, risk={"eps": [0.5], "delta": 0.5})
+    result = run_experiment(ExperimentConfig.from_mapping(narrow))
+    models = result.output_dir / "models"
+    assert len(list(models.glob("*.json"))) == 4
+    rows = evaluate_saved(result.output_dir)
+    assert [(row[0], row[4]) for row in rows] == [("svm", 0.5)]
+    with (result.output_dir / "evaluation.csv").open() as fh:
+        assert [(r["variant"], r["eps"]) for r in csv.DictReader(fh)] == [("svm", "0.5")]
+    (models / "svm_eps_0.5.json").unlink()
+    with pytest.raises(InvalidArgument, match="svm_eps_0.5.json"):
+        evaluate_saved(result.output_dir)
