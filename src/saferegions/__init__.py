@@ -54,7 +54,6 @@ from .families import (
     safe_coverage,
     select_best,
     train_families,
-    train_family,
     _pin_blas_threads,
 )
 from .kernels import KernelSpec, default_gamma, gram, kernel_matrix
@@ -64,7 +63,6 @@ from .pipeline import (
     REPORT_COLUMNS,
     ExperimentResult,
     boundary_grid_rows,
-    check_plans,
     derive_seed,
     evaluate_saved,
     resolve_plans,
@@ -77,6 +75,7 @@ from .scaling import (
     ScalingPlan,
     binomial_cdf,
     calibrate,
+    check_plans,
     discarding_parameter,
     generalized_max,
     kappa,

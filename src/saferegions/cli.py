@@ -27,7 +27,6 @@ from .errors import SafeRegionsError, UncertifiedPlanError
 from .pipeline import (
     boundary_grid_rows,
     build_datasets,
-    check_plans,
     data_bbox,
     evaluate_saved,
     resolve_plans,
@@ -35,7 +34,7 @@ from .pipeline import (
     write_csv,
     write_resolved_config,
 )
-from .scaling import ScalingPlan, kappa, min_calibration_size
+from .scaling import ScalingPlan, check_plans, kappa
 
 __all__ = ["main", "build_parser"]
 
@@ -138,7 +137,7 @@ def cmd_plan(args) -> int:
             if not plan.family_certified(members):
                 all_certified = False
                 print(f"  minimal certifiable n_c at these levels{for_family}: "
-                      f"{min_calibration_size(eps, risk.delta / members, risk.beta)}")
+                      f"{plan.minimal_n_c(members)}")
     return EXIT_OK if all_certified else EXIT_UNCERTIFIED
 
 

@@ -194,14 +194,12 @@ class ClassifierConfig(_Section):
         self._set("kernels", _distinct(
             self.kernels, "classifier.kernels", lambda k: k if isinstance(k, KernelSpec)
             else _parse(KernelSpec, k, "classifier.kernels[]")))
-        self._set("tol", checked_real(self.tol, "classifier.tol"))
-        if not self.tol > 0:
-            raise InvalidArgument(f"classifier.tol must be positive, got {self.tol!r}")
-        if self.max_iter is not None:
-            self._set("max_iter", checked_int(self.max_iter, "classifier.max_iter"))
-            if self.max_iter < 1:
-                raise InvalidArgument(
-                    f"classifier.max_iter must be positive, got {self.max_iter!r}")
+        try:
+            settings = TrainSettings(tol=self.tol, max_iter=self.max_iter)
+        except InvalidArgument as exc:
+            raise InvalidArgument(f"classifier.{exc}") from None
+        self._set("tol", float(settings.tol))
+        self._set("max_iter", settings.max_iter)
         self.family()   # constructing every member validates the whole grid now
 
     def family(self) -> list:

@@ -34,8 +34,6 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .classifiers import Hyperparameters, TrainSettings, _margins, in_region
 from .errors import InvalidArgument, TrainingError
 from .forkpool import fork_cpus, fork_map
@@ -45,13 +43,13 @@ from .scaling import CalibrationCertificate, ScalingPlan, _certificate, _checked
 from .solvers import first_pivoting
 from .svdd import train_sc_svdd
 from .svm import train_sc_svm
+from .validation import training_arrays
 
 __all__ = [
     "TRAINERS",
     "FamilyMember",
     "FamilyResult",
     "train_families",
-    "train_family",
     "calibrate_trained_family",
     "select_best",
     "safe_coverage",
@@ -106,21 +104,22 @@ def train_families(train, family: list[Hyperparameters], variants,
     member whose training fails is marked failed and carries the error
     message; it stays eligible for reporting but not for selection.
 
-    The Grams are built here, and when a box-dual variant (svm, svdd) is
-    among ``variants`` each is pivoted here once (``solvers.first_pivoting``),
-    so every box-dual member on it starts from one factor or one full-rank
-    refusal.  The (variant, member) pairs train in one fork pool of one
-    worker per available CPU when ``_pool_workers`` allows (see the module
-    docstring), else one after another in this process.  Either way the
-    members come back in order and equal bit for bit, and any error other
-    than ``TrainingError`` propagates."""
+    The set is checked first, raising a standalone fit's ``InvalidArgument``
+    (one class is left to each trainer).  The Grams are built here, and when
+    a box-dual variant (svm, svdd) is among ``variants`` each is pivoted here
+    once (``solvers.first_pivoting``), so every box-dual member on it starts
+    from one factor or one full-rank refusal.  The (variant, member) pairs
+    train in one fork pool of one worker per available CPU when
+    ``_pool_workers`` allows (see the module docstring), else one after
+    another in this process.  Either way the members come back in order and
+    equal bit for bit, and any error other than ``TrainingError`` propagates."""
     for variant in variants:
         if variant not in TRAINERS:
             raise InvalidArgument(
                 f"unknown variant {variant!r}, expected one of {sorted(TRAINERS)}")
     if len(family) == 0:
         raise InvalidArgument("family must contain at least one member")
-    x = np.asarray(train.x, dtype=float)
+    x, _ = training_arrays(train, require_both_classes=False)
     pivoted = any(variant in _PIVOTED for variant in variants)
     shared: dict = {}   # resolved kernel -> (its Gram, that Gram's first pivoting)
     kernels = []
@@ -144,12 +143,6 @@ def train_families(train, family: list[Hyperparameters], variants,
                       for index, (hp, kernel, (model, error))
                       in enumerate(zip(family, kernels, fits[k * m:(k + 1) * m]))]
             for k, variant in enumerate(variants)}
-
-
-def train_family(train, family: list[Hyperparameters], variant: str,
-                 settings: TrainSettings | None = None) -> list[FamilyMember]:
-    """The members of one variant's family, as ``train_families`` trains them."""
-    return train_families(train, family, [variant], settings)[variant]
 
 
 def _fit(job, task: tuple) -> tuple:

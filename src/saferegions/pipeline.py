@@ -27,10 +27,10 @@ import yaml
 from .classifiers import expansion_margins, in_region, load_model, save_model
 from .config import ExperimentConfig, load_config
 from .datagen import Dataset, sample_gaussian, standardize, write_csv
-from .errors import InvalidArgument, UncertifiedPlanError
+from .errors import InvalidArgument
 from .families import FamilyResult, calibrate_trained_family, train_families
 from .platoon import generate_platoon_dataset
-from .scaling import ScalingPlan, min_calibration_size
+from .scaling import ScalingPlan, check_plans
 
 __all__ = [
     "REPORT_COLUMNS",
@@ -38,7 +38,6 @@ __all__ = [
     "ExperimentResult",
     "derive_seed",
     "resolve_plans",
-    "check_plans",
     "build_datasets",
     "run_experiment",
     "boundary_grid_rows",
@@ -97,30 +96,14 @@ def resolve_plans(config: ExperimentConfig) -> dict:
             for eps in risk.eps}
 
 
-def check_plans(plans: dict, force_uncertified: bool, members: int = 1) -> bool:
-    """True when every plan certifies a family of ``members`` models under
-    the union bound (``plan.family_certified``); otherwise raise
-    UncertifiedPlanError naming the minimal sizes, or return False under
-    ``force_uncertified``."""
-    failing = {eps: plan for eps, plan in plans.items() if not plan.family_certified(members)}
-    if failing and not force_uncertified:
-        for_family = "" if members == 1 else f" for a family of {members} members"
-        parts = [f"eps={eps}: n_c={plan.n_c} is not certifiable at delta={plan.delta}{for_family}, "
-                 f"minimal n_c is {min_calibration_size(eps, plan.delta / members, plan.beta)}"
-                 for eps, plan in failing.items()]
-        raise UncertifiedPlanError(
-            "; ".join(parts) + " (pass --force-uncertified to run anyway)")
-    return not failing
-
-
 def build_datasets(config: ExperimentConfig, plans: dict, *, calibration: bool = True):
     """Return (train, {eps: calib}, test) according to the configured source.
 
     Generated calibration sets are drawn independently per eps at exactly the
     plan size; a csv calibration file must match every plan's n_c.  With
-    ``calibration=False`` the gaussian and platoon generators draw no
-    calibration set and the mapping is empty; train and test are the same
-    points and labels either way.
+    ``calibration=False`` no calibration set is drawn or read and the
+    mapping is empty; train and test are the same points and labels either
+    way.
     """
     data = config.data
     if data.generator == "gaussian":
@@ -153,8 +136,10 @@ def build_datasets(config: ExperimentConfig, plans: dict, *, calibration: bool =
         return train, dict(zip(plans, calib_parts)), test
     paths = data.paths
     train = Dataset.from_csv(paths["train"])
-    calib = Dataset.from_csv(paths["calib"])
     test = Dataset.from_csv(paths["test"])
+    if not calibration:
+        return train, {}, test
+    calib = Dataset.from_csv(paths["calib"])
     for eps, plan in plans.items():
         if plan.n_c != calib.n_samples:
             raise InvalidArgument(
@@ -300,9 +285,19 @@ def _model_path(run_dir: Path, variant: str, eps) -> Path:
 
 def _write_outputs(result: ExperimentResult, memberships: dict | None) -> None:
     """Write the run directory.  ``memberships`` maps (variant, eps) to its
-    ``_membership_table``; None writes neither report nor membership files."""
+    ``_membership_table``; None writes neither report nor membership files.
+    The model, membership and evaluation files this run does not write are
+    deleted first, so a reused directory holds what a fresh one would."""
     config_path = write_resolved_config(result.config)
     out = config_path.parent
+    model_files = {key: _model_path(out, *key) for key in result.family_results}
+    membership_files = {(variant, eps): out / f"membership_{variant}_eps_{repr(float(eps))}.csv"
+                        for variant, eps in memberships or {}}
+    written = {*model_files.values(), *membership_files.values()}
+    for stale in [out / "evaluation.csv", *out.glob("membership_*_eps_*.csv"),
+                  *out.glob("models/*_eps_*.json")]:
+        if stale not in written:
+            stale.unlink(missing_ok=True)
     files = {"config": config_path}
 
     if memberships is not None:
@@ -311,24 +306,17 @@ def _write_outputs(result: ExperimentResult, memberships: dict | None) -> None:
         files["report"] = report_path
 
     (out / "models").mkdir(exist_ok=True)
-    model_files = []
-    membership_files = []
-    for (variant, eps), family_result in result.family_results.items():
+    for key, family_result in result.family_results.items():
         selected = family_result.selected
-        model_path = _model_path(out, variant, eps)
-        save_model(selected.model, model_path, certificate=selected.certificate)
-        model_files.append(model_path)
-        if memberships is None:
-            continue
+        save_model(selected.model, model_files[key], certificate=selected.certificate)
+    for key, path in membership_files.items():
         # per-point membership table so every Pr{} cell can be recomputed
-        live = _live(family_result.members)
+        live = _live(result.family_results[key].members)
         header = ["index", "label"] + [f"member_{m.index}" for m in live]
-        membership_path = out / f"membership_{variant}_eps_{repr(float(eps))}.csv"
-        _write_table(membership_path, header, memberships[variant, eps])
-        membership_files.append(membership_path)
+        _write_table(path, header, memberships[key])
 
-    files["models"] = model_files
-    files["membership"] = membership_files
+    files["models"] = list(model_files.values())
+    files["membership"] = list(membership_files.values())
     result.output_dir = out
     result.files = files
 
@@ -365,8 +353,8 @@ def evaluate_saved(run_dir) -> list:
     configured (variant, eps), in that order; a model file left by an
     earlier run under another config is not read.  Rebuilds the test split
     (and the training split, to refit the standardizer) from the stored
-    config, generating no calibration set, and writes evaluation.csv with
-    EVALUATION_COLUMNS.
+    config, sized by the loaded certificates' plans and reading no calibration
+    set, and writes evaluation.csv with EVALUATION_COLUMNS.
     The frequencies must agree with the matching report.csv rows.
     """
     run_dir = Path(run_dir)
@@ -386,7 +374,8 @@ def evaluate_saved(run_dir) -> list:
                 raise InvalidArgument(f"{path} carries no certificate")
             loaded.append((model, certificate))
 
-    train, _, test = build_datasets(config, resolve_plans(config), calibration=False)
+    plans = {cert.plan.eps: cert.plan for _, cert in loaded}
+    train, _, test = build_datasets(config, plans, calibration=False)
     if config.data.standardize:
         (train, test), scaler = standardize(train, test)
 

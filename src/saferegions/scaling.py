@@ -38,6 +38,7 @@ __all__ = [
     "ScalingPlan",
     "CalibrationCertificate",
     "calibrate",
+    "check_plans",
 ]
 
 # Scaling level meaning "every point is a member".  All supported classifiers
@@ -210,6 +211,10 @@ class ScalingPlan:
         on this plan, clipped to [0, 1]; ``m = 1`` is a standalone model."""
         return min(1.0, max(0.0, 1.0 - m * self.tail))
 
+    def minimal_n_c(self, m: int = 1) -> int:
+        """The closed-form n_c that certifies ``m`` models at this plan's levels."""
+        return min_calibration_size(self.eps, self.delta / m, self.beta)
+
 
 @dataclass(frozen=True)
 class CalibrationCertificate:
@@ -330,19 +335,29 @@ def calibrate(model, calib, plan: ScalingPlan, *,
     return _certificate(plan, model.boundary_radius(unsafe_x))
 
 
+def check_plans(plans: dict, force_uncertified: bool, members: int = 1) -> bool:
+    """True when every plan of ``{eps: plan}`` certifies a family of
+    ``members`` models under the union bound (``plan.family_certified``);
+    otherwise raise ``UncertifiedPlanError`` naming the minimal sizes, or
+    return False under ``force_uncertified``."""
+    failing = {eps: plan for eps, plan in plans.items() if not plan.family_certified(members)}
+    if failing and not force_uncertified:
+        for_family = "" if members == 1 else f" for a family of {members} members"
+        parts = [f"eps={eps}: n_c={plan.n_c} is not certifiable at delta={plan.delta}{for_family}, "
+                 f"minimal n_c is {plan.minimal_n_c(members)}"
+                 for eps, plan in failing.items()]
+        hint = " (pass --force-uncertified, or force_uncertified=True, to run anyway)"
+        raise UncertifiedPlanError("; ".join(parts) + hint)
+    return not failing
+
+
 def _checked_plan(calib, plan: ScalingPlan, force_uncertified: bool, m: int = 1) -> None:
     """The checks calibration makes before any margin: the calibration size,
-    then the binomial tail, which must certify a family of ``m`` under the
-    union bound unless forced."""
+    then ``check_plans`` for a family of ``m``."""
     if calib.n_samples != plan.n_c:
         raise InvalidArgument(
             f"calibration set has {calib.n_samples} samples, plan requires {plan.n_c}")
-    if not plan.family_certified(m) and not force_uncertified:
-        bound = (f"tail {plan.tail:.3e}" if m == 1 else
-                 f"union bound {m} x tail = {m * plan.tail:.3e} for a family of {m} members")
-        raise UncertifiedPlanError(
-            f"plan (eps={plan.eps}, delta={plan.delta}, r={plan.r}, n_c={plan.n_c}) "
-            f"achieves {bound} > delta; enlarge n_c or pass force_uncertified")
+    check_plans({plan.eps: plan}, force_uncertified, m)
 
 
 def _certificate(plan: ScalingPlan, radii, m: int = 1) -> CalibrationCertificate:

@@ -30,7 +30,7 @@ from saferegions import (
     min_calibration_size,
     sample_gaussian,
     select_best,
-    train_family,
+    train_families,
     train_sc_lr,
     train_sc_svdd,
     train_sc_svm,
@@ -229,7 +229,7 @@ def test_criterion_08_family_risk_and_selection():
                            r=discarding_parameter(0.5, eps, n_c))
         calib = sample_gaussian(spec, n_c, seed=83)
 
-        members = train_family(train, family, "svdd")
+        members = train_families(train, family, ["svdd"])["svdd"]
         assert not any(m.failed for m in members)
         result = calibrate_trained_family(members, calib, plan, "svdd")
 

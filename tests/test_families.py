@@ -36,7 +36,6 @@ from saferegions import (
     sample_gaussian,
     select_best,
     train_families,
-    train_family,
 )
 from saferegions.datagen import Dataset
 from saferegions.scaling import WHOLE_SPACE
@@ -109,7 +108,7 @@ def _family(etas=(0.5, 1.0), kernel=None):
 
 
 def _calibrated(train, calib, family, variant):
-    members = train_family(train, family, variant)
+    members = train_families(train, family, [variant])[variant]
     return calibrate_trained_family(members, calib, _PLAN, variant)
 
 
@@ -207,7 +206,7 @@ def test_gram_shared_per_resolved_kernel(monkeypatch):
     other = KernelSpec(kind="linear")
     family = [Hyperparameters(eta=e, tau=0.5, kernel=shared) for e in (0.5, 1.0, 2.0)]
     family.append(Hyperparameters(eta=1.0, tau=0.5, kernel=other))
-    train_family(train, family, "svm")
+    train_families(train, family, ["svm"])["svm"]
     # three members share one Gram; the linear member adds a second
     assert len(calls) == 2
 
@@ -233,7 +232,7 @@ def test_each_shared_gram_is_pivoted_once(monkeypatch, variant, kernels, pivotin
     monkeypatch.setattr(families, "_pool_workers", lambda n_train, n_members: 1)
     family = [Hyperparameters(eta=eta, tau=tau, kernel=kernel) for kernel in kernels
               for eta in (0.5, 1.0, 2.0) for tau in (0.3, 0.5, 0.7)]
-    members = train_family(train, family, variant)
+    members = train_families(train, family, [variant])[variant]
     assert not any(member.failed for member in members)
     assert checks == [train.n_samples // 4] * pivotings
 
@@ -246,7 +245,7 @@ def test_family_fits_equal_standalone_fits(variant):
     family = [Hyperparameters(eta=eta, tau=tau, kernel=kernel)
               for eta in (0.5, 2.0) for tau in (0.3, 0.5)
               for kernel in (KernelSpec(kind="gaussian"), KernelSpec(kind="linear"))]
-    members = train_family(train, family, variant)
+    members = train_families(train, family, [variant])[variant]
     assert not any(member.failed for member in members)
     for member, hp in zip(members, family):
         standalone = TRAINERS[variant](train, hp)
@@ -270,7 +269,7 @@ def test_all_variants_trained_at_once_equal_one_family_per_variant():
     together = train_families(train, _TWO_KERNELS, variants)
     assert list(together) == variants
     for variant in variants:
-        alone = train_family(train, _TWO_KERNELS, variant)
+        alone = train_families(train, _TWO_KERNELS, [variant])[variant]
         assert _member_fields(together[variant]) == _member_fields(alone)
     assert any(m.failed for m in together["svdd"])
 
@@ -278,7 +277,7 @@ def test_all_variants_trained_at_once_equal_one_family_per_variant():
 def test_all_variants_share_each_gram_its_pivoting_and_one_pool(monkeypatch):
     train, _ = _splits(seed=33)
     variants = ["svm", "svdd", "lr"]
-    expected = {variant: _member_fields(train_family(train, _TWO_KERNELS, variant))
+    expected = {variant: _member_fields(train_families(train, _TWO_KERNELS, [variant])[variant])
                 for variant in variants}
     grams, pivotings, pools = [], [], []
 
@@ -316,15 +315,42 @@ def test_family_requires_known_variant_and_members():
     train, calib = _splits(seed=31)
     from saferegions import InvalidArgument
     with pytest.raises(InvalidArgument):
-        train_family(train, [], "svm")
+        train_families(train, [], ["svm"])["svm"]
     with pytest.raises(InvalidArgument):
-        train_family(train, _family(), "forest")
+        train_families(train, _family(), ["forest"])["forest"]
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec(kind="gaussian"), KernelSpec(kind="linear")],
+                         ids=["gaussian", "linear"])
+def test_a_family_rejects_a_bad_training_set_as_a_standalone_fit_does(kernel):
+    # the family once built its Grams before checking the set: a NaN point
+    # ended in an IndexError inside the linear Gram's pivoting, or in the
+    # message of the auto gamma it resolved to NaN
+    from types import SimpleNamespace
+
+    from saferegions import InvalidArgument
+    train, _ = _splits(seed=43)
+    nan_x = train.x.copy()
+    nan_x[5, 1] = np.nan
+    three = train.y.copy()
+    three[7] = 3
+    bad_sets = {"nan_point": SimpleNamespace(x=nan_x, y=train.y),
+                "label_3": SimpleNamespace(x=train.x, y=three),
+                "3d_points": SimpleNamespace(x=train.x[:, :, None], y=train.y)}
+    family = _family(etas=(0.5, 2.0), kernel=kernel)
+    for name, bad in bad_sets.items():
+        for variant in TRAINERS:
+            with pytest.raises(InvalidArgument) as alone:
+                TRAINERS[variant](bad, family[0])
+            with pytest.raises(InvalidArgument) as together:
+                train_families(bad, family, [variant])
+            assert str(together.value) == str(alone.value), (name, variant)
 
 
 def test_uncertifiable_plan_propagates_and_can_be_forced():
     train, calib_small = _splits(seed=37)
     bad_plan = ScalingPlan(eps=0.5, delta=1e-9, r=3, n_c=11)
-    members = train_family(train, _family(etas=(1.0,)), "svm")
+    members = train_families(train, _family(etas=(1.0,)), ["svm"])["svm"]
     with pytest.raises(UncertifiedPlanError):
         calibrate_trained_family(members, calib_small, bad_plan, "svm")
     result = calibrate_trained_family(members, calib_small, bad_plan, "svm",
@@ -341,7 +367,7 @@ def test_a_family_is_certified_only_under_its_union_bound():
     assert plan.family_certified(1) and not plan.family_certified(2)
     train, _ = _splits(seed=41)
     calib = sample_gaussian(_SPEC, plan.n_c, seed=42)
-    trained = train_family(train, _family(etas=(1.0,)), "svm")[0]
+    trained = train_families(train, _family(etas=(1.0,)), ["svm"])["svm"][0]
     members = [replace(trained, index=index) for index in range(27)]
     assert calibrate(trained.model, calib, plan).certified
     assert calibrate_trained_family(members[:1], calib, plan, "svm").selected.certificate.certified
@@ -354,7 +380,7 @@ def test_a_family_is_certified_only_under_its_union_bound():
 
 def test_calibration_returns_new_members_and_leaves_trained_ones_untouched():
     train, calib = _splits(seed=47)
-    members = train_family(train, _family(etas=(1e-4, 0.5, 1.0)), "svdd")
+    members = train_families(train, _family(etas=(1e-4, 0.5, 1.0)), ["svdd"])["svdd"]
     tight = ScalingPlan.from_risk(0.5, 0.5, n_c=15)
     calib_tight = sample_gaussian(_SPEC, tight.n_c, seed=48)
     first = calibrate_trained_family(members, calib, _PLAN, "svdd")
@@ -378,7 +404,7 @@ _WIDE = ScalingPlan.from_risk(0.2, 0.05)
 def lr_family():
     """Three logistic members: each expands over all 150 training points."""
     train = sample_gaussian(_SPEC, 150, seed=51)
-    members = train_family(train, _family(etas=(0.25, 1.0, 4.0)), "lr")
+    members = train_families(train, _family(etas=(0.25, 1.0, 4.0)), ["lr"])["lr"]
     assert not any(member.failed for member in members)
     return members, sample_gaussian(_SPEC, _WIDE.n_c, seed=52)
 
@@ -465,7 +491,7 @@ def test_family_below_the_size_rule_trains_in_process(monkeypatch):
         return real_trainer(train, hp, **kwargs)
 
     monkeypatch.setitem(families.TRAINERS, "svm", counting)
-    members = train_family(train, _family(etas=(0.5, 1.0, 2.0)), "svm")
+    members = train_families(train, _family(etas=(0.5, 1.0, 2.0)), ["svm"])["svm"]
     assert calls == [0.5, 1.0, 2.0]
     assert [m.index for m in members] == [0, 1, 2]
     assert families._pool_workers(train.n_samples, 3) == 1
@@ -527,7 +553,7 @@ def recording(*args, **kwargs):
     return real(*args, **kwargs)
 
 families.TRAINERS["svdd"] = recording
-members = families.train_family(train, family, "svdd")
+members = families.train_families(train, family, ["svdd"])["svdd"]
 
 def raising(train, hp, **kwargs):
     if hp.eta == 0.1:
@@ -536,7 +562,7 @@ def raising(train, hp, **kwargs):
 
 families.TRAINERS["svdd"] = raising
 try:
-    families.train_family(train, family, "svdd")
+    families.train_families(train, family, ["svdd"])["svdd"]
     raised = None
 except ValueError as exc:
     raised = str(exc)

@@ -3,6 +3,7 @@ determinism of every emitted byte."""
 
 import csv
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,9 +424,16 @@ def test_evaluate_saved_reads_only_the_configured_models(tmp_path):
                 classifier={"variants": ["svm", "lr"], "etas": [1.0], "taus": [0.5],
                             "kernels": [{"kind": "linear"}]})
     run_experiment(ExperimentConfig.from_mapping(wide))
+    models = tmp_path / "out" / "models"
+    earlier = {path.name: path.read_bytes() for path in models.glob("*.json")}
     narrow = _raw(tmp_path, risk={"eps": [0.5], "delta": 0.5})
     result = run_experiment(ExperimentConfig.from_mapping(narrow))
-    models = result.output_dir / "models"
+    # the run deletes the models it does not write; put them back, as a
+    # copy by hand would
+    assert [path.name for path in models.glob("*.json")] == ["svm_eps_0.5.json"]
+    for name, data in earlier.items():
+        if not (models / name).exists():
+            (models / name).write_bytes(data)
     assert len(list(models.glob("*.json"))) == 4
     rows = evaluate_saved(result.output_dir)
     assert [(row[0], row[4]) for row in rows] == [("svm", 0.5)]
@@ -434,3 +442,38 @@ def test_evaluate_saved_reads_only_the_configured_models(tmp_path):
     (models / "svm_eps_0.5.json").unlink()
     with pytest.raises(InvalidArgument, match="svm_eps_0.5.json"):
         evaluate_saved(result.output_dir)
+
+
+def _run_files(out):
+    """Every file of a run directory but resolved_config.yaml, which names
+    the directory, by relative path."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "resolved_config.yaml"}
+
+
+def test_a_reused_run_directory_holds_what_a_fresh_run_writes(tmp_path):
+    # the second run once left the first run's membership and model files of
+    # lr and of eps 0.1, and its four-row evaluation.csv, beside its report
+    wide = _raw(tmp_path, risk={"eps": [0.1, 0.5], "delta": 0.5},
+                classifier={"variants": ["svm", "lr"], "etas": [1.0], "taus": [0.5],
+                            "kernels": [{"kind": "linear"}]})
+    evaluate_saved(run_experiment(ExperimentConfig.from_mapping(wide)).output_dir)
+    narrow = _raw(tmp_path, risk={"eps": [0.5], "delta": 0.5})
+    reused = run_experiment(ExperimentConfig.from_mapping(narrow)).output_dir
+    fresh_raw = dict(narrow, output_dir=str(tmp_path / "fresh"))
+    fresh = run_experiment(ExperimentConfig.from_mapping(fresh_raw)).output_dir
+    assert sorted(_run_files(reused)) == ["membership_svm_eps_0.5.csv",
+                                          "models/svm_eps_0.5.json", "report.csv"]
+    assert _run_files(reused) == _run_files(fresh)
+
+
+def test_evaluate_saved_reads_no_calibration_file_on_a_csv_run(tmp_path):
+    # it once parsed the calibration file twice, and failed without it
+    config = ExperimentConfig.from_mapping(_csv_raw(tmp_path))
+    out = run_experiment(config).output_dir
+    evaluate_saved(out)
+    expected = (out / "evaluation.csv").read_bytes()
+    calib = Path(config.data.paths["calib"])
+    calib.rename(tmp_path / "moved.csv")
+    evaluate_saved(out)
+    assert (out / "evaluation.csv").read_bytes() == expected
