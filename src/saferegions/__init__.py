@@ -6,12 +6,12 @@ data so the probability of an unsafe point landing inside the region is
 bounded by a chosen risk, with an explicit binomial confidence certificate.
 
 Importing the package sets every OpenBLAS the process has loaded to one
-thread, for the whole process and with no restore.  The thread count rounds
-the Gram, solver and margin products, so with it fixed a run's bytes follow
-only its config and seed; one thread was also the faster on every measured
-run.  Where no OpenBLAS setter can be reached (MKL, BLIS, no
-``/proc/self/maps``) nothing is set: family training stays in-process and
-the bytes follow that BLAS's thread count.
+thread (``forkpool``), for the whole process and with no restore.  The
+thread count rounds the Gram, solver and margin products, so with it fixed
+a run's bytes follow only its config and seed; one thread was also the
+faster on every measured run.  Where no OpenBLAS setter can be reached
+(MKL, BLIS, no ``/proc/self/maps``) nothing is set: family training stays
+in-process and the bytes follow that BLAS's thread count.
 """
 
 from .classifiers import (
@@ -54,8 +54,8 @@ from .families import (
     safe_coverage,
     select_best,
     train_families,
-    _pin_blas_threads,
 )
+from .forkpool import _pin_blas_threads
 from .kernels import KernelSpec, default_gamma, gram, kernel_matrix
 from .logistic import ScLrModel, train_sc_lr
 from .pipeline import (

@@ -100,7 +100,11 @@ class Hyperparameters:
 
 @dataclass(frozen=True)
 class TrainSettings:
-    """Optimizer knobs. max_iter=None keeps each trainer's own default."""
+    """Optimizer stopping rule.  For ``lr``, ``max_iter`` counts damped
+    Newton steps (default 50,000) and ``tol`` bounds the gradient's sup-norm;
+    for ``svm`` and ``svdd`` it counts pair updates of the dual solver
+    (default 100,000) and ``tol`` bounds the dual violation gap.
+    max_iter=None keeps each trainer's own default."""
 
     tol: float = 1e-6
     max_iter: int | None = None

@@ -23,6 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
+from .datagen import Dataset
 from .errors import SafeRegionsError, UncertifiedPlanError
 from .pipeline import (
     boundary_grid_rows,
@@ -34,6 +35,7 @@ from .pipeline import (
     write_csv,
     write_resolved_config,
 )
+from .platoon import FEATURE_DIM
 from .scaling import ScalingPlan, check_plans, kappa
 
 __all__ = ["main", "build_parser"]
@@ -175,13 +177,24 @@ def cmd_run(args) -> int:
     return EXIT_OK if result.all_certified else EXIT_UNCERTIFIED
 
 
+def _feature_count(config: ExperimentConfig) -> int:
+    """The width of the configured data, read without drawing any of it."""
+    data = config.data
+    if data.generator == "gaussian":
+        return data.gaussian.dim
+    if data.generator == "platoon":
+        return FEATURE_DIM
+    return Dataset.from_csv(data.paths["train"]).dim
+
+
 def cmd_boundary_grid(args) -> int:
     config = _load_experiment(args)
+    dim = _feature_count(config)
+    if dim != 2:
+        raise SafeRegionsError(f"boundary grids need 2-D data, got {dim} features")
     result = run_experiment(config, force_uncertified=args.force_uncertified,
                             write=False, evaluate=False)
     train = result.train_original
-    if train.dim != 2:
-        raise SafeRegionsError(f"boundary grids need 2-D data, got {train.dim} features")
     resolution = args.resolution or config.grid.resolution
     bbox = config.grid.bbox or data_bbox(train, config.grid.margin)
     out = write_resolved_config(config).parent

@@ -15,28 +15,26 @@ with ties going to the lowest index.
 A run trains all its variants at once (``train_families``): every member of
 every variant reads one Gram per resolved kernel, built once and pivoted
 once when svm or svdd is among the variants, and the (variant, member)
-pairs train independently in one fork pool (``forkpool.fork_map``) when that
-pays and is safe: the training set holds at least ``_POOL_MIN_TRAIN``
-points, the process may run on two or more CPUs, runs no other Python
-thread, and every BLAS it has loaded is an OpenBLAS that reports one
-thread, as importing the package sets it (``_pin_blas_threads``).  The
-workers inherit the training set, the shared Grams, their factors and the
-settings through fork and send back only each member's model or error
-text, in variant and member order.  A worker runs the same operations on
-the same inputs as the serial loop, on the same single BLAS thread, so
-every member is bit for bit what serial training gives.
-Anywhere else training stays in-process.
+pairs go to one ``forkpool.fork_map`` call.  It trains them in a fork pool
+when that pays and is safe: the training set holds at least
+``_POOL_MIN_TRAIN`` points, the process may run on two or more CPUs, runs
+no other Python thread, and every BLAS it has loaded is an OpenBLAS that
+reports one thread (``forkpool``'s BLAS gate; importing the package pins
+the count).  The workers inherit the training set, the shared Grams, their
+factors and the settings through fork and send back only each member's
+model or error text, in variant and member order.  A worker runs the same
+operations on the same inputs as this process would, on the same single
+BLAS thread, so every member is bit for bit what in-process training
+gives.  Anywhere else ``fork_map`` trains them in this process.
 """
 
 from __future__ import annotations
 
-import os
-import re
 from dataclasses import dataclass, field, replace
 
 from .classifiers import Hyperparameters, TrainSettings, _margins, in_region
 from .errors import InvalidArgument, TrainingError
-from .forkpool import fork_cpus, fork_map
+from .forkpool import _blas_single_threaded, fork_cpus, fork_map
 from .kernels import gram
 from .logistic import train_sc_lr
 from .scaling import CalibrationCertificate, ScalingPlan, _certificate, _checked_plan
@@ -109,10 +107,10 @@ def train_families(train, family: list[Hyperparameters], variants,
     a box-dual variant (svm, svdd) is among ``variants`` each is pivoted here
     once (``solvers.first_pivoting``), so every box-dual member on it starts
     from one factor or one full-rank refusal.  The (variant, member) pairs
-    train in one fork pool of one worker per available CPU when
-    ``_pool_workers`` allows (see the module docstring), else one after
-    another in this process.  Either way the members come back in order and
-    equal bit for bit, and any error other than ``TrainingError`` propagates."""
+    go to one ``fork_map`` call of ``_pool_workers`` processes (see the
+    module docstring): a pool of one worker per available CPU, or this
+    process alone.  Either way the members come back in order and equal bit
+    for bit, and any error other than ``TrainingError`` propagates."""
     for variant in variants:
         if variant not in TRAINERS:
             raise InvalidArgument(
@@ -132,11 +130,7 @@ def train_families(train, family: list[Hyperparameters], variants,
     trainers = {variant: TRAINERS[variant] for variant in variants}
     job = (train, family, trainers, [shared[k] for k in kernels], settings)
     tasks = [(variant, index) for variant in variants for index in range(len(family))]
-    workers = _pool_workers(len(x), len(tasks))
-    if workers > 1:
-        fits = fork_map(_fit, job, tasks, workers)
-    else:
-        fits = [_fit(job, task) for task in tasks]
+    fits = fork_map(_fit, job, tasks, _pool_workers(len(x), len(tasks)))
     m = len(family)
     return {variant: [FamilyMember(index=index, hyperparameters=replace(hp, kernel=kernel),
                                    model=model, failed=error is not None, error=error)
@@ -168,11 +162,6 @@ def _fit(job, task: tuple) -> tuple:
 # 4 of 5 pairs (svdd 443 -> 271 ms, svm 283 -> 239 ms, lr 284 -> 221 ms).
 _POOL_MIN_TRAIN = 500
 
-# The thread-count getters of OpenBLAS builds, each beside its "_set_" twin;
-# numpy's and scipy's wheels bundle builds with the ``scipy_`` prefix.
-_BLAS_THREAD_GETTERS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                        "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
-
 
 def _pool_workers(n_train: int, n_members: int) -> int:
     """How many processes should train ``n_members`` (variant, member)
@@ -183,52 +172,6 @@ def _pool_workers(n_train: int, n_members: int) -> int:
     if cpus < 2 or not _blas_single_threaded():
         return 1
     return min(cpus, n_members)
-
-
-def _blas_single_threaded() -> bool:
-    """Whether every BLAS library this process has loaded is an OpenBLAS
-    that reports one thread; pool workers running more BLAS threads each
-    would oversubscribe the CPUs.  A caller may raise the count the import
-    pinned, so this asks on every call.  Any other BLAS cannot be asked, and
-    neither can a process without ``/proc/self/maps``: both read as unknown."""
-    threads = _openblas_threads()
-    return threads is not None and all(getter() == 1 for getter, _ in threads)
-
-
-def _pin_blas_threads() -> None:
-    """Set every loaded OpenBLAS to one thread, for the whole process; sets
-    nothing where ``_openblas_threads`` reads unknown."""
-    for _, setter in _openblas_threads() or ():
-        setter(1)
-
-
-def _openblas_threads() -> list | None:
-    """The (getter, setter) thread-count functions of each BLAS library this
-    process has loaded; None (unknown) when one of them is not an OpenBLAS
-    that exports both, when none is found, or without ``/proc/self/maps``."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as maps:
-            rows = [line.split(maxsplit=5) for line in maps.read().splitlines()]
-    except OSError:
-        return None
-    # the mapped files' paths; the f2py modules (scipy's _fblas) do not match
-    libraries = {row[5] for row in rows
-                 if len(row) == 6 and re.match(r"lib\w*(blas|blis|mkl)", os.path.basename(row[5]))}
-    threads = []
-    for path in libraries:
-        try:
-            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            return None
-        name = next((name for name in _BLAS_THREAD_GETTERS if hasattr(library, name)), None)
-        setter = name and getattr(library, name.replace("_get_", "_set_"), None)
-        if setter is None:
-            return None
-        # ctypes calls both with, and reads back, a C int
-        threads.append((getattr(library, name), setter))
-    return threads or None
 
 
 def calibrate_trained_family(members: list[FamilyMember], calib, plan: ScalingPlan,

@@ -286,16 +286,17 @@ def _model_path(run_dir: Path, variant: str, eps) -> Path:
 def _write_outputs(result: ExperimentResult, memberships: dict | None) -> None:
     """Write the run directory.  ``memberships`` maps (variant, eps) to its
     ``_membership_table``; None writes neither report nor membership files.
-    The model, membership and evaluation files this run does not write are
-    deleted first, so a reused directory holds what a fresh one would."""
+    The report, model, membership and evaluation files this run does not
+    write are deleted first, so a reused directory holds what a fresh one
+    would."""
     config_path = write_resolved_config(result.config)
     out = config_path.parent
     model_files = {key: _model_path(out, *key) for key in result.family_results}
     membership_files = {(variant, eps): out / f"membership_{variant}_eps_{repr(float(eps))}.csv"
                         for variant, eps in memberships or {}}
     written = {*model_files.values(), *membership_files.values()}
-    for stale in [out / "evaluation.csv", *out.glob("membership_*_eps_*.csv"),
-                  *out.glob("models/*_eps_*.json")]:
+    for stale in [out / "report.csv", out / "evaluation.csv",
+                  *out.glob("membership_*_eps_*.csv"), *out.glob("models/*_eps_*.json")]:
         if stale not in written:
             stale.unlink(missing_ok=True)
     files = {"config": config_path}

@@ -23,13 +23,13 @@ are checked for non-finite values as it leaves.  Every scenario goes through
 the same floating-point operations as it would alone, so batch labels equal
 single-scenario labels bit for bit.
 
-A large pool is generated in forked chunks (``forkpool.fork_map``): from
-``_POOL_MIN_SCENARIOS`` scenarios on, wherever ``forkpool.fork_cpus`` allows
-two or more processes, each worker draws and labels one contiguous chunk of
-the indices, and the chunks' rows and labels are joined in order.  Each scenario is drawn from its own (seed, index) substream and
-labelled as it would be alone, so the dataset is the same bits however the
-indices are chunked, and an error names the scenario by its index within
-the call either way.
+Generation maps ``_labelled_chunk`` over contiguous chunks of the indices
+(``forkpool.fork_map``) and joins their rows and labels in order: one chunk
+per CPU in forked workers from ``_POOL_MIN_SCENARIOS`` scenarios on, where
+``forkpool.fork_cpus`` allows two or more, else one chunk in-process.  Each
+scenario is drawn from its own (seed, index) substream and labelled as it
+would be alone, so the dataset is the same bits however the indices are
+chunked, and an error names the scenario by its index within the call.
 """
 
 from __future__ import annotations
@@ -243,15 +243,11 @@ def generate_platoon_dataset(n_samples: int, ranges: PlatoonRanges | None = None
             f"n_samples and start must be non-negative, got {n_samples} and {start}")
     ranges = ranges or PlatoonRanges()
     workers = _pool_workers(n_samples)
-    if workers > 1:
-        cuts = [n_samples * k // workers for k in range(workers + 1)]
-        chunks = fork_map(_labelled_chunk, (ranges, seed, start),
-                          [(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])], workers)
-        x = np.concatenate([rows for rows, _ in chunks])
-        y = np.concatenate([labels for _, labels in chunks])
-    else:
-        x, reception = _scenario_rows(n_samples, ranges, seed, start)
-        y = _simulate_batch(x, reception, Physics())
+    cuts = [n_samples * k // workers for k in range(workers + 1)]
+    chunks = fork_map(_labelled_chunk, (ranges, seed, start),
+                      [(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])], workers)
+    x = np.concatenate([rows for rows, _ in chunks])
+    y = np.concatenate([labels for _, labels in chunks])
     provenance = {"generator": "platoon", "seed": int(seed), "n": n_samples,
                   "ranges": ranges.to_record()}
     if start:
@@ -269,9 +265,10 @@ _POOL_MIN_SCENARIOS = 1000
 
 
 def _pool_workers(n_samples: int) -> int:
-    """How many processes should generate ``n_samples`` scenarios; 1 means
-    in-process.  The simulator works elementwise and calls no BLAS, so
-    unlike family training this gate needs no BLAS-thread check."""
+    """How many chunks, each labelled by its own process, ``n_samples``
+    scenarios are cut into; 1 means one chunk, in-process.  The simulator
+    works elementwise and calls no BLAS, so unlike family training this gate
+    needs no BLAS-thread check."""
     return 1 if n_samples < _POOL_MIN_SCENARIOS else fork_cpus()
 
 
@@ -279,7 +276,7 @@ def _labelled_chunk(job: tuple, chunk: tuple) -> tuple:
     """Feature rows and labels of the ``count`` scenarios from ``first`` on,
     ``chunk = (first, count)``, of the ``generate_platoon_dataset`` call
     ``job = (ranges, seed, start)``; an error names a scenario by its index
-    within that call, as the serial run does."""
+    within that call."""
     ranges, seed, start = job
     first, count = chunk
     x, reception = _scenario_rows(count, ranges, seed, start + first)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from saferegions import Dataset, pipeline
 from saferegions.cli import main
 
 
@@ -272,6 +273,34 @@ def test_boundary_grid_rejects_non_2d(tmp_path, capsys):
         risk={"eps": [0.5], "delta": 0.5})
     assert main(["boundary-grid", "--config", str(config)]) == 1
     assert "2-D" in capsys.readouterr().err
+
+
+_IDENTITY_3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("generator", ["gaussian", "platoon", "csv"])
+def test_boundary_grid_rejects_non_2d_before_drawing_any_data(tmp_path, capsys, monkeypatch,
+                                                              generator):
+    # a 40-D platoon config once trained its families before the check
+    def unreachable(*args, **kwargs):
+        raise AssertionError("data drawn or a family trained before the 2-D check")
+
+    monkeypatch.setattr(pipeline, "build_datasets", unreachable)
+    monkeypatch.setattr(pipeline, "train_families", unreachable)
+    data = {"generator": generator, "n_train": 40, "n_test": 40}
+    if generator == "gaussian":
+        data["gaussian"] = {"mu_safe": [-1.0] * 3, "mu_unsafe": [1.0] * 3,
+                            "cov_safe": _IDENTITY_3, "cov_unsafe": _IDENTITY_3}
+    elif generator == "csv":
+        train = tmp_path / "train.csv"
+        Dataset(x=np.zeros((4, 3)), y=np.array([1, -1, 1, -1])).to_csv(train)
+        data = {"generator": "csv",
+                "paths": {split: str(train) for split in ("train", "calib", "test")}}
+    config = _write_config(tmp_path, data=data, risk={"eps": [0.5], "delta": 0.5})
+    out = tmp_path / "grids"
+    assert main(["boundary-grid", "--config", str(config), "--out", str(out)]) == 1
+    assert "2-D" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_recomputes_from_run_dir(tmp_path, capsys):

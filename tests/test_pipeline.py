@@ -129,9 +129,9 @@ def test_evaluate_saved_simulates_only_the_platoon_train_and_test_splits(tmp_pat
     simulated = []
     real_simulate = platoon._simulate_batch
 
-    def counting(x, reception, physics):
+    def counting(x, reception, physics, first=0):
         simulated.append(len(x))
-        return real_simulate(x, reception, physics)
+        return real_simulate(x, reception, physics, first)
 
     monkeypatch.setattr(platoon, "_simulate_batch", counting)
     evaluate_saved(result.output_dir)
@@ -464,6 +464,21 @@ def test_a_reused_run_directory_holds_what_a_fresh_run_writes(tmp_path):
     fresh = run_experiment(ExperimentConfig.from_mapping(fresh_raw)).output_dir
     assert sorted(_run_files(reused)) == ["membership_svm_eps_0.5.csv",
                                           "models/svm_eps_0.5.json", "report.csv"]
+    assert _run_files(reused) == _run_files(fresh)
+
+
+def test_a_reused_run_directory_keeps_no_report_a_run_without_evaluation_skips(tmp_path):
+    # a run with evaluate=False writes no report, and once left the earlier
+    # run's four-row report.csv beside its one model
+    wide = _raw(tmp_path, risk={"eps": [0.1, 0.5], "delta": 0.5},
+                classifier={"variants": ["svm", "lr"], "etas": [1.0], "taus": [0.5],
+                            "kernels": [{"kind": "linear"}]})
+    run_experiment(ExperimentConfig.from_mapping(wide))
+    narrow = _raw(tmp_path, risk={"eps": [0.5], "delta": 0.5})
+    reused = run_experiment(ExperimentConfig.from_mapping(narrow), evaluate=False).output_dir
+    fresh_raw = dict(narrow, output_dir=str(tmp_path / "fresh"))
+    fresh = run_experiment(ExperimentConfig.from_mapping(fresh_raw), evaluate=False).output_dir
+    assert sorted(_run_files(reused)) == ["models/svm_eps_0.5.json"]
     assert _run_files(reused) == _run_files(fresh)
 
 

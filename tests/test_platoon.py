@@ -6,6 +6,7 @@ a ``Physics`` record of constants."""
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -262,9 +263,9 @@ def test_generation_constructs_no_scenario_object(monkeypatch):
         filled.append(row.base is not None)
         return _fill_row(row, *fields)
 
-    def simulate(x, reception, physics):
+    def simulate(x, reception, physics, first=0):
         batches.append((x.shape, reception.shape))
-        return _simulate_batch(x, reception, physics)
+        return _simulate_batch(x, reception, physics, first)
 
     monkeypatch.setattr(platoon, "_fill_row", fill)
     monkeypatch.setattr(platoon, "_simulate_batch", simulate)
@@ -398,6 +399,27 @@ _needs_fork = pytest.mark.skipif(platoon.fork_cpus() < 2,
                                  reason="forked generation needs fork and two CPUs")
 
 
+def _task_and_pid(failing, task):
+    if task == failing:
+        raise ValueError(f"task {task} failed")
+    return task, os.getpid()
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=_needs_fork)])
+def test_fork_map_keeps_task_order_and_propagates_errors(workers):
+    # below two workers every task runs in this process and no child starts
+    import multiprocessing
+
+    results = forkpool.fork_map(_task_and_pid, None, range(5), workers)
+    assert [task for task, _ in results] == list(range(5))
+    in_process = {pid for _, pid in results} == {os.getpid()}
+    assert in_process == (workers < 2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match="task 3 failed"):
+        forkpool.fork_map(_task_and_pid, 3, range(5), workers)
+    assert multiprocessing.active_children() == []
+
+
 def _generated(monkeypatch, n_samples, start, *, forked):
     """``generate_platoon_dataset(n_samples, seed=9, start=start)`` with the
     fork pool forced on or off, and the chunks the pool was given."""
@@ -420,7 +442,7 @@ def test_forked_generation_equals_serial_generation(monkeypatch, n_samples, star
 
     serial, none = _generated(monkeypatch, n_samples, start, forked=False)
     forked, chunks = _generated(monkeypatch, n_samples, start, forked=True)
-    assert none == []
+    assert none == [(0, n_samples)]
     # one contiguous chunk per worker, covering the call's indices in order
     assert len(chunks) == platoon._pool_workers(n_samples)
     assert [first for first, _ in chunks] == np.cumsum([0] + [c for _, c in chunks])[:-1].tolist()
