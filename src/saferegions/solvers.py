@@ -25,9 +25,11 @@ representations"), checked after n/4 pivots:
   the residual trace falls to ``1e-12 * trace(K)``, giving
   K~ = G G^T + diag(res) with k <= n columns.  The interior point solves
   its Newton systems by the Sherman-Morrison-Woodbury identity through a
-  k x k capacitance matrix, at O(n k^2) per iteration.  Its iterate is
-  snapped onto nearby bounds and its equality mass restored exactly before
-  pairwise finishing.
+  k x k capacitance matrix, formed by one SYRK at O(n k^2 / 2) per
+  iteration; its solves go through the factor and the diagonal alone.  Its
+  iterate is snapped onto bounds within 1e-6 * C of it and its equality
+  mass restored exactly before pairwise finishing, which then needs tens
+  of updates on a 2-D Gaussian family where a 1e-9 * C snap left thousands.
 
 A solve pivots K itself unless its caller passes that first pivoting
 (``first_pivoting``): a family whose members share one Gram pivots it once
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
 
 REFRESH_EVERY = 5000
 CURV_FLOOR = 1e-12
@@ -49,7 +52,11 @@ _IP_BOUNDARY = 0.995
 # Looser tolerances leave a warm start far enough off that pairwise
 # finishing needs orders of magnitude more updates.
 _RANK_RTOL = 1e-12
-_SNAP_REL = 1e-9
+# Interior-point coordinates within this share of C of a bound start pairwise
+# finishing on it.  At 1e-9 the coordinates between 1e-9 and 1e-6 of C each
+# cost an update: 3350 to 3997 a bench svdd_family draw, 53,680 on the
+# criterion-08 family, against 25 to 86 and 623 at 1e-6.
+_SNAP_REL = 1e-6
 # A Gram whose residual trace after n/4 pivots is still this share of
 # trace(K) is full rank: pairwise ascent alone converges on it in a few
 # updates per coordinate (at most 2.95 n updates on the standardized 40-D
@@ -217,15 +224,20 @@ def _interior_point(K, s, C, q, scale, mass, G, res):
     Minimizes (scale/2) a^T Q a - q^T a over the box with s^T a = mass,
     where Q = (s s^T) * K~ is taken on the pivoted Cholesky approximation
     K~ = G G^T + diag(res) of K, using a predictor-corrector scheme.  Each
-    Newton system is solved by the Sherman-Morrison-Woodbury identity
-    through the k x k capacitance matrix I + V^T E^-1 V (V = sqrt(scale)
-    diag(s) G), at O(n k^2) per factor.  Returns the primal iterate when
-    the barrier parameter and KKT residuals are driven to near float
-    precision, or the best iterate at the iteration cap; the caller
-    certifies optimality separately.
+    Newton system (V V^T + diag(E)) x = b, with V = sqrt(scale) diag(s) G
+    kept in Fortran order, is solved by the Sherman-Morrison-Woodbury
+    identity through the k x k capacitance matrix I + V^T E^-1 V: one
+    dsyrk on V / sqrt(E) forms its lower triangle at O(n k^2 / 2) per
+    factor, and each solve is y - V cap^-1 V^T y / E with y = b / E, so no
+    V / E is formed.  A factor of no columns has an empty capacitance and
+    the solves are b / E, with no BLAS call on an empty matrix.  Returns
+    the primal iterate when the barrier parameter and KKT residuals are
+    driven to near float precision, or the best iterate at the iteration
+    cap; the caller certifies optimality separately.
     """
-    n = C.size
-    V = np.sqrt(scale) * (s[:, None] * G)
+    n, k = G.shape
+    # Fortran order, so dsyrk reads each scaled copy of V without a transpose
+    V = np.asfortranarray(np.sqrt(scale) * (s[:, None] * G))
     # s holds signs, so diag(s) diag(res) diag(s) = diag(res)
     d = scale * res
     alpha = 0.5 * C
@@ -252,20 +264,24 @@ def _interior_point(K, s, C, q, scale, mass, G, res):
         ridge = ridge_base
         for _try in range(6):
             E = D + ridge + d
-            W = V / E[:, None]
-            cap = V.T @ W
-            cap.flat[::cap.shape[0] + 1] += 1.0
+            if k == 0:
+                break
+            # the lower triangle only, all that cho_factor(lower=True) reads
+            cap = dsyrk(1.0, V / np.sqrt(E)[:, None], trans=1, lower=1)
+            cap.flat[::k + 1] += 1.0
             try:
                 factor = cho_factor(cap, lower=True, overwrite_a=True, check_finite=False)
                 break
             except np.linalg.LinAlgError:
                 ridge *= 100.0
-        if factor is None:
+        if factor is None and k > 0:
             break
 
         def solve(b):
             y = b / E
-            return y - W @ cho_solve(factor, V.T @ y, check_finite=False)
+            if k == 0:
+                return y
+            return y - (V @ cho_solve(factor, V.T @ y, check_finite=False)) / E
 
         h_a = solve(s)
         denom = float(s @ h_a)

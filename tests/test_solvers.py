@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from saferegions import Hyperparameters, KernelSpec, solvers
 from saferegions.classifiers import box_bounds
+from saferegions.datagen import GaussianSpec, sample_gaussian
 from saferegions.kernels import gram
 from saferegions.solvers import (
     _interior_point,
@@ -284,3 +287,41 @@ def test_restore_mass_spreads_drift_beyond_any_single_room():
         assert abs(float(s @ fixed) - (base + drift)) <= 1e-12
         assert (fixed >= 0.0).all() and (fixed <= C).all()
     assert np.array_equal(_restore_mass(alpha, s, C, base), alpha)
+
+
+def test_rank_zero_and_rank_one_grams_solve_silently(capfd):
+    # the zero Gram pivots to a factor of no columns and the all-ones Gram
+    # to one; neither may hand BLAS an empty matrix, which OpenBLAS reports
+    # through C stdio (on stdout here) and carries on
+    y = np.array([1, -1, 1, -1, 1, -1])
+    C = box_bounds(Hyperparameters(eta=0.5, tau=0.5, kernel=KernelSpec(kind="linear")), y)
+    for K, rank in ((np.zeros((6, 6)), 0), (np.ones((6, 6)), 1)):
+        assert _pivoted_cholesky(K, 6)[0].shape[1] == rank
+        for problem in _svm_and_svdd_forms(K, y, C):
+            _assert_matches_oracle(problem, solve_box_qp(*problem, 1e-8, 100_000))
+    libc = ctypes.CDLL(None)
+    libc.fflush.argtypes = [ctypes.c_void_p]
+    libc.fflush(None)   # C stdio buffers a redirected stdout
+    assert capfd.readouterr() == ("", "")
+
+
+def test_low_rank_warm_start_places_the_bounds_before_finishing():
+    # an SVDD dual on 2-D Gaussian mixture data whose wide Gaussian Gram
+    # takes the low-rank route (21 columns; on narrower ones qp_oracle
+    # needs 10 s to minutes); most coordinates end on a bound, and a snap
+    # at 1e-9 * C leaves 61 of them for pairwise finishing, one update
+    # each, where 1e-6 * C leaves one update in all
+    n = 120
+    data = sample_gaussian(GaussianSpec(outlier_prob=0.1), n, 8)
+    spec = KernelSpec(kind="gaussian", gamma=0.003)
+    K = gram(spec, data.x)
+    assert _pivoted_cholesky(K, n // 4)[0] is not None
+    C = box_bounds(Hyperparameters(eta=0.01, tau=0.1, kernel=spec), data.y)
+    svdd = list(_svm_and_svdd_forms(K, data.y, C))[1]
+    K, s, C, alpha0, q, scale = svdd
+    tol = 1e-6
+    alpha, g, iters, residual, converged, gap = solve_box_qp(*svdd, tol, 100_000)
+    assert converged and iters <= 10
+    assert _kkt_gap(K, s, C, alpha, q, scale) <= tol
+    _, oracle_obj = qp_oracle(K, s, C, q, scale, float(s @ alpha0))
+    assert abs(ascent_objective(K, s, alpha, q, scale) - oracle_obj) <= 1e-6
