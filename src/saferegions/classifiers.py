@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import InvalidArgument, TrainingError
 from .kernels import KernelSpec, gram, kernel_diag, kernel_matrix, kernel_workspace
-from .solvers import DEFAULT_MAX_UPDATES, ascent_objective, solve_box_qp
+from .solvers import DEFAULT_MAX_UPDATES, _violating_pair, ascent_objective, solve_box_qp
 from .validation import checked_int, checked_real, training_arrays
 
 __all__ = [
@@ -170,24 +170,31 @@ def _fit_box_dual(x, y, K, s, C, alpha0, q, scale, settings: TrainSettings,
     ``pivoting`` is the shared first pivoting of K, if the caller has one.
 
     Returns ``(alpha, g, gap, inside, at_upper, fields)``: the solution, its
-    gradient and violation gap, the coordinates strictly inside their box and
-    those at its top (both by _BOUND_REL), and the model fields ``support_*``
-    of the coordinates with alpha > 0 plus ``diagnostics``, to which the
-    caller adds the flags of its offset or radius recovery.
+    gradient, the coordinates strictly inside their box and those at its top
+    (both by _BOUND_REL), the optimality interval ``gap = (m, M)`` of
+    ``s * g`` under that same classification, and the model fields
+    ``support_*`` of the coordinates with alpha > 0 plus ``diagnostics``, to
+    which the caller adds the flags of its offset or radius recovery.
     """
     max_iter = settings.max_iter if settings.max_iter is not None else DEFAULT_MAX_UPDATES
-    alpha, g, iters, residual, converged, gap = solve_box_qp(
+    alpha, g, iters, residual, converged, _ = solve_box_qp(
         K, s, C, alpha0, q, scale, settings.tol, max_iter, pivoting)
     if not converged:
         raise TrainingError(
             f"dual solver stopped at residual {residual:.3e} > tol={settings.tol} "
             f"after {iters} updates")
     at_upper = alpha >= C * (1.0 - _BOUND_REL)
-    inside = (alpha > _BOUND_REL * C) & ~at_upper
+    at_lower = alpha <= _BOUND_REL * C
+    inside = ~at_lower & ~at_upper
+    # the solver's interval compares alpha with 0 and C exactly, so a
+    # coordinate a rounding residue off its bound would move it
+    pos = s > 0
+    _, m, M = _violating_pair(s * g, np.where(pos, ~at_upper, ~at_lower),
+                              np.where(pos, ~at_lower, ~at_upper))
     diagnostics = TrainingDiagnostics(iterations=iters, residual=residual, converged=True,
                                       objective=ascent_objective(K, s, alpha, q, scale))
     support = alpha > 0.0
-    return alpha, g, gap, inside, at_upper, {
+    return alpha, g, (m, M), inside, at_upper, {
         "support_x": x[support].copy(), "support_alpha": alpha[support].copy(),
         "support_y": y[support].copy(), "diagnostics": diagnostics}
 

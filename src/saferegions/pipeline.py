@@ -159,10 +159,16 @@ def write_resolved_config(config: ExperimentConfig) -> Path:
     return path
 
 
-def _write_table(path: Path, header: list, table: np.ndarray) -> None:
+def _row_prefixes(table: np.ndarray) -> list:
+    """The ``index,label`` bytes of each row of a ``_membership_table``, the
+    same in every table of a run, formatted as ``write_csv`` formats them."""
+    return [f"{i},{label}".encode() for i, label in table[:, :2].tolist()]
+
+
+def _write_table(path: Path, header: list, table: np.ndarray, prefixes: list) -> None:
     """A ``_membership_table`` as csv, the same bytes ``write_csv`` writes for
-    its rows: the index and label of each row are formatted one by one, the
-    0/1 member columns as one byte matrix of ``,0``/``,1`` cells."""
+    its rows: each row's ``_row_prefixes`` entry, then the 0/1 member columns
+    as one byte matrix of ``,0``/``,1`` cells."""
     n, width = table.shape
     cells = np.empty((n, 2 * (width - 2) + 1), dtype=np.uint8)
     cells[:, 0:-1:2] = ord(",")
@@ -172,8 +178,8 @@ def _write_table(path: Path, header: list, table: np.ndarray) -> None:
     step = cells.shape[1]
     with path.open("wb") as handle:
         handle.write((",".join(header) + "\n").encode())
-        handle.write(b"".join(f"{i},{label}".encode() + tails[row * step:(row + 1) * step]
-                              for row, (i, label) in enumerate(table[:, :2].tolist())))
+        handle.write(b"".join(prefix + tails[row * step:(row + 1) * step]
+                              for row, prefix in enumerate(prefixes)))
 
 
 def _membership_table(labels: np.ndarray, margins: np.ndarray, live: list) -> np.ndarray:
@@ -310,11 +316,13 @@ def _write_outputs(result: ExperimentResult, memberships: dict | None) -> None:
     for key, family_result in result.family_results.items():
         selected = family_result.selected
         save_model(selected.model, model_files[key], certificate=selected.certificate)
+    # every table holds the same test points, so one set of row prefixes
+    prefixes = _row_prefixes(next(iter(memberships.values()))) if membership_files else []
     for key, path in membership_files.items():
         # per-point membership table so every Pr{} cell can be recomputed
         live = _live(result.family_results[key].members)
         header = ["index", "label"] + [f"member_{m.index}" for m in live]
-        _write_table(path, header, memberships[key])
+        _write_table(path, header, memberships[key], prefixes)
 
     files["models"] = list(model_files.values())
     files["membership"] = list(membership_files.values())

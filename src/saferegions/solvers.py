@@ -22,14 +22,19 @@ representations"), checked after n/4 pivots:
   alone converges in a few updates per coordinate; if it has not within
   ``10 n`` updates, the solve pivots again for the interior-point route.
 - interior-point route: every other Gram.  The same pivoting goes on until
-  the residual trace falls to ``1e-12 * trace(K)``, giving
+  the residual trace falls to ``1e-10 * trace(K)``, giving
   K~ = G G^T + diag(res) with k <= n columns.  The interior point solves
   its Newton systems by the Sherman-Morrison-Woodbury identity through a
   k x k capacitance matrix, formed by one SYRK at O(n k^2 / 2) per
-  iteration; its solves go through the factor and the diagonal alone.  Its
-  iterate is snapped onto bounds within 1e-6 * C of it and its equality
-  mass restored exactly before pairwise finishing, which then needs tens
-  of updates on a 2-D Gaussian family where a 1e-9 * C snap left thousands.
+  iteration; its solves go through the factor and the diagonal alone.  Far
+  from the optimum it iterates on a prefix of the factor, the pivoting
+  stopped at ``1e-8 * trace(K)`` (an inexact Newton direction, as in
+  Gondzio 2013, "Convergence analysis of an inexact feasible interior point
+  method for convex quadratic programming"), and it takes its last
+  iterations on the whole factor.  Its iterate is snapped onto bounds
+  within 1e-6 * C of it and its equality mass restored exactly before
+  pairwise finishing, which then needs tens of updates on a 2-D Gaussian
+  family where a 1e-9 * C snap left thousands.
 
 A solve pivots K itself unless its caller passes that first pivoting
 (``first_pivoting``): a family whose members share one Gram pivots it once
@@ -49,9 +54,28 @@ DEFAULT_MAX_UPDATES = 100_000
 _IP_MAX_ITERS = 100
 _IP_BOUNDARY = 0.995
 # Pivoted Cholesky stops once the residual trace is this share of trace(K).
-# Looser tolerances leave a warm start far enough off that pairwise
-# finishing needs orders of magnitude more updates.
-_RANK_RTOL = 1e-12
+# The interior point's last iterations run on this factor, so it bounds how
+# far off the warm start is.  Loosened alone it is a cliff: at 1e-8 the
+# criterion-08 family needed 165,536 pair updates (one member 51,057)
+# against 1042 at 1e-10 (623 at 1e-12), and at 1e-7 13 members of 12 bench
+# svdd_family draws (seeds 1-4) failed.  The coarse prefix below neglects
+# more than this, because the whole factor takes over before the stop.
+_RANK_RTOL = 1e-10
+# The interior point first iterates on the fewest leading columns of the
+# factor that neglect at most this share of trace(K).  Swept serially on
+# three bench svdd_family draws (seed 5) and the criterion-08 family at
+# 1e-9/1e-8/1e-7/1e-6: capacitance work (k^2 summed over factorizations)
+# fell by 13/26/34/29% on the draws and 12/24/29/20% on criterion 08,
+# against the whole factor throughout; criterion-08 pair updates read
+# 1205/725/926/1096 (1042 throughout) and its training CPU 3.9/3.5/3.6/3.9 s
+# (4.3 s).
+_COARSE_RTOL = 1e-8
+# The interior point moves to the whole factor once mu is at most this share
+# of dyn.  Same sweep, prefix at 1e-8, switch at 1e-6/1e-7/1e-8/1e-9/1e-10:
+# capacitance work fell by 14/21/26/28/26% on the draws and 12/17/24/24/7%
+# on criterion 08, whose pair updates read 845/1277/725/775/482 and
+# factorizations 596/596/599/632/749 (595 with the whole factor throughout).
+_COARSE_MU = 1e-8
 # Interior-point coordinates within this share of C of a bound start pairwise
 # finishing on it.  At 1e-9 the coordinates between 1e-9 and 1e-6 of C each
 # cost an update: 3350 to 3997 a bench svdd_family draw, 53,680 on the
@@ -218,43 +242,72 @@ def first_pivoting(K):
     return G, res
 
 
+def _coarse_prefix(G, res, trace):
+    """``(k1, res1)`` for the coarse phase of the interior point: k1 is the
+    fewest leading columns of the factor whose neglected trace, ``res.sum()``
+    plus the squared norms of the columns dropped, is at most
+    ``_COARSE_RTOL * trace``, and ``res1`` is ``res`` plus the dropped
+    columns' squared row norms.  ``G[:, :k1]`` with ``res1`` is the pivoted
+    Cholesky stopped after k1 pivots, up to rounding."""
+    k = G.shape[1]
+    # the neglected trace of each prefix; it does not grow along the prefix
+    dropped = np.append(np.cumsum(np.einsum("ij,ij->j", G, G)[::-1])[::-1], 0.0)
+    k1 = min(k, int(np.count_nonzero(float(res.sum()) + dropped > _COARSE_RTOL * trace)))
+    return k1, res + np.einsum("ij,ij->i", G[:, k1:], G[:, k1:])
+
+
 def _interior_point(K, s, C, q, scale, mass, G, res):
     """Primal-dual path following for the dual quadratic.
 
     Minimizes (scale/2) a^T Q a - q^T a over the box with s^T a = mass,
     where Q = (s s^T) * K~ is taken on the pivoted Cholesky approximation
-    K~ = G G^T + diag(res) of K, using a predictor-corrector scheme.  Each
-    Newton system (V V^T + diag(E)) x = b, with V = sqrt(scale) diag(s) G
-    kept in Fortran order, is solved by the Sherman-Morrison-Woodbury
-    identity through the k x k capacitance matrix I + V^T E^-1 V: one
-    dsyrk on V / sqrt(E) forms its lower triangle at O(n k^2 / 2) per
-    factor, and each solve is y - V cap^-1 V^T y / E with y = b / E, so no
-    V / E is formed.  A factor of no columns has an empty capacitance and
-    the solves are b / E, with no BLAS call on an empty matrix.  Returns
-    the primal iterate when the barrier parameter and KKT residuals are
-    driven to near float precision, or the best iterate at the iteration
-    cap; the caller certifies optimality separately.
+    K~ = G G^T + diag(res) of K, using a predictor-corrector scheme.  The
+    first iterations take K~ on the ``_coarse_prefix`` of G instead, with
+    the dropped columns on the diagonal; once the barrier parameter mu is at
+    most ``_COARSE_MU`` times the dynamic range of q, the gradient and dual
+    residual are taken again at that iterate on the whole of G, which every
+    later iteration and the stopping test use.  Each Newton system
+    (V V^T + diag(E)) x = b, with V = sqrt(scale) diag(s) G kept in Fortran
+    order, is solved by the Sherman-Morrison-Woodbury identity through the
+    k x k capacitance matrix I + V^T E^-1 V: one dsyrk on V / sqrt(E) forms
+    its lower triangle at O(n k^2 / 2) per factor, and each solve is
+    y - V cap^-1 V^T y / E with y = b / E, so no V / E is formed.  A
+    factor, or a prefix, of no columns has an empty capacitance and the
+    solves are b / E, with no BLAS call on an empty matrix.  Returns the
+    primal iterate when the barrier parameter and KKT residuals are driven
+    to near float precision, or the best iterate at the iteration cap; the
+    caller certifies optimality separately.
     """
     n, k = G.shape
-    # Fortran order, so dsyrk reads each scaled copy of V without a transpose
-    V = np.asfortranarray(np.sqrt(scale) * (s[:, None] * G))
+    trace = float(np.trace(K))
+    # Fortran order, so dsyrk reads each scaled copy of V (and of any prefix
+    # of its columns) without a transpose
+    V_full = np.asfortranarray(np.sqrt(scale) * (s[:, None] * G))
     # s holds signs, so diag(s) diag(res) diag(s) = diag(res)
-    d = scale * res
+    d_full = scale * res
+    k1, res1 = _coarse_prefix(G, res, trace)
+    V = V_full[:, :k1]
+    d = scale * res1
     alpha = 0.5 * C
     z_scale = max(1.0, float(np.abs(q).max()))
     z_lo = np.full(n, z_scale)
     z_hi = np.full(n, z_scale)
     nu = 0.0
     dyn = 1.0 + float(np.abs(q).max())
-    ridge_base = 1e-13 * (1.0 + scale * float(np.trace(K)) / n)
+    ridge_base = 1e-13 * (1.0 + scale * trace / n)
     for _ in range(_IP_MAX_ITERS):
         slack_hi = C - alpha
-        grad = V @ (V.T @ alpha) + d * alpha - q
-        r_d = grad + nu * s - z_lo + z_hi
-        r_p = float(s @ alpha - mass)
         comp_lo = alpha * z_lo
         comp_hi = slack_hi * z_hi
         mu = (comp_lo.sum() + comp_hi.sum()) / (2 * n)
+        if V.shape[1] < k and mu <= _COARSE_MU * dyn:
+            # near the optimum: the whole factor from here on, with the
+            # residuals taken again at this iterate
+            V, d = V_full, d_full
+        width = V.shape[1]
+        grad = V @ (V.T @ alpha) + d * alpha - q
+        r_d = grad + nu * s - z_lo + z_hi
+        r_p = float(s @ alpha - mass)
         if (mu <= 1e-13 * dyn and np.abs(r_d).max() <= 1e-8 * dyn
                 and abs(r_p) <= 1e-10 * (1.0 + abs(mass))):
             break
@@ -264,22 +317,22 @@ def _interior_point(K, s, C, q, scale, mass, G, res):
         ridge = ridge_base
         for _try in range(6):
             E = D + ridge + d
-            if k == 0:
+            if width == 0:
                 break
             # the lower triangle only, all that cho_factor(lower=True) reads
             cap = dsyrk(1.0, V / np.sqrt(E)[:, None], trans=1, lower=1)
-            cap.flat[::k + 1] += 1.0
+            cap.flat[::width + 1] += 1.0
             try:
                 factor = cho_factor(cap, lower=True, overwrite_a=True, check_finite=False)
                 break
             except np.linalg.LinAlgError:
                 ridge *= 100.0
-        if factor is None and k > 0:
+        if factor is None and width > 0:
             break
 
         def solve(b):
             y = b / E
-            if k == 0:
+            if width == 0:
                 return y
             return y - (V @ cho_solve(factor, V.T @ y, check_finite=False)) / E
 

@@ -29,7 +29,13 @@ from saferegions import (
     run_experiment,
     train_sc_svm,
 )
-from saferegions.pipeline import _membership_table, _write_table, build_datasets, write_csv
+from saferegions.pipeline import (
+    _membership_table,
+    _row_prefixes,
+    _write_table,
+    build_datasets,
+    write_csv,
+)
 
 
 def _raw(tmp_path, **overrides):
@@ -360,10 +366,10 @@ def test_membership_table_bytes_equal_csv_writer(tmp_path):
                                    for k, m in enumerate(live)]
             for i in range(labels.size)]
     assert table.tolist() == rows
-    _write_table(tmp_path / "fast.csv", header, table)
+    _write_table(tmp_path / "fast.csv", header, table, _row_prefixes(table))
     write_csv(tmp_path / "reference.csv", header, rows)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    _write_table(tmp_path / "empty.csv", header[:2], table[:0, :2])
+    _write_table(tmp_path / "empty.csv", header[:2], table[:0, :2], [])
     write_csv(tmp_path / "empty_reference.csv", header[:2], [])
     assert ((tmp_path / "empty.csv").read_bytes()
             == (tmp_path / "empty_reference.csv").read_bytes())
@@ -380,7 +386,7 @@ def test_membership_table_at_scale_bytes_equal_csv_writer(tmp_path, members):
     assert set(table[:, 1].tolist()) == {-1, 1}
     assert members == 0 or set(table[:, 2:].ravel().tolist()) == {0, 1}
     header = ["index", "label"] + [f"member_{k}" for k in range(members)]
-    _write_table(tmp_path / "fast.csv", header, table)
+    _write_table(tmp_path / "fast.csv", header, table, _row_prefixes(table))
     write_csv(tmp_path / "reference.csv", header, table.tolist())
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 

@@ -305,19 +305,24 @@ def test_rank_zero_and_rank_one_grams_solve_silently(capfd):
     assert capfd.readouterr() == ("", "")
 
 
-def test_low_rank_warm_start_places_the_bounds_before_finishing():
-    # an SVDD dual on 2-D Gaussian mixture data whose wide Gaussian Gram
-    # takes the low-rank route (21 columns; on narrower ones qp_oracle
-    # needs 10 s to minutes); most coordinates end on a bound, and a snap
-    # at 1e-9 * C leaves 61 of them for pairwise finishing, one update
-    # each, where 1e-6 * C leaves one update in all
+def _identification_problem():
+    """An SVDD dual on n=120 2-D Gaussian mixture points whose wide Gaussian
+    Gram takes the low-rank route (17 columns; on narrower ones qp_oracle
+    needs 10 s to minutes), as ``(K, s, C, alpha0, q, scale)``."""
     n = 120
     data = sample_gaussian(GaussianSpec(outlier_prob=0.1), n, 8)
     spec = KernelSpec(kind="gaussian", gamma=0.003)
     K = gram(spec, data.x)
     assert _pivoted_cholesky(K, n // 4)[0] is not None
     C = box_bounds(Hyperparameters(eta=0.01, tau=0.1, kernel=spec), data.y)
-    svdd = list(_svm_and_svdd_forms(K, data.y, C))[1]
+    return list(_svm_and_svdd_forms(K, data.y, C))[1]
+
+
+def test_low_rank_warm_start_places_the_bounds_before_finishing():
+    # most coordinates end on a bound, and a snap at 1e-9 * C leaves 61 of
+    # them for pairwise finishing, one update each, where 1e-6 * C leaves
+    # one update in all
+    svdd = _identification_problem()
     K, s, C, alpha0, q, scale = svdd
     tol = 1e-6
     alpha, g, iters, residual, converged, gap = solve_box_qp(*svdd, tol, 100_000)
@@ -325,3 +330,48 @@ def test_low_rank_warm_start_places_the_bounds_before_finishing():
     assert _kkt_gap(K, s, C, alpha, q, scale) <= tol
     _, oracle_obj = qp_oracle(K, s, C, q, scale, float(s @ alpha0))
     assert abs(ascent_objective(K, s, alpha, q, scale) - oracle_obj) <= 1e-6
+
+
+def test_coarse_prefix_is_the_pivoting_stopped_early(monkeypatch):
+    # the prefix of the factor with the dropped columns folded into the
+    # diagonal keeps K's diagonal and neglects at most _COARSE_RTOL of its
+    # trace; it is what pivoting stopped at that share would give
+    K = _identification_problem()[0]
+    n = K.shape[0]
+    trace = float(np.trace(K))
+    G, res, _ = _pivoted_cholesky(K, n)
+    k1, res1 = solvers._coarse_prefix(G, res, trace)
+    assert 0 < k1 < G.shape[1]
+    diagonal = np.einsum("ij,ij->i", G[:, :k1], G[:, :k1]) + res1
+    assert np.abs(diagonal - (np.einsum("ij,ij->i", G, G) + res)).max() <= 1e-14
+    assert np.abs(diagonal - np.diagonal(K)).max() <= 1e-14
+    assert res1.sum() <= solvers._COARSE_RTOL * trace
+    # one column fewer would neglect more than that share
+    assert res1.sum() + float(G[:, k1 - 1] @ G[:, k1 - 1]) > solvers._COARSE_RTOL * trace
+    monkeypatch.setattr(solvers, "_RANK_RTOL", solvers._COARSE_RTOL)
+    stopped, stopped_res, _ = _pivoted_cholesky(K, n)
+    assert np.array_equal(stopped, G[:, :k1])
+    assert np.abs(stopped_res - res1).max() <= 1e-14
+
+
+def test_interior_point_moves_from_the_prefix_to_the_whole_factor(monkeypatch):
+    # the first capacitance factorizations use the coarse prefix (13 of 17
+    # columns here) and the last, where the interior point stops, all of them
+    svdd = _identification_problem()
+    K, s, C, alpha0, q, scale = svdd
+    G, res, _ = _pivoted_cholesky(K, K.shape[0])
+    k1, _ = solvers._coarse_prefix(G, res, float(np.trace(K)))
+    widths = []
+
+    def spy(alpha, a, _inner=solvers.dsyrk, **kwargs):
+        widths.append(a.shape[1])
+        return _inner(alpha, a, **kwargs)
+
+    monkeypatch.setattr(solvers, "dsyrk", spy)
+    alpha, g, iters, residual, converged, gap = solve_box_qp(*svdd, 1e-6, 100_000)
+    assert converged and iters <= 10
+    assert k1 < G.shape[1]
+    assert widths[0] == k1 and widths[-1] == G.shape[1]
+    # one switch, never back
+    switch = widths.index(G.shape[1])
+    assert set(widths[:switch]) == {k1} and set(widths[switch:]) == {G.shape[1]}

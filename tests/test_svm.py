@@ -111,3 +111,39 @@ def test_model_round_trip(tmp_path):
     assert isinstance(loaded, ScSvmModel)
     pts = np.random.default_rng(4).normal(size=(20, 2))
     assert np.array_equal(loaded.margin(pts), model.margin(pts))
+
+
+def test_interval_offset_ignores_a_rounding_residue_below_c(monkeypatch):
+    # with no coordinate strictly inside its box the offset is the midpoint
+    # of the optimality interval (m, M); a coordinate 1e-15 * C below C, as
+    # pairwise updates can leave one, is at its top by _BOUND_REL and must
+    # not narrow that interval, as exact comparisons with C would
+    from saferegions import classifiers
+    from saferegions.solvers import pairwise_ascent, solve_box_qp
+
+    data = sample_gaussian(GaussianSpec(), 20, 2)
+    hp = Hyperparameters(eta=0.01, tau=0.5, kernel=KernelSpec(kind="linear"))
+    residue = {"share": 0.0}
+
+    def solve(K, s, C, alpha0, q, scale, tol, max_iter, pivoting=None):
+        alpha = solve_box_qp(K, s, C, alpha0, q, scale, tol, max_iter, pivoting)[0]
+        exact = pairwise_ascent(K, s, C, alpha, q, scale, np.inf, 0)[5]
+        # the first coordinate at C whose residue moves the exact interval
+        for j in np.flatnonzero(alpha == C):
+            lowered = alpha.copy()
+            lowered[j] = C[j] * (1.0 - 1e-15)
+            if pairwise_ascent(K, s, C, lowered, q, scale, np.inf, 0)[5] != exact:
+                break
+        else:
+            raise AssertionError("no coordinate at C moves the exact interval")
+        alpha[j] = C[j] * (1.0 - residue["share"])
+        return pairwise_ascent(K, s, C, alpha, q, scale, np.inf, 0)
+
+    monkeypatch.setattr(classifiers, "solve_box_qp", solve)
+    offsets = []
+    for share in (0.0, 1e-15):
+        residue["share"] = share
+        model = train_sc_svm(data, hp)
+        assert model.diagnostics.flags["offset_from_interval"]
+        offsets.append(model.offset)
+    assert offsets[0] == offsets[1]
