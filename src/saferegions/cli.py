@@ -94,19 +94,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(**flags) -> dict:
+    """The flags given on the command line, by the config field each sets."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _load_experiment(args) -> ExperimentConfig:
     if args.config is None:
         raise SafeRegionsError("--config is required for this command")
-    return load_config(args.config).with_overrides(
-        seed=args.seed, output_dir=None if args.out is None else str(args.out))
+    return replace(load_config(args.config), **_given(seed=args.seed, output_dir=args.out))
 
 
 def cmd_plan(args) -> int:
     if args.eps is None and args.config is None:
         raise SafeRegionsError("plan needs --eps or --config")
     config = ExperimentConfig() if args.config is None else load_config(args.config)
-    given = {"eps": args.eps, "delta": args.delta, "beta": args.beta, "n_c": args.n_c}
-    risk = replace(config.risk, **{k: v for k, v in given.items() if v is not None})
+    risk = replace(config.risk, **_given(eps=args.eps, delta=args.delta, beta=args.beta,
+                                         n_c=args.n_c))
     config = replace(config, risk=risk)
 
     # every plan is built, and so every value checked, before anything prints
@@ -189,19 +193,19 @@ def _feature_count(config: ExperimentConfig) -> int:
 
 def cmd_boundary_grid(args) -> int:
     config = _load_experiment(args)
+    config = replace(config, grid=replace(config.grid, **_given(resolution=args.resolution)))
     dim = _feature_count(config)
     if dim != 2:
         raise SafeRegionsError(f"boundary grids need 2-D data, got {dim} features")
     result = run_experiment(config, force_uncertified=args.force_uncertified,
                             write=False, evaluate=False)
     train = result.train_original
-    resolution = args.resolution or config.grid.resolution
     bbox = config.grid.bbox or data_bbox(train, config.grid.margin)
     out = write_resolved_config(config).parent
     for (variant, eps), family_result in result.family_results.items():
         member = family_result.selected
         rows = boundary_grid_rows(member.model, member.certificate, bbox,
-                                  resolution, scaler=result.scaler)
+                                  config.grid.resolution, scaler=result.scaler)
         path = out / f"grid_{variant}_eps_{repr(float(eps))}.csv"
         write_csv(path, ["x1", "x2", "f_value", "inside"], rows)
         print(f"wrote {path} ({len(rows)} rows)")

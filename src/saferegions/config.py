@@ -13,7 +13,7 @@ next to the outputs of every run.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -281,16 +281,9 @@ class ExperimentConfig(_Section):
             if section is not MISSING and not isinstance(getattr(self, f.name), section):
                 self._set(f.name, section.from_mapping(getattr(self, f.name)))
         self._set("seed", checked_int(self.seed, "seed"))
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be non-negative, got {self.seed}")
         self._set("output_dir", str(self.output_dir))
-
-    def with_overrides(self, seed: int | None = None,
-                       output_dir: str | None = None) -> "ExperimentConfig":
-        out = self
-        if seed is not None:
-            out = replace(out, seed=int(seed))
-        if output_dir is not None:
-            out = replace(out, output_dir=str(output_dir))
-        return out
 
 
 class _ConfigLoader(yaml.SafeLoader):

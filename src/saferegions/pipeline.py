@@ -14,6 +14,12 @@ Report columns, in order:
 joint_freq is the headline column: the fraction of all test points that are
 unsafe AND inside the region.  conditional_freq is the unsafe fraction among
 test points inside the region (empty when the region holds no test points).
+
+Each variant's test margins, one column per live member, are the one record
+of a run's test evaluation: the membership files, the report rows and the
+test cells of every row derive from them and the test labels.  An
+evaluation.csv row is the selected report row's EVALUATION_COLUMNS cells,
+recomputed from the saved model.
 """
 
 from __future__ import annotations
@@ -159,20 +165,20 @@ def write_resolved_config(config: ExperimentConfig) -> Path:
     return path
 
 
-def _row_prefixes(table: np.ndarray) -> list:
-    """The ``index,label`` bytes of each row of a ``_membership_table``, the
-    same in every table of a run, formatted as ``write_csv`` formats them."""
-    return [f"{i},{label}".encode() for i, label in table[:, :2].tolist()]
+def _row_prefixes(labels: np.ndarray) -> list:
+    """The ``index,label`` bytes of each test point, the same in every
+    membership file of a run, formatted as ``write_csv`` formats them."""
+    return [f"{i},{label}".encode() for i, label in enumerate(labels.tolist())]
 
 
-def _write_table(path: Path, header: list, table: np.ndarray, prefixes: list) -> None:
-    """A ``_membership_table`` as csv, the same bytes ``write_csv`` writes for
-    its rows: each row's ``_row_prefixes`` entry, then the 0/1 member columns
-    as one byte matrix of ``,0``/``,1`` cells."""
-    n, width = table.shape
-    cells = np.empty((n, 2 * (width - 2) + 1), dtype=np.uint8)
+def _write_table(path: Path, header: list, inside: np.ndarray, prefixes: list) -> None:
+    """A membership file, the same bytes ``write_csv`` writes for its rows:
+    each row's ``_row_prefixes`` entry, then the boolean member columns
+    ``inside`` as one byte matrix of ``,0``/``,1`` cells."""
+    n, width = inside.shape
+    cells = np.empty((n, 2 * width + 1), dtype=np.uint8)
     cells[:, 0:-1:2] = ord(",")
-    cells[:, 1:-1:2] = table[:, 2:] + ord("0")
+    cells[:, 1:-1:2] = inside + ord("0")
     cells[:, -1] = ord("\n")
     tails = cells.tobytes()
     step = cells.shape[1]
@@ -182,25 +188,24 @@ def _write_table(path: Path, header: list, table: np.ndarray, prefixes: list) ->
                               for row, prefix in enumerate(prefixes)))
 
 
-def _membership_table(labels: np.ndarray, margins: np.ndarray, live: list) -> np.ndarray:
-    """int64 columns index, label, then 1 where the point is ``in_region`` at
-    ``rho_eps`` for each live member (one margin column each, in member order)."""
-    rho = np.array([m.certificate.rho_eps for m in live], dtype=float)
-    table = np.empty((labels.size, 2 + len(live)), dtype=np.int64)
-    table[:, 0] = np.arange(labels.size)
-    table[:, 1] = labels
-    table[:, 2:] = in_region(margins, rho)
-    return table
-
-
-def _frequencies(inside: np.ndarray, margin: np.ndarray, labels: np.ndarray) -> tuple:
-    """(joint_freq, conditional_freq, accuracy_rho0) of one region on the
-    test set; conditional_freq is empty when the region holds no point."""
+def _test_cells(variant: str, hp, eps, labels: np.ndarray, cert, margin) -> dict:
+    """The cells report.csv and evaluation.csv share for one model, by column
+    name: its hyperparameters, certificate and test frequencies at its
+    certified level.  A member that failed to train (``margin`` None) has
+    no certificate or test cells."""
+    cells = {"variant": variant, "eta": float(hp.eta), "tau": float(hp.tau),
+             "kernel": hp.kernel.label(), "eps": float(eps), "n_test": labels.size}
+    if margin is None:
+        return cells
+    inside = in_region(margin, cert.rho_eps)
     joint_count = int((inside & (labels == -1)).sum())
     inside_count = int(inside.sum())
-    conditional = "" if inside_count == 0 else joint_count / inside_count
-    accuracy = float(np.mean(np.where(in_region(margin, 0.0), 1, -1) == labels))
-    return joint_count / labels.size, conditional, accuracy
+    cells.update(
+        rho_eps=cert.reported_rho, region_kind=cert.kind, certified=cert.certified,
+        confidence=float(cert.confidence), joint_freq=joint_count / labels.size,
+        conditional_freq="" if inside_count == 0 else joint_count / inside_count,
+        accuracy_rho0=float(np.mean(np.where(in_region(margin, 0.0), 1, -1) == labels)))
+    return cells
 
 
 def _live(members: list) -> list:
@@ -209,28 +214,21 @@ def _live(members: list) -> list:
 
 
 def _member_rows(variant: str, eps_value: float, result: FamilyResult,
-                 margins: np.ndarray, table: np.ndarray) -> list:
-    """Report rows of one (variant, eps) family; ``margins`` and the member
-    columns of its ``_membership_table`` hold one column per live member."""
-    labels = table[:, 1]
-    n_test = labels.size
+                 margins: np.ndarray, labels: np.ndarray) -> list:
+    """Report rows of one (variant, eps) family; ``margins`` holds one test
+    margin column per live member."""
+    plan = result.plan
     column = {m.index: k for k, m in enumerate(_live(result.members))}
     rows = []
     for member in result.members:
-        hp = member.hyperparameters
-        cert = member.certificate
-        base = [variant, member.index, float(hp.eta), float(hp.tau), hp.kernel.label(),
-                float(eps_value), float(result.plan.delta), float(result.plan.beta),
-                result.plan.r, result.plan.n_c]
-        if member.failed:
-            rows.append(base + ["", "", "", "", "", "", "", "", "", n_test, 0])
-            continue
-        k = column[member.index]
-        joint, conditional, accuracy = _frequencies(table[:, 2 + k] == 1, margins[:, k], labels)
-        rows.append(base + [cert.n_U, cert.reported_rho, cert.kind, cert.certified,
-                            float(cert.confidence), float(member.score), joint,
-                            conditional, accuracy, n_test,
-                            int(member.index == result.selected_index)])
+        margin = None if member.failed else margins[:, column[member.index]]
+        cells = _test_cells(variant, member.hyperparameters, eps_value, labels,
+                            member.certificate, margin)
+        cells.update(member=member.index, delta=float(plan.delta), beta=float(plan.beta),
+                     r=plan.r, n_c=plan.n_c, selected=int(member.index == result.selected_index))
+        if not member.failed:
+            cells.update(n_U=member.certificate.n_U, J=float(member.score))
+        rows.append([cells.get(name, "") for name in REPORT_COLUMNS])
     return rows
 
 
@@ -256,31 +254,28 @@ def run_experiment(config: ExperimentConfig, *, force_uncertified: bool = False,
         calibs = dict(zip(plans, rest))
 
     settings = config.classifier.train_settings()
-    labels = test.y
     family_results: dict = {}
-    memberships: dict = {}
+    margins: dict = {}
     report_rows: list = []
     trained = train_families(train, family, config.classifier.variants, settings)
     for variant, members in trained.items():
         live = _live(members)
-        margins = None
         if evaluate and live:
             # one (n_test, live) block serves every eps of this variant
-            margins = expansion_margins([m.model for m in live], test.x)
+            margins[variant] = expansion_margins([m.model for m in live], test.x)
         for eps in config.risk.eps:
             result = calibrate_trained_family(members, calibs[eps], plans[eps], variant,
                                               force_uncertified=force_uncertified)
             family_results[variant, eps] = result
             if evaluate:
-                table = _membership_table(labels, margins, _live(result.members))
-                memberships[variant, eps] = table
-                report_rows.extend(_member_rows(variant, eps, result, margins, table))
+                report_rows.extend(_member_rows(variant, eps, result, margins[variant],
+                                                test.y))
 
     result = ExperimentResult(config=config, plans=plans, family_results=family_results,
                               report_rows=report_rows, all_certified=all_certified,
                               scaler=scaler, train_original=train_original)
     if write:
-        _write_outputs(result, memberships if evaluate else None)
+        _write_outputs(result, margins if evaluate else None, test.y)
     return result
 
 
@@ -289,17 +284,19 @@ def _model_path(run_dir: Path, variant: str, eps) -> Path:
     return run_dir / "models" / f"{variant}_eps_{repr(float(eps))}.json"
 
 
-def _write_outputs(result: ExperimentResult, memberships: dict | None) -> None:
-    """Write the run directory.  ``memberships`` maps (variant, eps) to its
-    ``_membership_table``; None writes neither report nor membership files.
-    The report, model, membership and evaluation files this run does not
-    write are deleted first, so a reused directory holds what a fresh one
-    would."""
+def _write_outputs(result: ExperimentResult, margins: dict | None,
+                   labels: np.ndarray) -> None:
+    """Write the run directory.  ``margins`` maps each variant to its test
+    margins, one column per live member; None writes neither report nor
+    membership files.  The report, model, membership and evaluation files
+    this run does not write are deleted first, so a reused directory holds
+    what a fresh one would."""
     config_path = write_resolved_config(result.config)
     out = config_path.parent
     model_files = {key: _model_path(out, *key) for key in result.family_results}
-    membership_files = {(variant, eps): out / f"membership_{variant}_eps_{repr(float(eps))}.csv"
-                        for variant, eps in memberships or {}}
+    membership_files = {} if margins is None else {
+        (variant, eps): out / f"membership_{variant}_eps_{repr(float(eps))}.csv"
+        for variant, eps in result.family_results}
     written = {*model_files.values(), *membership_files.values()}
     for stale in [out / "report.csv", out / "evaluation.csv",
                   *out.glob("membership_*_eps_*.csv"), *out.glob("models/*_eps_*.json")]:
@@ -307,7 +304,7 @@ def _write_outputs(result: ExperimentResult, memberships: dict | None) -> None:
             stale.unlink(missing_ok=True)
     files = {"config": config_path}
 
-    if memberships is not None:
+    if margins is not None:
         report_path = out / "report.csv"
         write_csv(report_path, REPORT_COLUMNS, result.report_rows)
         files["report"] = report_path
@@ -316,13 +313,14 @@ def _write_outputs(result: ExperimentResult, memberships: dict | None) -> None:
     for key, family_result in result.family_results.items():
         selected = family_result.selected
         save_model(selected.model, model_files[key], certificate=selected.certificate)
-    # every table holds the same test points, so one set of row prefixes
-    prefixes = _row_prefixes(next(iter(memberships.values()))) if membership_files else []
-    for key, path in membership_files.items():
+    # every file holds the same test points, so one set of row prefixes
+    prefixes = _row_prefixes(labels) if membership_files else []
+    for (variant, eps), path in membership_files.items():
         # per-point membership table so every Pr{} cell can be recomputed
-        live = _live(result.family_results[key].members)
+        live = _live(result.family_results[variant, eps].members)
         header = ["index", "label"] + [f"member_{m.index}" for m in live]
-        _write_table(path, header, memberships[key], prefixes)
+        rho = np.array([m.certificate.rho_eps for m in live], dtype=float)
+        _write_table(path, header, in_region(margins[variant], rho), prefixes)
 
     files["models"] = list(model_files.values())
     files["membership"] = list(membership_files.values())
@@ -391,11 +389,8 @@ def evaluate_saved(run_dir) -> list:
     margins = expansion_margins([model for model, _ in loaded], test.x)
     rows = []
     for k, (model, cert) in enumerate(loaded):
-        s = margins[:, k]
-        joint, conditional, accuracy = _frequencies(in_region(s, cert.rho_eps), s, test.y)
-        hp = model.hyperparameters
-        rows.append([model.variant, float(hp.eta), float(hp.tau), model.kernel.label(),
-                     float(cert.plan.eps), cert.reported_rho, cert.kind, cert.certified,
-                     float(cert.confidence), joint, conditional, accuracy, test.n_samples])
+        cells = _test_cells(model.variant, model.hyperparameters, cert.plan.eps, test.y,
+                            cert, margins[:, k])
+        rows.append([cells[name] for name in EVALUATION_COLUMNS])
     write_csv(run_dir / "evaluation.csv", EVALUATION_COLUMNS, rows)
     return rows

@@ -303,6 +303,42 @@ def test_boundary_grid_rejects_non_2d_before_drawing_any_data(tmp_path, capsys, 
     assert not out.exists()
 
 
+def _no_data(*args, **kwargs):
+    raise AssertionError("data drawn or a family trained before the config check")
+
+
+@pytest.mark.parametrize("resolution", ["1", "0", "-5"])
+def test_boundary_grid_checks_the_resolution_flag_before_drawing_any_data(
+        tmp_path, capsys, monkeypatch, resolution):
+    # 1 once wrote one-row grids, 0 used the config's value and -5 trained
+    # every family before numpy refused it
+    monkeypatch.setattr(pipeline, "build_datasets", _no_data)
+    monkeypatch.setattr(pipeline, "train_families", _no_data)
+    out = tmp_path / "grids"
+    assert main(["boundary-grid", "--config", str(_write_config(tmp_path)),
+                 "--out", str(out), "--resolution", resolution]) == 1
+    assert "grid.resolution" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_boundary_grid_resolution_flag_sets_the_grids_and_resolved_config(tmp_path, capsys):
+    out = tmp_path / "grids"
+    assert main(["boundary-grid", "--config", str(_write_config(tmp_path)),
+                 "--out", str(out), "--resolution", "3"]) == 0
+    rows = list(csv.DictReader((out / "grid_svm_eps_0.1.csv").open()))
+    assert len(rows) == 9
+    stored = yaml.safe_load((out / "resolved_config.yaml").read_text())
+    assert stored["grid"]["resolution"] == 3
+
+
+def test_run_rejects_a_negative_seed_before_drawing_any_data(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "build_datasets", _no_data)
+    monkeypatch.setattr(pipeline, "train_families", _no_data)
+    assert main(["run", "--config", str(_write_config(tmp_path)), "--seed", "-1"]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_recomputes_from_run_dir(tmp_path, capsys):
     config = _write_config(tmp_path)
     main(["run", "--config", str(config)])

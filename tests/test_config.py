@@ -146,13 +146,15 @@ def test_load_config_errors(tmp_path):
         load_config(path)
 
 
-def test_with_overrides():
-    config = ExperimentConfig.from_mapping(_minimal_raw())
-    bumped = config.with_overrides(seed=9, output_dir="elsewhere")
-    assert (bumped.seed, bumped.output_dir) == (9, "elsewhere")
-    assert (config.seed, config.output_dir) == (5, "out")
-    same = config.with_overrides()
-    assert same.to_mapping() == config.to_mapping()
+def test_negative_seed_rejected_from_file_and_keyword(tmp_path):
+    # it once loaded, and the first seed derivation ended in numpy's ValueError
+    path = tmp_path / "negative.yaml"
+    path.write_text(yaml.safe_dump({**_minimal_raw(), "seed": -1}))
+    with pytest.raises(InvalidArgument, match="seed must be non-negative"):
+        load_config(path)
+    with pytest.raises(InvalidArgument, match="seed must be non-negative"):
+        ExperimentConfig(seed=-1)
+    assert ExperimentConfig(seed=0).seed == 0
 
 
 def test_uncertifiable_risk_still_parses():

@@ -10,15 +10,12 @@ import pytest
 import yaml
 
 from saferegions import (
+    EVALUATION_COLUMNS,
     REPORT_COLUMNS,
     WHOLE_SPACE,
-    CalibrationCertificate,
     Dataset,
     ExperimentConfig,
-    FamilyMember,
-    Hyperparameters,
     InvalidArgument,
-    ScalingPlan,
     UncertifiedPlanError,
     boundary_grid_rows,
     calibrate,
@@ -29,8 +26,8 @@ from saferegions import (
     run_experiment,
     train_sc_svm,
 )
+from saferegions.classifiers import in_region
 from saferegions.pipeline import (
-    _membership_table,
     _row_prefixes,
     _write_table,
     build_datasets,
@@ -350,26 +347,33 @@ def test_evaluate_saved_matches_report(tmp_path):
     assert (result.output_dir / "evaluation.csv").exists()
 
 
+def test_evaluation_rows_are_the_selected_report_rows(tmp_path):
+    raw = _raw(tmp_path, risk={"eps": [0.1, 0.5], "delta": 0.5},
+               classifier={"variants": ["svm", "svdd", "lr"], "etas": [0.5, 2.0],
+                           "taus": [0.5], "kernels": [{"kind": "gaussian"}]})
+    result = run_experiment(ExperimentConfig.from_mapping(raw))
+    evaluate_saved(result.output_dir)
+    with (result.output_dir / "report.csv").open() as fh:
+        selected = [{name: row[name] for name in EVALUATION_COLUMNS}
+                    for row in csv.DictReader(fh) if row["selected"] == "1"]
+    with (result.output_dir / "evaluation.csv").open() as fh:
+        evaluated = list(csv.DictReader(fh))
+    assert len(evaluated) == 6
+    assert evaluated == selected
+
+
 def test_membership_table_bytes_equal_csv_writer(tmp_path):
     labels = np.array([1, -1, -1, 1, -1])
     margins = np.array([[-2.0, 0.5], [-0.1, -3.0], [0.3, 0.2], [-1.0, -1.0],
                         [0.0, -0.25]])
-    plan = ScalingPlan.from_risk(0.5, 0.5)
-    live = [FamilyMember(index=i, hyperparameters=Hyperparameters(),
-                         certificate=CalibrationCertificate(rho_eps=rho, plan=plan, n_U=3,
-                                                            confidence=0.5, certified=True))
-            for i, rho in ((0, 0.2), (3, WHOLE_SPACE))]
-    table = _membership_table(labels, margins, live)
-    assert table.dtype == np.int64
+    rho = np.array([0.2, WHOLE_SPACE])
     header = ["index", "label", "member_0", "member_3"]
-    rows = [[i, int(labels[i])] + [int(margins[i, k] + m.certificate.rho_eps < 0.0)
-                                   for k, m in enumerate(live)]
+    rows = [[i, int(labels[i])] + [int(margins[i, k] + rho[k] < 0.0) for k in range(2)]
             for i in range(labels.size)]
-    assert table.tolist() == rows
-    _write_table(tmp_path / "fast.csv", header, table, _row_prefixes(table))
+    _write_table(tmp_path / "fast.csv", header, in_region(margins, rho), _row_prefixes(labels))
     write_csv(tmp_path / "reference.csv", header, rows)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    _write_table(tmp_path / "empty.csv", header[:2], table[:0, :2], [])
+    _write_table(tmp_path / "empty.csv", header[:2], np.zeros((0, 0), dtype=bool), [])
     write_csv(tmp_path / "empty_reference.csv", header[:2], [])
     assert ((tmp_path / "empty.csv").read_bytes()
             == (tmp_path / "empty_reference.csv").read_bytes())
@@ -379,15 +383,15 @@ def test_membership_table_bytes_equal_csv_writer(tmp_path):
 def test_membership_table_at_scale_bytes_equal_csv_writer(tmp_path, members):
     rng = np.random.default_rng(23)
     n = 10_000
-    table = np.empty((n, 2 + members), dtype=np.int64)
-    table[:, 0] = np.arange(n)
-    table[:, 1] = rng.choice([-1, 1], size=n)
-    table[:, 2:] = rng.random((n, members)) < 0.5
-    assert set(table[:, 1].tolist()) == {-1, 1}
-    assert members == 0 or set(table[:, 2:].ravel().tolist()) == {0, 1}
+    labels = rng.choice([-1, 1], size=n)
+    inside = rng.random((n, members)) < 0.5
+    assert set(labels.tolist()) == {-1, 1}
+    assert members == 0 or set(inside.ravel().tolist()) == {False, True}
     header = ["index", "label"] + [f"member_{k}" for k in range(members)]
-    _write_table(tmp_path / "fast.csv", header, table, _row_prefixes(table))
-    write_csv(tmp_path / "reference.csv", header, table.tolist())
+    rows = [[i, label] + row
+            for i, (label, row) in enumerate(zip(labels.tolist(), inside.astype(int).tolist()))]
+    _write_table(tmp_path / "fast.csv", header, inside, _row_prefixes(labels))
+    write_csv(tmp_path / "reference.csv", header, rows)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
