@@ -67,14 +67,17 @@ __all__ = [
     "model_from_record",
 ]
 
-# Kernel entries per row block of _margins: 2**16 doubles make each
-# workspace buffer 512 KiB, so a gaussian block's two buffers stay in a
-# 2 MiB per-core L2 through its elementwise passes, whatever the number of
-# centers.  ms per single-column gaussian margin call at (points, centers,
-# dim), best of 30 calls, one BLAS thread, 2-vCPU Xeon, for 2**21 / 2**18 /
-# 2**17 / 2**16 / 2**15 / 2**14 entries: (10000, 400, 2) 50.4 / 27.6 /
-# 21.1 / 18.6 / 19.2 / 22.7; (20000, 3000, 2) 537 / 324 / 236 / 239 / 294 /
-# 319; (2000, 700, 40) 15.6 / 17.4 / 12.7 / 12.5 / 14.6 / 13.2.
+# Kernel entries per row block of _margins: 2**16 doubles make the one
+# workspace buffer 512 KiB, so a gaussian block stays in a 2 MiB per-core L2
+# through its clamp and exp, whatever the number of centers.  ms per
+# single-column gaussian margin call at (points, centers, dim), best of 30
+# calls, one BLAS thread, 2-vCPU Xeon, for 2**21 / 2**18 / 2**17 / 2**16 /
+# 2**15 / 2**14 entries: (10000, 400, 2) 50.4 / 27.6 / 21.1 / 18.6 / 19.2 /
+# 22.7; (20000, 3000, 2) 537 / 324 / 236 / 239 / 294 / 319; (2000, 700, 40)
+# 15.6 / 17.4 / 12.7 / 12.5 / 14.6 / 13.2.  This sweep, and its "two
+# buffers stay in L2" reason, predate the lifted gaussian product (one
+# buffer, two elementwise passes instead of six); 2**16 is kept because a
+# new block size moves margin bits, so it needs its own measurement.
 _BLOCK_ENTRIES = 2 ** 16
 
 
@@ -281,7 +284,8 @@ def _margins(models, x: np.ndarray, per_model: bool) -> np.ndarray:
     coefficients go into one column per model over its distinct centers.
     Each row block of points (at most _BLOCK_ENTRIES kernel entries) costs
     one kernel block, built in a workspace the group allocates once and
-    reuses for every block, then one product for the group (merged mode), or
+    reuses for every block (a gaussian kernel lifts the group's centers once,
+    on its first block), then one product for the group (merged mode), or
     per model the single-column product it makes alone (per-model mode), the
     bits of its own ``margin``.  In a per-model call of several models, one
     sharing its group with no other goes through its own ``margin``.

@@ -1,13 +1,13 @@
 """Kernel specifications and Gram machinery for the classifiers.
 
-``kernel_matrix`` builds a cross-kernel block either in fresh buffers or in
-place, in a ``kernel_workspace`` that a caller allocates once and reuses for
-every row block.  ``gram`` builds a symmetric Gram in its one n x n output
-array, plus a scratch of a few rows for the gaussian squared distances, and
-mirrors its upper triangle in place.  Each kernel formula is written once,
-so every path gives the same bits.
+``kernel_matrix`` builds a cross-kernel block in a fresh buffer or in place,
+in a ``kernel_workspace`` a caller allocates once and reuses for every row
+block.  A gaussian block is one product of lifted points ``[a, |a|^2, 1]``
+and centers ``[2 gamma b; -gamma; -gamma |b|^2]``, which is -gamma |a - b|^2,
+then one clamp and one exp in place, with no scratch.  ``gram`` is the block
+of a point set against itself, mirrored in place.  Each kernel formula is
+written once, so every path gives the same bits.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -96,18 +96,25 @@ def _require_gamma(spec: KernelSpec) -> float:
 
 
 def kernel_workspace(spec: KernelSpec, rows: int, cols: int) -> list:
-    """Buffers for ``kernel_matrix`` blocks of up to ``rows`` points against
-    ``cols`` centers: one ``(rows, cols)`` array, two for a gaussian kernel."""
-    return [np.empty((rows, cols)) for _ in range(2 if spec.kind == "gaussian" else 1)]
+    """Buffer for ``kernel_matrix`` blocks of up to ``rows`` points against
+    ``cols`` centers: one ``(rows, cols)`` array for every kind.  A gaussian
+    kernel also keeps there, from its first call on a center array, their
+    lifted form and a buffer for a block's lifted points, so that array must
+    not change in place while the workspace is in use."""
+    return _Workspace([np.empty((rows, cols))])
+
+
+class _Workspace(list):
+    lifted = None   # (centers, gamma, lifted centers, lifted-points buffer)
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray, work=None) -> np.ndarray:
     """Cross-kernel matrix of shape (len(a), len(b)).
 
     With ``work`` from ``kernel_workspace(spec, rows, len(b))``, ``rows >=
-    len(a)``, the block is built in place in those buffers and the result is
-    a view of them, overwritten by the next call on the same workspace;
-    without it, fresh buffers are allocated.  Both paths run the same
+    len(a)``, the block is built in place in that buffer and the result is
+    a view of it, overwritten by the next call on the same workspace;
+    without it, a fresh buffer is allocated.  Both paths run the same
     floating-point operations in the same order.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -117,58 +124,68 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray, work=None) -> 
     if work is None:
         work = kernel_workspace(spec, a.shape[0], b.shape[0])
     k = work[0][:a.shape[0]]
-    np.matmul(a, b.T, out=k)
     if spec.kind == "gaussian":
-        _gaussian_from_products(k, _squared_norms(a)[:, None], _squared_norms(b)[None, :],
-                                work[1], _require_gamma(spec))
-    elif spec.kind == "polynomial":
-        _polynomial_from_products(spec, k)
+        np.matmul(*_lifted(work, a, b, _require_gamma(spec)), out=k)
+        _gaussian_from_exponents(k)
+    else:
+        np.matmul(a, b.T, out=k)
+        if spec.kind == "polynomial":
+            k += spec.coef0
+            np.power(k, spec.degree, out=k)
     return k
 
 
-# Kernel entries per row chunk of a gaussian Gram (a 512 KiB scratch) and
-# rows per block of the in-place mirror.  gaussian gram ms, best of 7, one
-# BLAS thread, 2-vCPU Xeon, at n = 1100 / 3000 (d = 2): chunks of 2**14,
-# 2**16, 2**18 entries 11.4 / 90.7, 12.4 / 92.9, 12.4 / 95.6; mirror blocks
-# of 32, 128, 512 rows 13.3 / 100.0, 13.0 / 94.1, 17.3 / 96.8.
+def _lifted(work: _Workspace, a: np.ndarray, b: np.ndarray, gamma: float) -> tuple:
+    # points [a, |a|^2, 1] in the workspace and centers [2 gamma b^T; -gamma;
+    # -gamma |b|^2], lifted again only for another center array or gamma;
+    # their product is -gamma |a - b|^2
+    d = b.shape[1]
+    if work.lifted is None or work.lifted[0] is not b or work.lifted[1] != gamma:
+        centers = np.empty((d + 2, b.shape[0]))
+        np.multiply(b.T, 2.0 * gamma, out=centers[:d])
+        centers[d] = -gamma
+        np.multiply(_squared_norms(b), -gamma, out=centers[d + 1])
+        work.lifted = (b, gamma, centers, np.empty((work[0].shape[0], d + 2)))
+    points = work.lifted[3][:a.shape[0]]
+    points[:, :d] = a
+    np.einsum("ij,ij->i", a, a, out=points[:, d])
+    points[:, d + 1] = 1.0
+    return points, work.lifted[2]
+
+
+# Kernel entries per row chunk of the gaussian clamp and exp, and rows per
+# block of the in-place mirror.  gaussian gram ms, best of 7, one BLAS
+# thread, 2-vCPU Xeon, n = 1100 / 3000, d = 2: clamp-and-exp chunks of
+# 2**14, 2**16, 2**18 entries and the whole matrix 8.1 / 83.8, 8.2 / 81.3,
+# 8.4 / 80.8, 7.6 / 81.4; mirror blocks of 32, 128, 512 rows 13.3 / 100.0,
+# 13.0 / 94.1, 17.3 / 96.8 (measured before the lifted product).
 _GRAM_CHUNK_ENTRIES = 2 ** 16
 _MIRROR_ROWS = 128
 
 
-def gram(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
-    """Symmetric Gram matrix of a point set.
+def _gaussian_from_exponents(k: np.ndarray) -> None:
+    # k holds -gamma |a - b|^2 from the lifted product and becomes exp(min(k,
+    # 0)) in place, the clamp because cancellation can leave small positives;
+    # a row chunk at a time, so both passes run on an L2-resident chunk
+    rows = max(1, _GRAM_CHUNK_ENTRIES // max(1, k.shape[1]))
+    for start in range(0, k.shape[0], rows):
+        chunk = k[start:start + rows]
+        np.minimum(chunk, 0.0, out=chunk)
+        np.exp(chunk, out=chunk)
 
-    The upper triangle is computed once and mirrored, so K[i, j] == K[j, i]
-    exactly; the gaussian diagonal is exactly 1.  The matrix is built in its
-    one n x n output array: the product ``points @ points.T`` goes there,
-    a gaussian kernel turns it into kernel values one row chunk at a time
-    through a scratch of ``_GRAM_CHUNK_ENTRIES`` entries, and the mirror
-    copies the upper triangle into the lower one in place.  These are the
-    operations, in the order, of ``kernel_matrix`` on the whole point set
-    followed by ``np.triu(k) + np.triu(k, 1).T``, so the bits are the same.
-    """
+
+def gram(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """Symmetric Gram matrix of a point set: ``kernel_matrix`` of the set
+    against itself in its one n x n array, the gaussian diagonal set to
+    exactly 1 and the upper triangle mirrored in place, so K[i, j] == K[j, i]
+    exactly and the bits are those of the block then ``np.triu(k) +
+    np.triu(k, 1).T``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
-    k = np.empty((n, n))
-    np.matmul(points, points.T, out=k)
+    k = kernel_matrix(spec, points, points)
     if spec.kind == "gaussian":
-        _gaussian_gram_rows(k, points, _require_gamma(spec))
         np.fill_diagonal(k, 1.0)
-    elif spec.kind == "polynomial":
-        _polynomial_from_products(spec, k)
     _mirror_upper(k)
     return k
-
-
-def _gaussian_gram_rows(k: np.ndarray, points: np.ndarray, gamma: float) -> None:
-    # the products in k become kernel values one row chunk at a time, so the
-    # scratch holds a few rows, not a second n x n array
-    sq = _squared_norms(points)
-    rows = max(1, _GRAM_CHUNK_ENTRIES // max(1, k.shape[1]))
-    scratch = np.empty((min(rows, k.shape[0]), k.shape[1]))
-    for start in range(0, k.shape[0], rows):
-        _gaussian_from_products(k[start:start + rows], sq[start:start + rows, None],
-                                sq[None, :], scratch, gamma)
 
 
 def _mirror_upper(k: np.ndarray) -> None:
@@ -200,22 +217,3 @@ def kernel_diag(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
 
 def _squared_norms(points: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", points, points)
-
-
-def _gaussian_from_products(k: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray,
-                            scratch: np.ndarray, gamma: float) -> None:
-    # k holds the products a.b; it becomes exp(-gamma * max((|a|^2 + |b|^2)
-    # - 2 a.b, 0)) in place, the clamp because cancellation can leave small
-    # negatives; the first rows of scratch hold |a|^2 + |b|^2
-    scratch = scratch[:k.shape[0]]
-    k *= 2.0
-    np.add(a_sq, b_sq, out=scratch)
-    np.subtract(scratch, k, out=k)
-    np.maximum(k, 0.0, out=k)
-    k *= -gamma
-    np.exp(k, out=k)
-
-
-def _polynomial_from_products(spec: KernelSpec, k: np.ndarray) -> None:
-    k += spec.coef0
-    np.power(k, spec.degree, out=k)

@@ -153,7 +153,6 @@ def train_sc_lr(train, hp: Hyperparameters, settings: TrainSettings | None = Non
     b = 0.0
     z = K @ beta - b
     loss = _loss(yf, c, eta, beta, z, z)     # K beta equals z while beta and b are 0
-    monotone = True
     converged = False
     grad_norm = np.inf
     it = 0
@@ -191,8 +190,6 @@ def train_sc_lr(train, hp: Hyperparameters, settings: TrainSettings | None = Non
             width *= 0.5
         if not accepted:
             break
-        if loss_try > loss:
-            monotone = False
         beta, b, z, loss = beta_try, b_try, z_try, loss_try
 
     if not converged:
@@ -201,8 +198,7 @@ def train_sc_lr(train, hp: Hyperparameters, settings: TrainSettings | None = Non
             f"tol={settings.tol} after {it} steps")
 
     diagnostics = TrainingDiagnostics(
-        iterations=it, residual=grad_norm, converged=True, objective=loss,
-        flags={"monotone_loss": monotone})
+        iterations=it, residual=grad_norm, converged=True, objective=loss)
     return ScLrModel(
         train_x=x.copy(), beta=beta.copy(), offset=float(b),
         hyperparameters=hp, diagnostics=diagnostics)

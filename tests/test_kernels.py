@@ -104,9 +104,14 @@ def _allocating_formula(spec, a, b):
         return a @ b.T
     if spec.kind == "polynomial":
         return (a @ b.T + spec.coef0) ** spec.degree
-    sq = (np.einsum("ij,ij->i", a, a)[:, None] + np.einsum("ij,ij->i", b, b)[None, :]
-          - 2.0 * (a @ b.T))
-    return np.exp(-spec.gamma * np.maximum(sq, 0.0))
+    # the lifted product [a, |a|^2, 1] @ [2 gamma b^T; -gamma; -gamma |b|^2]
+    # is -gamma |a - b|^2; the lifted centers are C-ordered, as the product's
+    # bits depend on its operands' layout
+    points = np.hstack([a, np.einsum("ij,ij->i", a, a)[:, None], np.ones((a.shape[0], 1))])
+    centers = np.ascontiguousarray(np.vstack([
+        2.0 * spec.gamma * b.T, np.full((1, b.shape[0]), -spec.gamma),
+        -spec.gamma * np.einsum("ij,ij->i", b, b)[None, :]]))
+    return np.exp(np.minimum(points @ centers, 0.0))
 
 
 @pytest.mark.parametrize("spec", [KernelSpec(kind="linear"),
@@ -119,7 +124,7 @@ def test_workspace_blocks_equal_allocated_blocks(spec):
     x = rng.normal(size=(23, 5))
     centers = rng.normal(size=(17, 5))
     work = kernel_workspace(spec, 8, centers.shape[0])
-    assert [w.shape for w in work] == [(8, 17)] * (2 if spec.kind == "gaussian" else 1)
+    assert [w.shape for w in work] == [(8, 17)]
     # two full blocks, a short last block, one row and no rows, in one workspace
     for block in (x[:8], x[8:16], x[16:], x[:1], x[:0]):
         got = kernel_matrix(spec, block, centers, work)
@@ -127,6 +132,52 @@ def test_workspace_blocks_equal_allocated_blocks(spec):
         assert got.size == 0 or np.shares_memory(got, work[0])
         assert np.array_equal(got, kernel_matrix(spec, block, centers))
         assert np.array_equal(got, _allocating_formula(spec, block, centers))
+
+
+def test_gaussian_workspace_lifts_again_for_other_centers_or_gamma():
+    # the workspace keeps the lifted centers of the array it last saw; another
+    # array of the same shape, or another gamma, must not reuse them
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(8, 3))
+    first, second = rng.normal(size=(11, 3)), rng.normal(size=(11, 3))
+    narrow, wide = KernelSpec(kind="gaussian", gamma=0.3), KernelSpec(kind="gaussian", gamma=2.0)
+    work = kernel_workspace(narrow, 8, 11)
+    for spec, centers in ((narrow, first), (narrow, second), (wide, second), (narrow, first)):
+        got = kernel_matrix(spec, x, centers, work)
+        assert np.array_equal(got, kernel_matrix(spec, x, centers))
+
+
+def _direct_differences(gamma, a, b):
+    return np.exp(-gamma * ((a[:, None] - b[None]) ** 2).sum(-1))
+
+
+@pytest.mark.parametrize("d", [2, 40])
+@pytest.mark.parametrize("offset", [0.0, 1e2, 1e3])
+def test_gaussian_blocks_match_direct_differences(d, offset):
+    # the oracle takes differences first, so it has no cancellation; the
+    # lifted product's rounding grows with |a|^2 + |b|^2, the bound is
+    # entrywise, and every value lies in [0, 1]
+    rng = np.random.default_rng(int(offset) + d)
+    a = rng.normal(size=(37, d)) + offset
+    b = rng.normal(size=(29, d)) + offset
+    b[:6] = a[10:16]                    # exact duplicates across a and b
+    x = np.vstack([a, a[:4]])           # and within one Gram's point set
+    spec = KernelSpec(kind="gaussian").resolved(a - offset)
+    eps = np.finfo(float).eps
+
+    def bound(p, q):
+        sq_p, sq_q = (np.einsum("ij,ij->i", p, p), np.einsum("ij,ij->i", q, q))
+        return spec.gamma * (d + 3) * eps * (sq_p[:, None] + sq_q[None, :])
+
+    got = kernel_matrix(spec, a, b)
+    assert np.all(np.abs(got - _direct_differences(spec.gamma, a, b)) <= bound(a, b))
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    assert float(got.max()) > 0.5 and float(got[:, 6:].min()) < 0.5
+    K = gram(spec, x)
+    off_diagonal = ~np.eye(x.shape[0], dtype=bool)
+    error = np.abs(K - _direct_differences(spec.gamma, x, x))
+    assert np.all(error[off_diagonal] <= bound(x, x)[off_diagonal])
+    assert np.all((K >= 0.0) & (K <= 1.0))
 
 
 _GRAM_SPECS = [KernelSpec(kind="linear"), KernelSpec(kind="gaussian", gamma=0.7),
@@ -166,9 +217,9 @@ def test_gram_bits_equal_the_mirrored_kernel_block(spec, n, d):
 
 @pytest.mark.parametrize("spec", _GRAM_SPECS, ids=lambda spec: spec.kind)
 def test_gram_peak_memory_is_about_one_n_by_n_array(spec):
-    # the Gram's own n x n array plus a scratch of a few rows; building the
-    # block beside a second n x n scratch and mirroring it through three
-    # more n x n temporaries peaked at 4 n^2 doubles
+    # the Gram's own n x n array plus its (d + 2) x n lifted operands;
+    # building the block beside a second n x n scratch and mirroring it
+    # through three more n x n temporaries peaked at 4 n^2 doubles
     n = 1100
     x = np.random.default_rng(17).normal(size=(n, 2))
     tracemalloc.start()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -55,8 +57,33 @@ def test_training_decreases_loss_monotonically():
     hp = Hyperparameters(eta=1.0, tau=0.5, kernel=KernelSpec(kind="gaussian"))
     model = train_sc_lr(data, hp)
     assert model.diagnostics.converged
-    assert "monotone_loss" in model.diagnostics.flags
+    # each accepted step passes the Armijo test, so the loss ends below its
+    # value at the starting point beta = 0, b = 0
+    x, y = data.x, data.y.astype(float)
+    c = (1.0 - 2.0 * hp.tau) * y + 1.0
+    start = lr_loss(gram(model.kernel, x), y, c, hp.eta, np.zeros(y.size), 0.0)
+    assert model.diagnostics.objective < start
     assert model.diagnostics.residual <= 1e-6
+
+
+def test_v1_record_with_a_monotone_loss_flag_still_loads(tmp_path):
+    # earlier LR model files carry flags {"monotone_loss": true}; flags are a
+    # free-form mapping, so the record still loads at format version 1
+    data = sample_gaussian(_SPEC, 90, seed=18)
+    hp = Hyperparameters(eta=0.9, tau=0.6, kernel=KernelSpec(kind="gaussian", gamma=0.3))
+    model = train_sc_lr(data, hp)
+    assert model.diagnostics.flags == {}
+    path = tmp_path / "lr.json"
+    save_model(model, path)
+    record = json.loads(path.read_text())
+    assert record["format_version"] == 1
+    record["diagnostics"]["flags"] = {"monotone_loss": True}
+    path.write_text(json.dumps(record))
+    loaded, _ = load_model(path)
+    assert isinstance(loaded, ScLrModel)
+    assert loaded.diagnostics.flags == {"monotone_loss": True}
+    pts = np.random.default_rng(19).normal(size=(15, 2))
+    assert np.array_equal(loaded.margin(pts), model.margin(pts))
 
 
 def test_decision_is_shifted_sigmoid():
